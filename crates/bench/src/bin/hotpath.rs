@@ -3,8 +3,9 @@
 //! ("before": every access pays the full tree walks) and on ("after":
 //! the software-TLB / ptr2obj / last-object fast paths).
 //!
-//! Emits `BENCH_hotpath.json` so subsequent changes have a
-//! machine-readable perf trajectory (`scripts/verify.sh` gates on it).
+//! Emits `BENCH_hotpath.json`, with the machine's core count, so
+//! subsequent changes have a machine-readable perf trajectory
+//! (`scripts/verify.sh` gates on it).
 //!
 //! Usage:
 //!
@@ -16,6 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dangsan::{set_alloc_site, Config, DangSan, Detector, TraceLevel};
+use dangsan_bench::cores;
 use dangsan_bench::report::Json;
 use dangsan_heap::Heap;
 use dangsan_shadow::MetaPageTable;
@@ -62,26 +64,8 @@ fn env(caches: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
     (mem, heap, det)
 }
 
-/// A fresh environment for the free-heavy benchmarks: `opt` toggles the
-/// whole of this repo's free-path work — the per-thread caches (whose
-/// per-object epochs make them free-proof) *and* the page-batched
-/// invalidation walk — so off/on is the before/after of the optimised
-/// free path, not of the caches alone.
-fn free_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
-    let mem = Arc::new(AddressSpace::new());
-    let heap = Heap::new(Arc::clone(&mem));
-    let det = DangSan::new(
-        Arc::clone(&mem),
-        Config::default()
-            .with_hot_path_caches(opt)
-            .with_page_batched_free(opt),
-    );
-    mem.set_tlb_enabled(opt);
-    (mem, heap, det)
-}
-
-/// [`free_env`] plus the deferred sweep on the optimised arm: the "on"
-/// side of the mutator-visible free benchmarks frees into the quarantine
+/// [`env`] plus the deferred sweep on the optimised arm: the "on" side
+/// of the mutator-visible free benchmarks frees into the quarantine
 /// (`Heap::quarantine` + an O(1) `on_free`) and the walks run at the
 /// drain, outside the timed region — the throughput a mutator actually
 /// observes. Zero helper threads keep the timed loop free of scheduler
@@ -94,7 +78,6 @@ fn deferred_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
         Arc::clone(&mem),
         Config::default()
             .with_hot_path_caches(opt)
-            .with_page_batched_free(opt)
             .with_deferred_sweep(opt)
             .with_sweep_threads(0)
             .with_quarantine_caps(u64::MAX, u64::MAX),
@@ -270,8 +253,8 @@ fn bench_malloc_free(iters: u64, caches: bool) -> Measurement {
 }
 
 /// `invalidate`: `invalptrs` throughput — walk a log of 64 locations and
-/// CAS each one. Reads go through `AddressSpace::word`, so the TLB helps
-/// here too. Ops are counted in pointers invalidated.
+/// CAS each one. The walk's page translation goes through the TLB, so
+/// the caches help here too. Ops are counted in pointers invalidated.
 fn bench_invalidate(rounds: u64, caches: bool) -> Measurement {
     const PTRS: u64 = 64;
     let (mem, heap, det) = env(caches);
@@ -300,12 +283,12 @@ fn bench_invalidate(rounds: u64, caches: bool) -> Measurement {
 }
 
 /// `free_many_ptrs`: one object, many pointers — the invalidation walk at
-/// its widest. 1024 distinct locations span two vmem pages, so the
-/// page-batched walk pays two translations where the legacy path paid
-/// 1024. Ops are counted in pointers invalidated.
-fn bench_free_many_ptrs(rounds: u64, opt: bool) -> Measurement {
+/// its widest. 1024 distinct locations span two vmem pages, so the walk
+/// pays two translations per free. Off/on toggles the hot-path caches.
+/// Ops are counted in pointers invalidated.
+fn bench_free_many_ptrs(rounds: u64, caches: bool) -> Measurement {
     const LOCS: u64 = 1024;
-    let (mem, heap, det) = free_env(opt);
+    let (mem, heap, det) = env(caches);
     let holder = heap.malloc(LOCS * 8).expect("holder");
     det.on_alloc(&holder);
     let start = Instant::now();
@@ -419,7 +402,7 @@ fn bench_free_while_registering(rounds: u64, opt: bool) -> Measurement {
                 // single-core runner an unyielding spin loop can hold the
                 // CPU for a whole timed rep, collapsing whichever side it
                 // lands on by ~3x and flipping the verify gate at random.
-                if i % 64 == 0 {
+                if i.is_multiple_of(64) {
                     std::thread::yield_now();
                 }
             }
@@ -485,7 +468,6 @@ fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
         Arc::clone(&mem),
         Config::default()
             .with_hot_path_caches(true)
-            .with_page_batched_free(true)
             .with_deferred_sweep(deferred)
             .with_sweep_threads(0),
     );
@@ -550,7 +532,6 @@ fn bench_malloc_free_thin(rounds: u64, policy: bool) -> Measurement {
         Arc::clone(&mem),
         Config::default()
             .with_hot_path_caches(true)
-            .with_page_batched_free(true)
             .with_deferred_sweep(true)
             .with_sweep_threads(0)
             .with_site_policy(policy)
@@ -626,6 +607,7 @@ fn main() {
     let mut doc = Json::obj();
     doc.set("schema", Json::Str("dangsan-hotpath-v1".into()));
     doc.set("quick", Json::Bool(quick));
+    doc.set("cores", Json::Num(cores() as f64));
     let mut section = Json::obj();
     eprintln!(
         "[hotpath] {} mode, {reps} reps/bench",

@@ -45,6 +45,7 @@
 
 use dangsan::Config;
 use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
+use dangsan_bench::cores;
 use dangsan_bench::report::Json;
 use dangsan_workloads::{
     run_server, site_policy_env_overrides, sweep_env_overrides, tagging_env_overrides,
@@ -60,10 +61,6 @@ fn thread_counts() -> Vec<usize> {
         counts.push(cores);
     }
     counts
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Sweep configuration shared by both detector arms: deferred, zero

@@ -26,16 +26,13 @@
 
 use dangsan::Config;
 use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
+use dangsan_bench::cores;
 use dangsan_bench::report::Json;
 use dangsan_workloads::{
     metrics_env_overrides, run_server, run_server_opts, site_policy_env_overrides,
     sweep_env_overrides, tagging_env_overrides, DetectorKind, ServerOptions, ServerProfile,
     ServerResult,
 };
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
 
 /// The scaling bench's shipping configuration, plus every env-override
 /// axis so the CI matrix (SWEEP_THREADS / SITE_POLICY / METRICS)

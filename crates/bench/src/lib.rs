@@ -23,3 +23,9 @@
 pub mod experiments;
 pub mod ir_suite;
 pub mod report;
+
+/// The core count the OS grants this process, recorded in every
+/// `BENCH_*.json` so the gates can key their floors on the machine.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}

@@ -37,12 +37,6 @@ pub struct Config {
     /// back into the three full tree walks — the before/after baseline for
     /// the hot-path micro-benchmarks. Behaviour is identical either way.
     pub hot_path_caches: bool,
-    /// Resolve the free-time invalidation walk one vmem *page* at a time
-    /// (drain → dedup → sort → one translation per page) instead of one
-    /// translation per location. Both settings drain and dedup the same
-    /// location set, so reports and counters are identical; the knob
-    /// isolates the translation batching for the ablation benchmarks.
-    pub page_batched_free: bool,
     /// Serve the allocator's malloc/free from the heap's TLS magazines
     /// (tcmalloc's per-thread caches). Off routes every operation through
     /// the locked central free lists — the "locked allocator" baseline the
@@ -117,7 +111,6 @@ impl Default for Config {
             hash_initial: 64,
             hook_memcpy: false,
             hot_path_caches: true,
-            page_batched_free: true,
             thread_cached_heap: true,
             deferred_sweep: false,
             sweep_threads: 2,
@@ -166,12 +159,6 @@ impl Config {
     /// Returns a copy with the hot-path caches toggled.
     pub fn with_hot_path_caches(mut self, on: bool) -> Self {
         self.hot_path_caches = on;
-        self
-    }
-
-    /// Returns a copy with free-time page batching toggled.
-    pub fn with_page_batched_free(mut self, on: bool) -> Self {
-        self.page_batched_free = on;
         self
     }
 

@@ -12,10 +12,7 @@ use dangsan_trace::{
     forensics, pack_size_site, pack_sweep_mode, EventCode, Trace, TraceLevel, Tracer,
     SWEEP_MODE_BACKPRESSURE, SWEEP_MODE_DEFERRED, SWEEP_MODE_INLINE, SWEEP_MODE_STOLEN,
 };
-use dangsan_vmem::{
-    Addr, AddressSpace, CasOutcome, FaultKind, PageRef, HEAP_BASE, HEAP_SIZE, INVALID_BIT,
-    PAGE_SIZE,
-};
+use dangsan_vmem::{Addr, AddressSpace, FaultKind, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SIZE};
 
 use crate::api::{Detector, InvalidationReport};
 use crate::config::Config;
@@ -24,7 +21,9 @@ use crate::object::{fresh_epoch, ObjectMeta};
 use crate::policy::{SitePolicy, Tier};
 use crate::pool::{Pool, ScratchPool};
 use crate::stats::{Hot, Stats, StatsSnapshot};
-use crate::sweep::{LogChain, MetaRef, ObjectSweep, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES};
+use crate::sweep::{
+    FreedObject, LogChain, MetaRef, ObjectSweep, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES,
+};
 use dangsan_telemetry::{Collector, MetricsHub, Sampler};
 
 /// This thread's stable small integer id.
@@ -537,47 +536,6 @@ impl DangSan {
         }
     }
 
-    /// The Thin-tier free: the object's site history said no pointer is
-    /// ever registered, and the just-detached chain confirmed it (it was
-    /// empty). Epoch retirement already happened in `on_free` — the
-    /// detection-relevant step, it kills every cache slot naming this
-    /// lifetime — so what remains is teardown: shadow clear, record
-    /// recycle, and (in deferred mode) handing the quarantined block
-    /// straight back to the heap, skipping the whole sweep-queue round
-    /// trip. Counter effects are bit-exact with a Standard free that
-    /// drained zero locations: `objects_freed`, the empty histogram
-    /// bucket, and nothing else hot (`frees_thin` is a zeroed-out
-    /// diagnostic, see `StatsSnapshot::behavioural`).
-    fn thin_free(&self, meta: &ObjectMeta, base: Addr, obj_id: u64) -> InvalidationReport {
-        let covered = meta.covered.load(Ordering::Acquire);
-        let site = meta.site.load(Ordering::Relaxed);
-        let lifetime = meta.epoch.load(Ordering::Relaxed).saturating_sub(obj_id);
-        Stats::bump(&self.stats.objects_freed);
-        Stats::bump(&self.stats.frees_thin);
-        self.stats.bump_hot_by(&[(Hot::free_hist_bucket(0), 1)]);
-        if let Some(policy) = &self.policy {
-            policy.note_free(site, 0, false, lifetime);
-        }
-        self.trace.record(
-            TraceLevel::Lifecycles,
-            EventCode::ObjectFree,
-            base,
-            obj_id,
-            0,
-        );
-        self.map.clear_object(base, covered);
-        self.meta_pool.recycle(meta);
-        if self.cfg.deferred_sweep {
-            // No sweep job exists for this free: the block the heap
-            // quarantined before calling in re-enters circulation here
-            // (the untracked-base discipline), or it would leak.
-            if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
-                heap.requeue_batch(&[base]);
-            }
-        }
-        InvalidationReport::default()
-    }
-
     /// The fully cached `register_ptr` path.
     ///
     /// Consults the per-thread registration memo first: a hit means this
@@ -691,137 +649,24 @@ impl DangSan {
         })
     }
 
-    /// Invalidates one logged location, classifying the outcome into the
-    /// report. The cold stats counters are added in bulk by the caller
-    /// once the whole walk has run ([`DangSan::account_report`]).
-    fn invalidate_location(&self, lo: Addr, hi: Addr, loc: Addr, report: &mut InvalidationReport) {
-        match self.mem.read_word(loc) {
-            Err(fault) => {
-                debug_assert_eq!(fault.kind, FaultKind::Unmapped);
-                // The memory holding the pointer was released (e.g. a
-                // popped thread stack): the paper catches SIGSEGV here and
-                // skips the location.
-                report.skipped_unmapped += 1;
-            }
-            Ok(value) => {
-                if value >= lo && value <= hi {
-                    // CAS so a pointer concurrently overwritten by another
-                    // thread is never clobbered (§4.4). Setting only the
-                    // MSB keeps the address recoverable for debugging and
-                    // keeps pointer arithmetic on freed pointers working.
-                    match self.mem.cas_word(loc, value, value | INVALID_BIT) {
-                        Ok(CasOutcome::Stored) => report.invalidated += 1,
-                        // Lost the race: the program overwrote the
-                        // location first; nothing to invalidate.
-                        Ok(CasOutcome::Conflict { .. }) | Err(_) => report.stale += 1,
-                    }
-                } else {
-                    report.stale += 1;
-                }
-            }
-        }
-    }
-
-    /// Invalidates one page's sorted, deduped location run against the
-    /// inclusive object range `[lo, hi]`, coalescing adjacent slots:
-    /// locations 8 bytes apart become one [`PageRef::invalidate_run`]
-    /// masked loop (one bounds computation per run) instead of a
-    /// translated CAS per slot. Classification is identical per word.
-    fn invalidate_page_run(
-        &self,
-        page: &PageRef<'_>,
-        run: &[Addr],
-        lo: Addr,
-        hi: Addr,
-        report: &mut InvalidationReport,
-    ) {
-        let mut i = 0;
-        while i < run.len() {
-            let mut j = i + 1;
-            while j < run.len() && run[j] == run[j - 1] + 8 {
-                j += 1;
-            }
-            let (invalidated, stale) = page.invalidate_run(run[i], j - i, lo, hi, INVALID_BIT);
-            report.invalidated += invalidated;
-            report.stale += stale;
-            i = j;
-        }
-    }
-
-    /// Walks one page-run of the sorted location buffer: translate the
-    /// page once, then invalidate its (coalesced) slots; an unmapped
-    /// page is one fault for the run, counted per location for report
-    /// compatibility with the paper's per-slot SIGSEGV skip.
-    fn sweep_page_run(&self, run: &[Addr], lo: Addr, hi: Addr, report: &mut InvalidationReport) {
-        if self.cfg.page_batched_free {
-            match self.mem.with_page(run[0]) {
-                Err(fault) => {
-                    debug_assert_eq!(fault.kind, FaultKind::Unmapped);
-                    report.skipped_unmapped += run.len() as u64;
-                }
-                Ok(page) => self.invalidate_page_run(&page, run, lo, hi, report),
-            }
-        } else {
-            // Ablation path: identical location set and classification,
-            // but one full translation per location.
-            for &loc in run {
-                self.invalidate_location(lo, hi, loc, report);
-            }
-        }
-    }
-
-    /// Adds a finished walk's outcome to the cold counters in one bulk
-    /// update per counter (the per-location RMWs this replaces were a
-    /// measurable slice of free-heavy workloads).
-    fn account_report(&self, report: &InvalidationReport) {
-        for (counter, n) in [
-            (&self.stats.ptrs_invalidated, report.invalidated),
-            (&self.stats.stale_ptrs, report.stale),
-            (&self.stats.sigsegv_skips, report.skipped_unmapped),
-        ] {
-            if n > 0 {
-                counter.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// The deferred `on_free` tail: O(1) bookkeeping, no log walk.
     ///
-    /// Takes the object's already-detached log chain (`on_free` swapped
-    /// it out; the sweep becomes its sole owner), snapshots the range
-    /// the invalidation will check, and enqueues the walk. Even the
-    /// shadow teardown and the record's recycling ride along with the
-    /// job — the retiring sweep does both just before it requeues the
-    /// block. The heap has already quarantined the block, so nothing
-    /// can allocate inside `[base, end]` until then — which is what
-    /// makes both the deferred teardown and running the range check
-    /// against a snapshot (instead of the live record) sound.
-    fn defer_free(
-        &self,
-        meta: &ObjectMeta,
-        base: Addr,
-        obj_id: u64,
-        logs: LogChain,
-    ) -> InvalidationReport {
-        let queue = self.sweep.as_ref().expect("deferred mode is on");
-        let lo = meta.base.load(Ordering::Acquire);
-        let hi = meta.end.load(Ordering::Acquire);
-        let covered = meta.covered.load(Ordering::Acquire);
-        debug_assert_eq!(lo, base, "frees resolve to the block base");
-        Stats::bump(&self.stats.objects_freed);
+    /// Enqueues the object's sweep: its already-detached log chain (the
+    /// sweep becomes its sole owner) and the range snapshot the
+    /// invalidation will check. Even the shadow teardown and the
+    /// record's recycling ride along with the job — the retiring sweep
+    /// does both just before it requeues the block. The heap has already
+    /// quarantined the block, so nothing can allocate inside
+    /// `[base, end]` until then — which is what makes both the deferred
+    /// teardown and running the range check against a snapshot (instead
+    /// of the live record) sound.
+    fn defer_free(&self, queue: &SweepQueue, sweep: ObjectSweep) -> InvalidationReport {
         Stats::bump(&self.stats.frees_deferred);
+        let obj_id = sweep.obj.obj_id;
         // The quarantine charge: the object's checked range is within a
         // byte of its block size, close enough for backpressure.
-        let bytes = hi.saturating_sub(lo).max(1);
-        let (pending, pending_bytes) = queue.push_object(ObjectSweep {
-            base: lo,
-            end: hi,
-            obj_id,
-            bytes,
-            covered,
-            meta: MetaRef(meta),
-            logs,
-        });
+        let bytes = sweep.obj.end.saturating_sub(sweep.obj.base).max(1);
+        let (pending, pending_bytes) = queue.push_object(sweep, bytes);
         self.trace.record(
             TraceLevel::Full,
             EventCode::SweepEnqueue,
@@ -863,19 +708,31 @@ impl DangSan {
     /// span with how the job reached this thread).
     fn run_sweep_job(&self, job: SweepJob, mode: u64) {
         match job {
-            SweepJob::Object(obj) => self.run_object_sweep(obj, mode),
+            SweepJob::Object(sweep) => {
+                self.run_object_sweep(sweep, mode);
+            }
             SweepJob::Part(batch, start, end) => self.run_part_sweep(&batch, start, end, mode),
         }
     }
 
-    /// The deferred twin of the inline free walk: drain the detached
-    /// chain, sort + dedup, and invalidate page by page — or, when the
-    /// walk spans more than [`SPLIT_PAGES`] page runs, split it into
-    /// page-aligned parts so one giant object cannot stall a sweeper
-    /// (idle helpers steal the parts and share the walk).
-    fn run_object_sweep(&self, obj: ObjectSweep, mode: u64) {
+    /// The sweep engine — the paper's `invalptrs` — for every free that
+    /// has a log chain, inline or queued: drain the detached chain, sort
+    /// and dedup it, invalidate page run by page run, and retire the
+    /// object. Returns the retired outcome.
+    ///
+    /// With a sweep queue, a walk spanning more than [`SPLIT_PAGES`]
+    /// page runs is split into page-aligned parts instead, so one giant
+    /// object cannot stall a sweeper (idle helpers steal the parts and
+    /// share the walk); the report is then empty and the outcome lands
+    /// in the stats when the last part retires. An inline free has no
+    /// one to share the walk with and never splits.
+    fn run_object_sweep(&self, sweep: ObjectSweep, mode: u64) -> InvalidationReport {
+        let ObjectSweep { obj, logs } = sweep;
+        // Drain every tier of every thread's log into one pooled scratch
+        // buffer (no host allocation in steady state), recycling each
+        // drained log on the way...
         let mut locs = self.scratch.take();
-        let mut cur = obj.logs.0;
+        let mut cur = logs.0;
         let mut first_tid = 0u64;
         let mut cross = false;
         while !cur.is_null() {
@@ -898,139 +755,69 @@ impl DangSan {
             cur = next;
         }
         let walked = locs.len() as u64;
+        // ...then collapse duplicates (cross-thread repeats plus
+        // same-thread repeats the lookback window missed) so each
+        // location is classified exactly once. Sorting also puts each
+        // page's locations in one contiguous run for the walk.
         locs.sort_unstable();
         locs.dedup();
+        if let Some(queue) = &self.sweep {
+            if page_runs(&locs).nth(SPLIT_PAGES).is_some() {
+                // A new part starts every SPLIT_PAGES page runs.
+                let mut bounds = vec![0];
+                let mut at = 0;
+                for (i, run) in page_runs(&locs).enumerate() {
+                    if i > 0 && i % SPLIT_PAGES == 0 {
+                        bounds.push(at);
+                    }
+                    at += run.len();
+                }
+                bounds.push(at);
+                let parts = bounds.len() - 1;
+                let batch = Arc::new(SweepBatch {
+                    locs,
+                    obj,
+                    walked,
+                    cross,
+                    remaining: AtomicUsize::new(parts),
+                    invalidated: AtomicU64::new(0),
+                    stale: AtomicU64::new(0),
+                    skipped: AtomicU64::new(0),
+                    pages: AtomicU64::new(0),
+                });
+                Stats::add(&self.stats.sweep_splits, (parts - 1) as u64);
+                for part in bounds[1..].windows(2) {
+                    queue.push_part(Arc::clone(&batch), part[0], part[1]);
+                }
+                // Run the first slice here; the last part to finish
+                // retires the object.
+                self.run_part_sweep(&batch, bounds[0], bounds[1], mode);
+                return InvalidationReport::default();
+            }
+        }
+        let (report, pages) = self.walk(&locs, &obj, walked, mode);
         let unique = locs.len() as u64;
-        // Count the page runs first: the common small sweep (at most
-        // [`SPLIT_PAGES`] runs) goes straight to the single-part walk
-        // below and never allocates a boundary list.
-        let mut runs = 0usize;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            runs += 1;
-            i = j;
-        }
-        if runs > SPLIT_PAGES {
-            // Page-run boundaries (indices into `locs` where a new page
-            // starts), grouped [`SPLIT_PAGES`] runs per part.
-            let mut boundaries = vec![0usize];
-            let mut runs_in_part = 0usize;
-            let mut i = 0;
-            while i < locs.len() {
-                let page_base = locs[i] & !(PAGE_SIZE - 1);
-                let mut j = i + 1;
-                while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                    j += 1;
-                }
-                runs_in_part += 1;
-                if runs_in_part == SPLIT_PAGES {
-                    boundaries.push(j);
-                    runs_in_part = 0;
-                }
-                i = j;
-            }
-            if *boundaries.last().expect("seeded with 0") != locs.len() {
-                boundaries.push(locs.len());
-            }
-            let parts = boundaries.len() - 1;
-            let batch = Arc::new(SweepBatch {
-                locs: std::mem::take(&mut locs),
-                base: obj.base,
-                end: obj.end,
-                obj_id: obj.obj_id,
-                bytes: obj.bytes,
-                covered: obj.covered,
-                meta: obj.meta,
-                walked,
-                cross,
-                remaining: AtomicUsize::new(parts),
-                invalidated: AtomicU64::new(0),
-                stale: AtomicU64::new(0),
-                skipped: AtomicU64::new(0),
-                pages: AtomicU64::new(0),
-            });
-            self.scratch.recycle(locs); // the emptied buffer goes back
-            let queue = self.sweep.as_ref().expect("split sweeps are deferred");
-            self.stats
-                .sweep_splits
-                .fetch_add((parts - 1) as u64, Ordering::Relaxed);
-            for part in 1..parts {
-                queue.push_part(Arc::clone(&batch), boundaries[part], boundaries[part + 1]);
-            }
-            // Run the first slice here; the last part to finish retires
-            // the object.
-            self.run_part_sweep(&batch, boundaries[0], boundaries[1], mode);
-            return;
-        }
-        let span = self.trace.span_start(TraceLevel::Full);
-        let mut report = InvalidationReport::default();
-        let mut pages = 0u64;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            pages += 1;
-            self.sweep_page_run(&locs[i..j], obj.base, obj.end, &mut report);
-            i = j;
-        }
         self.scratch.recycle(locs);
-        self.trace.span_end(
-            span,
-            EventCode::FreeSweep,
-            obj.obj_id,
-            pack_sweep_mode(walked, pages, mode),
-        );
-        self.finish_sweep(
-            SweepRetire {
-                base: obj.base,
-                obj_id: obj.obj_id,
-                bytes: obj.bytes,
-                covered: obj.covered,
-                meta: obj.meta,
-            },
-            SweepShape {
-                walked,
-                unique,
-                pages,
-                cross,
-            },
-            &report,
-        );
+        let shape = SweepShape {
+            walked,
+            unique,
+            pages,
+            cross,
+        };
+        self.retire(&obj, shape, &report);
+        report
     }
 
     /// Invalidates one page-aligned slice `[start, end)` of a split
     /// sweep's sorted location buffer, folding the outcome into the
     /// shared batch. The part that empties `remaining` retires the
     /// object with the accumulated totals.
-    fn run_part_sweep(&self, batch: &Arc<SweepBatch>, start: usize, end: usize, mode: u64) {
-        let span = self.trace.span_start(TraceLevel::Full);
-        let locs = &batch.locs[start..end];
-        let mut report = InvalidationReport::default();
-        let mut pages = 0u64;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            pages += 1;
-            self.sweep_page_run(&locs[i..j], batch.base, batch.end, &mut report);
-            i = j;
-        }
-        self.trace.span_end(
-            span,
-            EventCode::FreeSweep,
-            batch.obj_id,
-            pack_sweep_mode(locs.len() as u64, pages, mode),
+    fn run_part_sweep(&self, batch: &SweepBatch, start: usize, end: usize, mode: u64) {
+        let (report, pages) = self.walk(
+            &batch.locs[start..end],
+            &batch.obj,
+            (end - start) as u64,
+            mode,
         );
         batch
             .invalidated
@@ -1046,37 +833,80 @@ impl DangSan {
                 stale: batch.stale.load(Ordering::Acquire),
                 skipped_unmapped: batch.skipped.load(Ordering::Acquire),
             };
-            self.finish_sweep(
-                SweepRetire {
-                    base: batch.base,
-                    obj_id: batch.obj_id,
-                    bytes: batch.bytes,
-                    covered: batch.covered,
-                    meta: batch.meta,
-                },
-                SweepShape {
-                    walked: batch.walked,
-                    unique: batch.locs.len() as u64,
-                    pages: batch.pages.load(Ordering::Acquire),
-                    cross: batch.cross,
-                },
-                &report,
-            );
+            let shape = SweepShape {
+                walked: batch.walked,
+                unique: batch.locs.len() as u64,
+                pages: batch.pages.load(Ordering::Acquire),
+                cross: batch.cross,
+            };
+            self.retire(&batch.obj, shape, &report);
         }
     }
 
-    /// Retires one swept object: bulk-adds its counters (identical
-    /// values to the inline walk's), records the lifecycle event, tears
-    /// down the shadow mapping and recycles the metadata record (both
-    /// deferred off the free hook), hands the quarantined block back to
-    /// the heap, and releases the quarantine charge. The teardown must
-    /// precede the requeue — a reallocation of this range must find
-    /// cleared shadow slots, not the dying record — and the requeue must
-    /// precede the charge drop: once `pending` hits zero a
-    /// [`DangSan::drain`] may return, and its contract is that every
-    /// quarantined block is circulating again.
-    fn finish_sweep(&self, retire: SweepRetire, shape: SweepShape, report: &InvalidationReport) {
-        self.account_report(report);
+    /// Invalidates a sorted, deduped location slice against `obj`'s
+    /// inclusive range, one page run at a time: each run translates its
+    /// page once (TLB-accelerated) and its adjacent slots coalesce into
+    /// one [`dangsan_vmem::PageRef::invalidate_run`] masked CAS loop.
+    /// Each word gets its own CAS, so a pointer the program overwrote
+    /// concurrently is never clobbered (§4.4), and only the MSB is set,
+    /// so the address stays recoverable and arithmetic on a freed
+    /// pointer keeps working. An unmapped page — released memory, the
+    /// paper's SIGSEGV skip — is one fault for the whole run, counted
+    /// per location. Records the `FreeSweep` span (`walked` and `mode`
+    /// ride in its payload) and returns the outcome plus the pages
+    /// translated.
+    fn walk(
+        &self,
+        locs: &[Addr],
+        obj: &FreedObject,
+        walked: u64,
+        mode: u64,
+    ) -> (InvalidationReport, u64) {
+        let span = self.trace.span_start(TraceLevel::Full);
+        let mut report = InvalidationReport::default();
+        let mut pages = 0u64;
+        for run in page_runs(locs) {
+            pages += 1;
+            match self.mem.with_page(run[0]) {
+                Err(fault) => {
+                    debug_assert_eq!(fault.kind, FaultKind::Unmapped);
+                    report.skipped_unmapped += run.len() as u64;
+                }
+                Ok(page) => {
+                    for slots in run.chunk_by(|a, b| a + 8 == *b) {
+                        let (invalidated, stale) = page.invalidate_run(
+                            slots[0],
+                            slots.len(),
+                            obj.base,
+                            obj.end,
+                            INVALID_BIT,
+                        );
+                        report.invalidated += invalidated;
+                        report.stale += stale;
+                    }
+                }
+            }
+        }
+        self.trace.span_end(
+            span,
+            EventCode::FreeSweep,
+            obj.obj_id,
+            pack_sweep_mode(walked, pages, mode),
+        );
+        (report, pages)
+    }
+
+    /// Retires one freed object — inline, deferred or Thin, every free
+    /// of a tracked object ends here: bulk-adds the walk's counters,
+    /// records the lifecycle event and the site evidence, tears down the
+    /// shadow mapping and recycles the metadata record, then runs the
+    /// quarantine tail ([`Self::release_quarantined`]). The teardown
+    /// must precede the requeue: a reallocation of this range must find
+    /// cleared shadow slots, not the dying record.
+    fn retire(&self, obj: &FreedObject, shape: SweepShape, report: &InvalidationReport) {
+        Stats::add(&self.stats.ptrs_invalidated, report.invalidated);
+        Stats::add(&self.stats.stale_ptrs, report.stale);
+        Stats::add(&self.stats.sigsegv_skips, report.skipped_unmapped);
         self.stats.bump_hot_by(&[
             (Hot::FreeLocsWalked, shape.walked),
             (Hot::FreeDupLocs, shape.walked - shape.unique),
@@ -1086,49 +916,61 @@ impl DangSan {
         self.trace.record(
             TraceLevel::Lifecycles,
             EventCode::ObjectFree,
-            retire.base,
-            retire.obj_id,
+            obj.base,
+            obj.obj_id,
             report.invalidated,
         );
         // SAFETY: records are pool-owned type-stable memory, and from
-        // detach to retire this sweep was the record's sole owner.
-        let meta = unsafe { &*retire.meta.0 };
+        // detach to retire this free was the record's sole owner.
+        let meta = unsafe { &*obj.meta.0 };
         // Site/tier must be read before the recycle hands the record to
         // the next allocation.
-        let site = meta.site.load(Ordering::Relaxed);
         let tier = meta.tier.load(Ordering::Relaxed);
         if let Some(policy) = &self.policy {
+            let site = meta.site.load(Ordering::Relaxed);
             let lifetime = meta
                 .epoch
                 .load(Ordering::Relaxed)
-                .saturating_sub(retire.obj_id);
+                .saturating_sub(obj.obj_id);
             policy.note_free(site, shape.unique, shape.cross, lifetime);
         }
-        self.map.clear_object(retire.base, retire.covered);
+        self.map.clear_object(obj.base, obj.covered);
         self.meta_pool.recycle(meta);
-        if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
+        self.release_quarantined(obj.base, tier == Tier::Hardened as u64, obj.charge);
+    }
+
+    /// The quarantine tail of a deferred-mode free: hands the block the
+    /// heap quarantined back to it, then releases the block's sweep-queue
+    /// charge if it holds one. The requeue must precede the charge drop:
+    /// once `pending` hits zero a [`DangSan::drain`] may return, and its
+    /// contract is that every quarantined block circulates again.
+    ///
+    /// A no-op in synchronous mode: there the heap never quarantined the
+    /// block — the caller frees it once `on_free` returns — so a requeue
+    /// here would put a live block on two free lists.
+    fn release_quarantined(&self, base: Addr, hardened: bool, charge: Option<u64>) {
+        let Some(queue) = &self.sweep else {
+            return;
+        };
+        let heap = self.heap.lock().expect("not poisoned").upgrade();
+        if let Some(heap) = heap {
             // Hardened tier: the swept block takes a detour through the
             // pin FIFO — already retired (its charge is released below,
             // so drains never wait on it) but not yet allocatable, so a
             // dangling pointer to a previously-reported site keeps
             // trapping for longer. The FIFO evicts oldest-first at cap.
             let pin_cap = self.cfg.hardened_pin_objects;
-            let pin_queue = self
-                .sweep
-                .as_ref()
-                .filter(|_| tier == Tier::Hardened as u64 && pin_cap > 0);
-            match pin_queue {
-                Some(queue) => {
-                    Stats::bump(&self.stats.hardened_pins);
-                    if let Some(evicted) = queue.pin_block(retire.base, pin_cap) {
-                        heap.requeue_batch(&[evicted]);
-                    }
+            if hardened && pin_cap > 0 {
+                Stats::bump(&self.stats.hardened_pins);
+                if let Some(evicted) = queue.pin_block(base, pin_cap) {
+                    heap.requeue_batch(&[evicted]);
                 }
-                None => heap.requeue_batch(&[retire.base]),
+            } else {
+                heap.requeue_batch(&[base]);
             }
         }
-        if let Some(queue) = self.sweep.as_ref() {
-            queue.retire_object(retire.bytes);
+        if let Some(bytes) = charge {
+            queue.retire_object(bytes);
         }
     }
 
@@ -1179,6 +1021,7 @@ impl DangSan {
 
 /// The shape counters of one finished walk (Hot::Free* bookkeeping plus
 /// the site profile's cross-thread evidence bit).
+#[derive(Default)]
 struct SweepShape {
     walked: u64,
     unique: u64,
@@ -1186,13 +1029,10 @@ struct SweepShape {
     cross: bool,
 }
 
-/// Identity and teardown handles of one retiring sweep.
-struct SweepRetire {
-    base: Addr,
-    obj_id: u64,
-    bytes: u64,
-    covered: u64,
-    meta: MetaRef,
+/// A sorted location buffer's page runs: the maximal slices whose
+/// locations share a vmem page, so one translation serves each.
+fn page_runs(locs: &[Addr]) -> impl Iterator<Item = &[Addr]> {
+    locs.chunk_by(|a, b| a & !(PAGE_SIZE - 1) == b & !(PAGE_SIZE - 1))
 }
 
 /// A sweep helper thread: pops jobs — stealing from the other shards
@@ -1231,7 +1071,7 @@ fn sweep_worker(det: Weak<DangSan>, queue: Arc<SweepQueue>) {
 
 impl Drop for DangSan {
     fn drop(&mut self) {
-        let Some(queue) = self.sweep.clone() else {
+        let Some(queue) = &self.sweep else {
             return;
         };
         // Stop the helpers, finish whatever is still quarantined inline,
@@ -1239,18 +1079,7 @@ impl Drop for DangSan {
         // running this drop — joining every handle but our own covers
         // that case (the skipped worker exits right after).
         queue.request_stop();
-        loop {
-            match queue.pop(SweepQueue::home_shard()) {
-                Some((job, _)) => self.run_sweep_job(job, SWEEP_MODE_INLINE),
-                None => {
-                    if queue.pending() == 0 {
-                        break;
-                    }
-                    queue.wait_for_retire_or_work();
-                }
-            }
-        }
-        self.flush_pins(&queue);
+        self.drain();
         let workers = std::mem::take(&mut *self.workers.lock().expect("not poisoned"));
         let me = std::thread::current().id();
         for handle in workers {
@@ -1309,17 +1138,12 @@ impl Detector for DangSan {
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
-        let mut report = InvalidationReport::default();
         let Some(meta) = self.ptr2obj_cold(base) else {
             // With deferred sweeping the heap quarantined the block before
-            // calling in; an untracked base enqueues no sweep job, so the
-            // block must re-enter circulation here or it would leak.
-            if self.cfg.deferred_sweep {
-                if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
-                    heap.requeue_batch(&[base]);
-                }
-            }
-            return report;
+            // calling in; an untracked base has no sweep to retire it, so
+            // the block must re-enter circulation here or it would leak.
+            self.release_quarantined(base, false, None);
+            return InvalidationReport::default();
         };
         // Retire this object's epoch before any of its logs are detached
         // or recycled: every cache slot keyed on (this record, old epoch)
@@ -1336,17 +1160,36 @@ impl Detector for DangSan {
             new_epoch,
             0,
         );
-        // Detach the log chain up front: the free owns it from here.
-        // (The deferred path always detached here; the inline path used
-        // to recycle the same chain at teardown — a registration racing
-        // either window is dropped identically, the §4.4-sanctioned
-        // race.) Detaching first is what lets the Thin router decide
-        // off one observation: an empty chain proves no registration
-        // the walk could see exists.
+        // Detach the log chain up front: the free owns it from here, and
+        // a registration racing the detach is dropped — the
+        // §4.4-sanctioned race. Detaching first is what lets the Thin
+        // router decide off one observation: an empty chain proves no
+        // registration the walk could see exists.
         let chain = meta.head.swap(ptr::null_mut(), Ordering::AcqRel);
+        Stats::bump(&self.stats.objects_freed);
+        let obj = FreedObject {
+            base: meta.base.load(Ordering::Acquire),
+            end: meta.end.load(Ordering::Acquire),
+            obj_id,
+            covered: meta.covered.load(Ordering::Acquire),
+            meta: MetaRef(meta),
+            charge: None,
+        };
+        debug_assert_eq!(obj.base, base, "frees resolve to the block base");
         if self.policy.is_some() && meta.tier.load(Ordering::Acquire) == Tier::Thin as u64 {
             if chain.is_null() {
-                return self.thin_free(meta, base, obj_id);
+                // Thin tier: the site history said no pointer is ever
+                // registered, and the empty chain confirmed it. The
+                // epoch retire above — the detection-relevant step — is
+                // done, so the free retires at once with an empty walk,
+                // skipping the sweep (and in deferred mode the whole
+                // queue round trip). Counter effects are bit-exact with
+                // a Standard free that drained zero locations
+                // (`frees_thin` is a diagnostic `behavioural` zeroes).
+                Stats::bump(&self.stats.frees_thin);
+                let report = InvalidationReport::default();
+                self.retire(&obj, SweepShape::default(), &report);
+                return report;
             }
             // The profile predicted an empty chain and was wrong (a
             // registration raced its object's promotion CAS into this
@@ -1360,97 +1203,18 @@ impl Detector for DangSan {
             self.trace
                 .record(TraceLevel::Full, EventCode::SiteDemote, site, obj_id, 1);
         }
-        if self.sweep.is_some() {
+        let sweep = ObjectSweep {
+            obj,
+            logs: LogChain(chain),
+        };
+        match &self.sweep {
             // Deferred mode: O(1) bookkeeping, then hand the walk to the
             // sweep subsystem. The report is all zeros — the outcome
             // lands in the stats once the sweep retires (exact after
             // [`DangSan::drain`]).
-            return self.defer_free(meta, base, obj_id, LogChain(chain));
+            Some(queue) => self.defer_free(queue, sweep),
+            None => self.run_object_sweep(sweep, SWEEP_MODE_INLINE),
         }
-        let sweep = self.trace.span_start(TraceLevel::Full);
-        // Drain every tier of every thread's log into one pooled scratch
-        // buffer (no host allocation in steady state), recycling each
-        // drained log on the way...
-        let mut locs = self.scratch.take();
-        let mut cur = chain;
-        let mut first_tid = 0u64;
-        let mut cross = false;
-        while !cur.is_null() {
-            // SAFETY: the chain was just detached with a `swap`, making
-            // this free its sole owner; logs are pool-owned and
-            // type-stable.
-            let log = unsafe { &*cur };
-            let tid = log.thread_id.load(Ordering::Acquire);
-            if first_tid == 0 {
-                first_tid = tid;
-            } else if tid != first_tid {
-                cross = true;
-            }
-            log.for_each_location(|loc| locs.push(loc));
-            let next = log.next.load(Ordering::Acquire);
-            log.reset();
-            self.log_pool.recycle(log);
-            cur = next;
-        }
-        let walked = locs.len() as u64;
-        // ...then collapse duplicates (cross-thread repeats plus
-        // same-thread repeats the lookback window missed) so each
-        // location is classified exactly once...
-        locs.sort_unstable();
-        locs.dedup();
-        let unique = locs.len() as u64;
-        // ...and invalidate page by page: sorting put each page's
-        // locations in one contiguous run, so one translation serves the
-        // whole run — and an unmapped page is discovered once, not once
-        // per location.
-        let lo = meta.base.load(Ordering::Acquire);
-        let hi = meta.end.load(Ordering::Acquire);
-        let mut pages = 0u64;
-        let mut i = 0;
-        while i < locs.len() {
-            let page_base = locs[i] & !(PAGE_SIZE - 1);
-            let mut j = i + 1;
-            while j < locs.len() && locs[j] & !(PAGE_SIZE - 1) == page_base {
-                j += 1;
-            }
-            pages += 1;
-            self.sweep_page_run(&locs[i..j], lo, hi, &mut report);
-            i = j;
-        }
-        self.account_report(&report);
-        self.stats.bump_hot_by(&[
-            (Hot::FreeLocsWalked, walked),
-            (Hot::FreeDupLocs, walked - unique),
-            (Hot::FreePagesTouched, pages),
-            (Hot::free_hist_bucket(walked), 1),
-        ]);
-        self.trace.span_end(
-            sweep,
-            EventCode::FreeSweep,
-            obj_id,
-            pack_sweep_mode(walked, pages, SWEEP_MODE_INLINE),
-        );
-        self.scratch.recycle(locs);
-        // Tear down: record the site evidence, clear the shadow mapping,
-        // recycle the record (the logs went back during the drain above).
-        let covered = meta.covered.load(Ordering::Acquire);
-        let obj_base = meta.base.load(Ordering::Acquire);
-        if let Some(policy) = &self.policy {
-            let site = meta.site.load(Ordering::Relaxed);
-            let lifetime = meta.epoch.load(Ordering::Relaxed).saturating_sub(obj_id);
-            policy.note_free(site, unique, cross, lifetime);
-        }
-        self.map.clear_object(obj_base, covered);
-        self.meta_pool.recycle(meta);
-        Stats::bump(&self.stats.objects_freed);
-        self.trace.record(
-            TraceLevel::Lifecycles,
-            EventCode::ObjectFree,
-            obj_base,
-            obj_id,
-            report.invalidated,
-        );
-        report
     }
 
     fn on_realloc_in_place(&self, base: Addr, new_size: u64) {

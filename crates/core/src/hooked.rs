@@ -717,6 +717,11 @@ mod tests {
     /// pointer-free allocations (eligible for Thin once warm) while site
     /// `0xB2` allocates objects that always take an inbound pointer (and
     /// so must stay fully tracked).
+    ///
+    /// Afterwards it mallocs twice as many blocks as it freed and checks
+    /// every base is distinct: a free whose retire requeued a block the
+    /// heap never quarantined (synchronous mode, where the heap frees
+    /// the block itself after `on_free`) would put it on two free lists.
     fn run_routed_sequence(cfg: Config) -> crate::stats::StatsSnapshot {
         let hh = setup_with(cfg);
         dangsan_trace::set_alloc_site(0);
@@ -735,7 +740,15 @@ mod tests {
         }
         dangsan_trace::set_alloc_site(0);
         hh.detector().drain();
-        hh.detector().stats().behavioural()
+        let stats = hh.detector().stats().behavioural();
+        let mut bases = std::collections::HashSet::from([holders.base]);
+        for round in 0..80u64 {
+            for size in [24, 24, 24, 16 + (round % 5) * 16] {
+                let base = hh.malloc(size).unwrap().base;
+                assert!(bases.insert(base), "block {base:#x} handed out twice");
+            }
+        }
+        stats
     }
 
     #[test]

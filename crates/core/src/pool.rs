@@ -22,8 +22,31 @@ pub trait PoolItem: Default {
     fn pool_next(&self) -> &AtomicPtr<Self>;
 }
 
+/// Bit position of the free-stack head's generation tag: user-space
+/// addresses fit in the low 48 bits, leaving the top 16 for the tag.
+const GEN_SHIFT: u32 = 48;
+/// The address half of a tagged head.
+const ADDR_MASK: usize = (1 << GEN_SHIFT) - 1;
+
+/// `head` with its generation tag stripped.
+fn untag<T>(head: *mut T) -> *mut T {
+    head.map_addr(|a| a & ADDR_MASK)
+}
+
+/// `next` tagged one generation past `head`, the value a successful CAS
+/// of `head` installs.
+fn retag<T>(head: *mut T, next: *mut T) -> *mut T {
+    let generation = ((head.addr() >> GEN_SHIFT) + 1) & 0xFFFF;
+    next.map_addr(|a| a | (generation << GEN_SHIFT))
+}
+
 /// A lock-free free-list of `T` records with type-stable backing memory.
 pub struct Pool<T: PoolItem> {
+    /// The free stack's top record, tagged in its high bits with a
+    /// generation that every successful CAS bumps. Without the tag a pop
+    /// that stalls between reading `top.next` and its CAS can lose a race
+    /// to pop, pop, push of the same top and still succeed, installing a
+    /// `next` another thread owns: one record handed to two owners.
     head: AtomicPtr<T>,
     /// Every record ever created, so `Drop` can reclaim host memory.
     all: Mutex<Vec<*mut T>>,
@@ -58,20 +81,33 @@ impl<T: PoolItem> Pool<T> {
     /// The returned reference stays valid until the pool is dropped, even
     /// if the record is recycled in the meantime (type-stability).
     pub fn take(&self) -> &T {
-        let mut cur = self.head.load(Ordering::Acquire);
-        while !cur.is_null() {
-            // SAFETY: non-null stack entries are live pool-owned records.
+        let mut head = self.head.load(Ordering::Acquire);
+        loop {
+            let cur = untag(head);
+            if cur.is_null() {
+                break;
+            }
+            // SAFETY: non-null stack entries are live pool-owned records
+            // (a stale read of a since-popped one is still type-stable
+            // memory, and the tagged CAS below then fails).
             let next = unsafe { (*cur).pool_next().load(Ordering::Acquire) };
-            match self
-                .head
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
+            match self.head.compare_exchange_weak(
+                head,
+                retag(head, next),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
                 // SAFETY: we won the pop; the record is ours to hand out.
                 Ok(_) => return unsafe { &*cur },
-                Err(actual) => cur = actual,
+                Err(actual) => head = actual,
             }
         }
         let fresh = Box::into_raw(Box::<T>::default());
+        assert_eq!(
+            fresh.addr() & !ADDR_MASK,
+            0,
+            "record address overlaps the free stack's generation tag"
+        );
         self.bytes
             .fetch_add(core::mem::size_of::<T>() as u64, Ordering::Relaxed);
         self.all.lock().expect("not poisoned").push(fresh);
@@ -85,15 +121,17 @@ impl<T: PoolItem> Pool<T> {
     /// tolerated but lost).
     pub fn recycle(&self, item: &T) {
         let raw = item as *const T as *mut T;
-        let mut cur = self.head.load(Ordering::Acquire);
+        let mut head = self.head.load(Ordering::Acquire);
         loop {
-            item.pool_next().store(cur, Ordering::Release);
-            match self
-                .head
-                .compare_exchange_weak(cur, raw, Ordering::AcqRel, Ordering::Acquire)
-            {
+            item.pool_next().store(untag(head), Ordering::Release);
+            match self.head.compare_exchange_weak(
+                head,
+                retag(head, raw),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
                 Ok(_) => return,
-                Err(actual) => cur = actual,
+                Err(actual) => head = actual,
             }
         }
     }
@@ -186,10 +224,13 @@ impl<T: PoolItem> Drop for Pool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use core::sync::atomic::AtomicBool;
 
     #[derive(Default)]
     struct Rec {
         value: AtomicU64,
+        /// Set while a `take` caller owns the record.
+        owned: AtomicBool,
         next: AtomicPtr<Rec>,
     }
 
@@ -239,15 +280,27 @@ mod tests {
     #[test]
     fn concurrent_take_recycle_is_linearizable() {
         use std::sync::Arc;
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 50_000;
         let pool: Arc<Pool<Rec>> = Arc::new(Pool::new());
         let mut handles = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..THREADS {
             let pool = Arc::clone(&pool);
             handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
-                    let r = pool.take();
-                    r.value.fetch_add(1, Ordering::Relaxed);
-                    pool.recycle(r);
+                for _ in 0..ROUNDS {
+                    // Two records out at once: another thread's pop that
+                    // stalls across this pop, pop, push of the same head
+                    // is exactly the ABA window the generation tag closes.
+                    let pair = [pool.take(), pool.take()];
+                    for r in pair {
+                        let was_owned = r.owned.swap(true, Ordering::AcqRel);
+                        assert!(!was_owned, "one record handed to two owners");
+                        r.value.fetch_add(1, Ordering::Relaxed);
+                    }
+                    for r in pair {
+                        r.owned.store(false, Ordering::Release);
+                        pool.recycle(r);
+                    }
                 }
             }));
         }
@@ -255,7 +308,7 @@ mod tests {
             h.join().unwrap();
         }
         // No record was ever handed to two threads at once, so the records
-        // in `all` sum to exactly the number of operations.
+        // in `all` sum to exactly the number of hand-outs.
         let total: u64 = {
             let all = pool.all.lock().unwrap();
             all.iter()
@@ -263,6 +316,6 @@ mod tests {
                 .map(|&r| unsafe { (*r).value.load(Ordering::Relaxed) })
                 .sum()
         };
-        assert_eq!(total, 8 * 10_000);
+        assert_eq!(total, THREADS * ROUNDS * 2);
     }
 }

@@ -41,11 +41,11 @@ pub(crate) struct LogChain(pub *mut ThreadLog);
 // outlives the queue and its workers.
 unsafe impl Send for LogChain {}
 
-/// The metadata record of a freed object, carried by its sweep job.
+/// The metadata record of a freed object, carried to its retire.
 ///
-/// `defer_free` does *not* tear down the shadow mapping or recycle the
-/// record — both are deferred to the sweep's retire, keeping the free
-/// hook O(1). The quarantine makes the delay safe: the block cannot be
+/// A deferred free does *not* tear down the shadow mapping or recycle
+/// the record — both wait for the sweep's retire, keeping the free hook
+/// O(1). The quarantine makes the delay safe: the block cannot be
 /// recarved (so no new object needs these shadow slots) until the
 /// retiring sweep has cleared them and recycled the record.
 #[derive(Clone, Copy)]
@@ -58,20 +58,31 @@ pub(crate) struct MetaRef(pub *const ObjectMeta);
 unsafe impl Send for MetaRef {}
 unsafe impl Sync for MetaRef {}
 
-/// One freed object awaiting its invalidation walk.
-pub(crate) struct ObjectSweep {
+/// A freed object's identity and teardown handles, snapshotted at the
+/// free and carried to its retire.
+#[derive(Clone, Copy)]
+pub(crate) struct FreedObject {
     /// Base address snapshot of the freed block.
     pub base: Addr,
     /// Inclusive end-of-range snapshot (`ObjectMeta::end` semantics).
     pub end: Addr,
     /// The epoch the object lived under — its identity in the trace.
     pub obj_id: u64,
-    /// Bytes the block holds in quarantine (backpressure accounting).
-    pub bytes: u64,
     /// Shadow bytes covered by the object (`ObjectMeta::covered`).
     pub covered: u64,
-    /// The record to clear + recycle when this sweep retires.
+    /// The record to clear + recycle when the object retires.
     pub meta: MetaRef,
+    /// Bytes charged to the queue's quarantine accounting by
+    /// [`SweepQueue::push_object`], released when the sweep retires;
+    /// `None` for frees that never entered the queue (inline sweeps and
+    /// Thin frees).
+    pub charge: Option<u64>,
+}
+
+/// One freed object awaiting its invalidation walk.
+pub(crate) struct ObjectSweep {
+    /// The object being swept.
+    pub obj: FreedObject,
     /// The object's detached per-thread logs.
     pub logs: LogChain,
 }
@@ -92,18 +103,8 @@ pub(crate) enum SweepJob {
 pub(crate) struct SweepBatch {
     /// Sorted, deduped locations to invalidate.
     pub locs: Vec<u64>,
-    /// See [`ObjectSweep::base`].
-    pub base: Addr,
-    /// See [`ObjectSweep::end`].
-    pub end: Addr,
-    /// See [`ObjectSweep::obj_id`].
-    pub obj_id: u64,
-    /// See [`ObjectSweep::bytes`].
-    pub bytes: u64,
-    /// See [`ObjectSweep::covered`].
-    pub covered: u64,
-    /// See [`ObjectSweep::meta`].
-    pub meta: MetaRef,
+    /// The object being swept.
+    pub obj: FreedObject,
     /// Locations drained before dedup (for the Hot::* shape counters).
     pub walked: u64,
     /// Whether more than one thread's log was on the drained chain
@@ -176,11 +177,12 @@ impl SweepQueue {
         (dangsan_trace::current_thread_id() as usize) % SWEEP_SHARDS
     }
 
-    /// Enqueues a fresh object sweep, charging the quarantine accounting.
-    /// Returns `(pending objects, pending bytes)` after the enqueue, for
-    /// the trace event and the caller's backpressure check.
-    pub(crate) fn push_object(&self, job: ObjectSweep) -> (u64, u64) {
-        let bytes = job.bytes;
+    /// Enqueues a fresh object sweep, charging `bytes` to the quarantine
+    /// accounting (recorded in the job, released by its retire). Returns
+    /// `(pending objects, pending bytes)` after the enqueue, for the
+    /// trace event and the caller's backpressure check.
+    pub(crate) fn push_object(&self, mut job: ObjectSweep, bytes: u64) -> (u64, u64) {
+        job.obj.charge = Some(bytes);
         let shard = Self::home_shard();
         let depth = {
             let mut q = self.shards[shard].lock().expect("not poisoned");
@@ -406,14 +408,16 @@ impl SweepQueue {
 mod tests {
     use super::*;
 
-    fn job(bytes: u64) -> ObjectSweep {
+    fn job() -> ObjectSweep {
         ObjectSweep {
-            base: 0x1000,
-            end: 0x103f,
-            obj_id: 7,
-            bytes,
-            covered: 64,
-            meta: MetaRef(core::ptr::null()),
+            obj: FreedObject {
+                base: 0x1000,
+                end: 0x103f,
+                obj_id: 7,
+                covered: 64,
+                meta: MetaRef(core::ptr::null()),
+                charge: None,
+            },
             logs: LogChain(core::ptr::null_mut()),
         }
     }
@@ -421,14 +425,14 @@ mod tests {
     #[test]
     fn push_pop_retire_accounting() {
         let q = SweepQueue::new(1 << 20, 8);
-        assert_eq!(q.push_object(job(100)), (1, 100));
-        assert_eq!(q.push_object(job(50)), (2, 150));
+        assert_eq!(q.push_object(job(), 100), (1, 100));
+        assert_eq!(q.push_object(job(), 50), (2, 150));
         assert!(!q.over_cap());
         let home = SweepQueue::home_shard();
         let (j, stolen) = q.pop(home).expect("job queued");
         assert!(!stolen, "home shard serves its own pushes first");
         match j {
-            SweepJob::Object(o) => assert_eq!(o.bytes, 100),
+            SweepJob::Object(o) => assert_eq!(o.obj.charge, Some(100)),
             SweepJob::Part(..) => panic!("pushed an object"),
         }
         // Popping does not retire: the object is in flight, still pending.
@@ -443,13 +447,13 @@ mod tests {
     #[test]
     fn steals_report_and_caps_trip() {
         let q = SweepQueue::new(120, 1024);
-        q.push_object(job(100));
+        q.push_object(job(), 100);
         // Pop from a different home shard: found by stealing.
         let other = (SweepQueue::home_shard() + 1) % SWEEP_SHARDS;
         let (_, stolen) = q.pop(other).expect("stealable");
         assert!(stolen);
         assert!(!q.over_cap());
-        q.push_object(job(100));
+        q.push_object(job(), 100);
         assert!(q.over_cap(), "200 quarantined bytes exceed the 120 cap");
         q.retire_object(100);
         q.retire_object(100);
@@ -460,14 +464,14 @@ mod tests {
     fn shard_peaks_track_high_water() {
         let q = SweepQueue::new(1 << 20, 1024);
         let home = SweepQueue::home_shard();
-        q.push_object(job(8));
-        q.push_object(job(8));
-        q.push_object(job(8));
+        q.push_object(job(), 8);
+        q.push_object(job(), 8);
+        q.push_object(job(), 8);
         assert_eq!(q.shard_peaks()[home], 3);
         let mut out = Vec::new();
         q.pop_batch(home, 3, &mut out);
         assert_eq!(out.len(), 3);
-        q.push_object(job(8));
+        q.push_object(job(), 8);
         assert_eq!(q.shard_peaks()[home], 3, "peak is a high-water mark");
     }
 

@@ -5,8 +5,9 @@
 # Usage: scripts/check_baselines.sh
 #
 # Fails if:
-#   - BENCH_hotpath.json is missing, unparsable, missing any of the
-#     eleven gated benches, or locks in a sub-1.0x speedup on a core bench
+#   - BENCH_hotpath.json is missing, unparsable, missing its recorded
+#     core count or any of the eleven gated benches, or locks in a
+#     sub-1.0x speedup on a core bench
 #     (registerptr, ptr2obj, malloc_free, invalidate), a deferred-free
 #     bench (free_many_objs, free_while_reg — the deferred sweep must
 #     keep mutator-visible free cheaper than the inline walk), or the
@@ -144,6 +145,8 @@ hotpath=BENCH_hotpath.json
 require_file "$hotpath" "cargo run --release -p dangsan-bench --bin hotpath" || status=1
 if [[ -f "$hotpath" ]]; then
     check_schema "$hotpath" "dangsan-hotpath-v1" || status=1
+    v=$(num_of "$hotpath" cores)
+    check_num "$hotpath" "cores" "$v" 1 || status=1
     for bench in $HOTPATH_BENCHES; do
         v=$(num_of "$hotpath" speedup "$bench")
         check_num "$hotpath" "$bench.speedup" "$v" 0 || status=1

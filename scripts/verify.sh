@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build/lint/tests, baseline lint, repo-hygiene
-# guard, and (full mode) quick bench passes gated against the committed
-# BENCH_hotpath.json / BENCH_scaling.json baselines.
+# Repo verification: tier-1 build/lint/tests, the e2ebench benchmark's own
+# test, baseline lint, repo-hygiene guard, and (full mode) quick bench
+# passes gated against the committed BENCH_hotpath.json /
+# BENCH_scaling.json baselines.
 #
 # Usage:
 #   scripts/verify.sh           # full: tier-1 + baseline lint + bench gates
-#   scripts/verify.sh --fast    # tier-1 + baseline lint only (no bench runs)
+#   scripts/verify.sh --fast    # tier-1 + e2ebench test + baseline lint
+#                               # (no bench runs)
 #   CI_FAST=1 scripts/verify.sh # same as --fast (for CI environment blocks)
 #
 # Tunables:
@@ -21,6 +23,8 @@
 #   - the tier-1 suite (build, clippy -D warnings, tests) fails,
 #   - the bounded differential-fuzz campaign finds any divergence
 #     (VERIFY_FUZZ_PROGRAMS overrides the 150-program default; 0 skips),
+#   - the repository benchmark (e2ebench, its own package) fails to
+#     build against the current crates or fails its own test,
 #   - scripts/check_baselines.sh rejects a committed BENCH_*.json
 #     (missing, unparsable, missing a gated figure, sub-1.0 core-bench
 #     speedup, or scaling floors missed),
@@ -77,6 +81,13 @@ if [[ "$fuzz_programs" != "0" ]]; then
         exit 1
     fi
 fi
+
+# The repository benchmark is its own package (outside the workspace),
+# so the workspace build above never compiles it. Its test builds it
+# against the current crates and checks the timing wrapper is
+# transparent on the churn workload's inline free path.
+echo "== benchmark test: e2ebench =="
+cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "== baseline lint: scripts/check_baselines.sh =="
 scripts/check_baselines.sh
