@@ -19,7 +19,7 @@ use crate::config::Config;
 use crate::log::ThreadLog;
 use crate::object::{fresh_epoch, ObjectMeta};
 use crate::policy::{SitePolicy, Tier};
-use crate::pool::{Pool, ScratchPool};
+use crate::pool::Pool;
 use crate::stats::{Hot, Stats, StatsSnapshot};
 use crate::sweep::{
     FreedObject, LogChain, MetaRef, ObjectSweep, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES,
@@ -165,6 +165,11 @@ thread_local! {
             reg_used: Cell::new(false),
         }
     };
+    /// The sweep engine's location buffer, taken and put back by every
+    /// [`DangSan::run_object_sweep`] on this thread. It keeps its
+    /// capacity, so a steady-state workload reaches its high-water mark
+    /// once and the free path never allocates (nor takes a lock) again.
+    static SWEEP_SCRATCH: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
 /// Detector ids are handed out once and never reused, so a stale
@@ -213,8 +218,6 @@ pub struct DangSan {
     log_pool: Pool<ThreadLog>,
     /// Host bytes of indirect blocks and hash tables.
     extra_bytes: AtomicU64,
-    /// Pooled scratch buffers for the free path's batched walk.
-    scratch: ScratchPool,
     /// This detector's never-reused id, burned into registration-memo
     /// slots so a slot is only ever interpreted against the pool that
     /// filled it (see [`RegCacheSlot`]). Cache *validity* is per object
@@ -283,7 +286,6 @@ impl DangSan {
             meta_pool: Pool::new(),
             log_pool: Pool::new(),
             extra_bytes: AtomicU64::new(0),
-            scratch: ScratchPool::new(),
             id: fresh_detector_id(),
             trace,
             sweep: sweep.clone(),
@@ -728,10 +730,10 @@ impl DangSan {
     /// one to share the walk with and never splits.
     fn run_object_sweep(&self, sweep: ObjectSweep, mode: u64) -> InvalidationReport {
         let ObjectSweep { obj, logs } = sweep;
-        // Drain every tier of every thread's log into one pooled scratch
-        // buffer (no host allocation in steady state), recycling each
-        // drained log on the way...
-        let mut locs = self.scratch.take();
+        // Drain every tier of every thread's log into this thread's
+        // scratch buffer (no host allocation in steady state), recycling
+        // each drained log on the way...
+        let mut locs = SWEEP_SCRATCH.try_with(Cell::take).unwrap_or_default();
         let mut cur = logs.0;
         let mut first_tid = 0u64;
         let mut cross = false;
@@ -797,7 +799,8 @@ impl DangSan {
         }
         let (report, pages) = self.walk(&locs, &obj, walked, mode);
         let unique = locs.len() as u64;
-        self.scratch.recycle(locs);
+        locs.clear();
+        let _ = SWEEP_SCRATCH.try_with(|s| s.set(locs));
         let shape = SweepShape {
             walked,
             unique,
@@ -1820,14 +1823,28 @@ mod tests {
                 reports.push((round, det.on_free(obj.base)));
                 heap.free(obj.base).unwrap();
             }
+            // A small object on the recycled log: its 3 pointers land in
+            // the embedded tier, not the table the last lifetime grew, so
+            // nothing is memoized and both arms must still agree.
+            let obj = heap.malloc(32).unwrap();
+            det.on_alloc(&obj);
+            for s in 0..3u64 {
+                let loc = holder.base + s * 8;
+                mem.write_word(loc, obj.base).unwrap();
+                det.register_ptr(loc, obj.base);
+                det.register_ptr(loc, obj.base);
+            }
+            reports.push((3, det.on_free(obj.base)));
+            heap.free(obj.base).unwrap();
             (reports, det.stats().behavioural())
         };
         let (rep_on, stats_on) = run(true);
         let (rep_off, stats_off) = run(false);
         assert_eq!(rep_on, rep_off, "invalidation reports diverge");
         assert_eq!(stats_on, stats_off, "Table 1 counters diverge");
-        // One allocation serves all rounds: the table stays attached to
-        // the pool-recycled log (zeroed on reset, never freed).
+        assert_eq!(rep_on[3].1.invalidated, 3, "{rep_on:?}");
+        // One allocation serves all rounds: the table stays with the
+        // pool-recycled log (parked on reset, never freed).
         assert!(
             stats_on.hashtables >= 1,
             "workload must exercise the hash tier: {stats_on:?}"

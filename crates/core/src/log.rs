@@ -24,6 +24,15 @@
 //! the (pool-recycled) log and are reused — so a late append can land in a
 //! log that now belongs to a different object. The free-time value check
 //! filters such entries out as stale.
+//!
+//! ## Tiers are per lifetime
+//!
+//! A recycled log starts in the embedded tier whatever its last object
+//! reached. [`ThreadLog::reset`] zeroes an active hash table and parks it
+//! as the log's *spare*; only a lifetime that fills its indirect block
+//! takes the spare back. A table never leaves its log, and a grow
+//! publishes only over the table it copied, so a late append racing
+//! `reset` loses its copy instead of re-activating a parked table.
 
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::ptr;
@@ -39,8 +48,8 @@ use crate::stats::{Hot, Stats};
 /// `b` payload of a [`EventCode::TierPromote`] event: a fresh indirect
 /// block replaced the embedded array (tier 1 → 2).
 pub const TIER_INDIRECT: u64 = 1;
-/// Tier promotion payload: a fresh hash table replaced the indirect
-/// block (tier 2 → 3).
+/// Tier promotion payload: a hash table (fresh, or the log's parked
+/// spare) took over from the indirect block (tier 2 → 3).
 pub const TIER_HASH: u64 = 2;
 /// Tier promotion payload: the no-hash ablation chained a doubled
 /// indirect block instead.
@@ -112,8 +121,8 @@ impl LogHashTable {
         (loc >> 3).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Owner-thread insert. Returns `false` on duplicate, `None` via
-    /// `full` flag when the table needs growing first.
+    /// Owner-thread insert. Returns `Ok(false)` on duplicate and
+    /// `Err(())` when the table needs growing first.
     fn insert(&self, loc: Addr) -> Result<bool, ()> {
         if self.count.load(Ordering::Relaxed) * 4 >= self.cap * 3 {
             return Err(()); // needs grow
@@ -149,6 +158,11 @@ pub struct ThreadLog {
     embedded: [AtomicU64; EMBEDDED_ENTRIES],
     indirect: AtomicPtr<IndirectBlock>,
     hash: AtomicPtr<LogHashTable>,
+    /// A previous lifetime's table, zeroed and parked by [`Self::reset`];
+    /// null whenever `hash` is set by this lifetime. `reset`'s `Release`
+    /// store pairs with the promoting `swap`'s `Acquire`, so the lifetime
+    /// that takes the table back sees it zeroed.
+    spare: AtomicPtr<LogHashTable>,
 }
 
 impl Default for ThreadLog {
@@ -161,6 +175,7 @@ impl Default for ThreadLog {
             embedded: Default::default(),
             indirect: AtomicPtr::new(ptr::null_mut()),
             hash: AtomicPtr::new(ptr::null_mut()),
+            spare: AtomicPtr::new(ptr::null_mut()),
         }
     }
 }
@@ -249,24 +264,30 @@ impl ThreadLog {
                             let _ = bigger.insert(v);
                         }
                     }
-                    extra_bytes.fetch_add(bigger.bytes(), Ordering::Relaxed);
+                    let old = ptr::from_ref(table).cast_mut();
+                    bigger.prev.store(old, Ordering::Release);
+                    let raw = Box::into_raw(bigger);
+                    if self
+                        .hash
+                        .compare_exchange(old, raw, Ordering::AcqRel, Ordering::Acquire)
+                        .is_err()
+                    {
+                        // A late append: `reset` parked `table` meanwhile.
+                        // SAFETY: `raw` was never published; dropping a
+                        // table frees only itself, not its `prev`.
+                        drop(unsafe { Box::from_raw(raw) });
+                        return Appended::Stored;
+                    }
+                    // SAFETY: `raw` is live for the detector's lifetime.
+                    table = unsafe { &*raw };
+                    extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
                     trace.record(
                         TraceLevel::Full,
                         EventCode::TierPromote,
                         obj_id,
                         TIER_HASH_GROW,
-                        u64::from(table.cap * 2),
+                        u64::from(table.cap),
                     );
-                    let raw = Box::into_raw(bigger);
-                    // SAFETY: just allocated, uniquely owned until published.
-                    unsafe {
-                        (*raw)
-                            .prev
-                            .store(table as *const _ as *mut LogHashTable, Ordering::Release);
-                    }
-                    self.hash.store(raw, Ordering::Release);
-                    // SAFETY: `raw` is live for the detector's lifetime.
-                    table = unsafe { &*raw };
                 }
             }
         }
@@ -363,20 +384,25 @@ impl ThreadLog {
             return;
         }
         if cfg.hash_fallback {
-            // Tier 3: switch to the hash table.
-            let cap = (cfg.hash_initial as u32).next_power_of_two().max(16);
-            let table = LogHashTable::new(cap);
-            extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
-            Stats::bump(&stats.hashtables);
+            // Tier 3: switch to the hash table, the parked spare if any.
+            let mut raw = self.spare.swap(ptr::null_mut(), Ordering::AcqRel);
+            if raw.is_null() {
+                let cap = (cfg.hash_initial as u32).next_power_of_two().max(16);
+                let table = LogHashTable::new(cap);
+                extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
+                Stats::bump(&stats.hashtables);
+                raw = Box::into_raw(table);
+            }
+            // SAFETY: hash tables live as long as the detector.
+            let table = unsafe { &*raw };
             trace.record(
                 TraceLevel::Full,
                 EventCode::TierPromote,
                 obj_id,
                 TIER_HASH,
-                u64::from(cap),
+                u64::from(table.cap),
             );
             let _ = table.insert(loc);
-            let raw = Box::into_raw(table);
             self.hash.store(raw, Ordering::Release);
         } else {
             // Ablation: keep chaining ever larger blocks (the unbounded
@@ -398,12 +424,14 @@ impl ThreadLog {
         }
     }
 
-    /// Whether the hash-table tier is active.
+    /// Whether the hash-table tier is active in this lifetime.
     ///
-    /// Once active, every recorded location is (also) a member of the hash
-    /// set, and members are never removed while the log belongs to its
-    /// current object — membership only grows until the object is freed.
-    /// The detector's registration memo relies on this monotonicity: a
+    /// Only a lifetime that filled its indirect block activates it (a
+    /// table parked by [`Self::reset`] does not count). Once active, every
+    /// location appended from then on is a member of the hash set, and
+    /// members are never removed while the log belongs to its current
+    /// object — membership only grows until the object is freed. The
+    /// detector's registration memo relies on this monotonicity: a
     /// location observed in the hash stays a duplicate until a free
     /// invalidates the memo.
     #[inline]
@@ -444,10 +472,12 @@ impl ThreadLog {
         }
     }
 
-    /// Clears the log for reuse by a new (object, thread) pair.
+    /// Clears the log for reuse by a new (object, thread) pair, which
+    /// starts in the embedded tier.
     ///
     /// Indirect blocks and hash tables stay attached (zeroed) so that a
-    /// racing late append never touches freed memory; see module docs.
+    /// racing late append never touches freed memory; see module docs. An
+    /// active hash table is zeroed once and parked as the spare.
     pub fn reset(&self) {
         self.thread_id.store(u64::MAX, Ordering::Release);
         self.next.store(ptr::null_mut(), Ordering::Release);
@@ -459,7 +489,7 @@ impl ThreadLog {
             ind.len.store(0, Ordering::Release);
             ind_ptr = ind.prev.load(Ordering::Acquire);
         }
-        let hash_ptr = self.hash.load(Ordering::Acquire);
+        let hash_ptr = self.hash.swap(ptr::null_mut(), Ordering::AcqRel);
         if !hash_ptr.is_null() {
             // SAFETY: as above.
             let hash = unsafe { &*hash_ptr };
@@ -467,6 +497,7 @@ impl ThreadLog {
                 s.store(0, Ordering::Release);
             }
             hash.count.store(0, Ordering::Release);
+            self.spare.store(hash_ptr, Ordering::Release);
         }
     }
 }
@@ -480,11 +511,12 @@ impl Drop for ThreadLog {
             let block = unsafe { Box::from_raw(ind_ptr) };
             ind_ptr = block.prev.load(Ordering::Relaxed);
         }
-        let mut hash_ptr = *self.hash.get_mut();
-        while !hash_ptr.is_null() {
-            // SAFETY: as above.
-            let table = unsafe { Box::from_raw(hash_ptr) };
-            hash_ptr = table.prev.load(Ordering::Relaxed);
+        for mut hash_ptr in [*self.hash.get_mut(), *self.spare.get_mut()] {
+            while !hash_ptr.is_null() {
+                // SAFETY: as above; the two chains are disjoint.
+                let table = unsafe { Box::from_raw(hash_ptr) };
+                hash_ptr = table.prev.load(Ordering::Relaxed);
+            }
         }
     }
 }
@@ -688,11 +720,39 @@ mod tests {
         let bytes_before = bytes.load(Ordering::Relaxed);
         log.reset();
         assert!(collect(&log).is_empty());
-        // Reuse after reset works and allocates nothing new (60 entries fit
-        // the already-grown hash table without another resize).
-        for i in 0..60u64 {
+        // The next lifetime starts in the embedded tier, not the table.
+        assert!(!log.hash_active(), "reset parks the hash table");
+        let first = HEAP_BASE + 0x800_0000;
+        log.append(first, &cfg, &stats, &bytes, &Trace::new(), 1);
+        assert!(!log.hash_active());
+        assert_eq!(log.embedded_len.load(Ordering::Relaxed), 1);
+        assert_eq!(collect(&log), vec![first]);
+        // Refilling past the indirect block takes the parked spare back,
+        // and reuse allocates nothing new (60 entries fit the already-grown
+        // hash table without another resize).
+        for i in 1..60u64 {
+            log.append(first + i * 0x1000, &cfg, &stats, &bytes, &Trace::new(), 1);
+        }
+        assert!(log.hash_active(), "the lifetime filled its indirect block");
+        assert_eq!(collect(&log).len(), 60);
+        assert_eq!(bytes.load(Ordering::Relaxed), bytes_before);
+        assert_eq!(stats.snapshot().hashtables, 1, "the spare was reused");
+    }
+
+    #[test]
+    fn late_grow_never_reactivates_a_parked_table() {
+        let (_, stats, bytes) = setup();
+        let cfg = Config {
+            compression: false,
+            lookback: 0,
+            indirect_capacity: 8,
+            hash_initial: 16,
+            ..Config::default()
+        };
+        let log = ThreadLog::default();
+        for i in 0..20u64 {
             log.append(
-                HEAP_BASE + 0x800_0000 + i * 0x1000,
+                HEAP_BASE + i * 0x1000,
                 &cfg,
                 &stats,
                 &bytes,
@@ -700,8 +760,20 @@ mod tests {
                 1,
             );
         }
-        assert_eq!(collect(&log).len(), 60);
-        assert_eq!(bytes.load(Ordering::Relaxed), bytes_before);
+        // SAFETY: the table lives as long as the log.
+        let table = unsafe { &*log.hash.load(Ordering::Acquire) };
+        log.reset();
+        // The previous lifetime's owner saw the table full just before
+        // `reset` parked it, and now grows it.
+        table.count.store(table.cap, Ordering::Relaxed);
+        let late = log.hash_insert(table, HEAP_BASE, &stats, &bytes, &Trace::new(), 1);
+        assert_eq!(late, Appended::Stored);
+        assert!(!log.hash_active(), "the grown copy must not be published");
+        assert_eq!(
+            log.spare.load(Ordering::Relaxed),
+            ptr::from_ref(table).cast_mut()
+        );
+        // Dropping the log frees the parked table exactly once.
     }
 
     #[test]

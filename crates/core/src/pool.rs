@@ -10,6 +10,10 @@
 //! reference). A late-arriving registration can therefore write into a
 //! *recycled* record — a benign race the free-time value check filters out,
 //! exactly as in the paper — but never into freed memory.
+//!
+//! Only the records themselves are pooled. A log's indirect blocks and
+//! hash tables travel with the log (see [`crate::log`]), and the sweep's
+//! location buffer is per thread, so no free takes a lock here.
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::ptr;
@@ -147,68 +151,6 @@ impl<T: PoolItem> Pool<T> {
     }
 }
 
-/// A pool of reusable `Vec<u64>` scratch buffers for the free path's
-/// batched invalidation walk.
-///
-/// `on_free` drains every tier of every thread's log into one flat buffer
-/// before sorting and page-grouping it; allocating that buffer per free
-/// would put the host allocator on the free path, which is exactly what
-/// the detector's own pools exist to avoid. Buffers keep their capacity
-/// across frees, so a steady-state workload reaches its high-water mark
-/// once and never allocates again. A mutex (not a Treiber stack like
-/// [`Pool`]) is fine here: it is taken once per *free*, not per pointer,
-/// and the critical section is a `Vec::pop`/`push`.
-pub struct ScratchPool {
-    bufs: Mutex<Vec<Vec<u64>>>,
-    /// Capacity bytes across the buffers currently parked (for memory
-    /// accounting; a buffer out on loan is counted by its borrower's
-    /// stack, not here).
-    bytes: AtomicU64,
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ScratchPool {
-    /// Creates an empty scratch pool.
-    pub fn new() -> Self {
-        ScratchPool {
-            bufs: Mutex::new(Vec::new()),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// Takes an empty buffer, reusing a parked one's capacity if possible.
-    pub fn take(&self) -> Vec<u64> {
-        let mut bufs = self.bufs.lock().expect("not poisoned");
-        match bufs.pop() {
-            Some(buf) => {
-                self.bytes
-                    .fetch_sub(buf.capacity() as u64 * 8, Ordering::Relaxed);
-                buf
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Parks a buffer for reuse; its contents are discarded, its capacity
-    /// kept.
-    pub fn recycle(&self, mut buf: Vec<u64>) {
-        buf.clear();
-        self.bytes
-            .fetch_add(buf.capacity() as u64 * 8, Ordering::Relaxed);
-        self.bufs.lock().expect("not poisoned").push(buf);
-    }
-
-    /// Host bytes parked in the pool right now.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-}
-
 impl<T: PoolItem> Drop for Pool<T> {
     fn drop(&mut self) {
         for raw in self.all.get_mut().expect("not poisoned").drain(..) {
@@ -260,21 +202,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(pool.allocated(), 2);
         assert_eq!(pool.bytes(), 2 * core::mem::size_of::<Rec>() as u64);
-    }
-
-    #[test]
-    fn scratch_pool_reuses_capacity() {
-        let pool = ScratchPool::new();
-        let mut a = pool.take();
-        assert!(a.is_empty());
-        a.extend(0..1000);
-        let cap = a.capacity();
-        pool.recycle(a);
-        assert_eq!(pool.bytes(), cap as u64 * 8);
-        let b = pool.take();
-        assert!(b.is_empty(), "recycled buffers come back cleared");
-        assert_eq!(b.capacity(), cap, "capacity survives the round trip");
-        assert_eq!(pool.bytes(), 0);
     }
 
     #[test]

@@ -152,7 +152,9 @@ pub struct Stats {
     pub objects_allocated: AtomicU64,
     /// Objects freed (and their pointers invalidated).
     pub objects_freed: AtomicU64,
-    /// `# hashtable` — hash tables allocated as log fallback.
+    /// `# hashtable` — hash tables allocated as log fallback. Counts
+    /// allocations, like `indirect_blocks`: a lifetime that takes its
+    /// log's parked spare table back is not counted again.
     pub hashtables: AtomicU64,
     /// `# inval` — pointers actually rewritten at free time.
     pub ptrs_invalidated: AtomicU64,

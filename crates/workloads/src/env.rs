@@ -281,12 +281,32 @@ mod tests {
         let _ = shared_env(DetectorKind::FreeSentry);
     }
 
+    /// Unsets `vars`, so an axis's baseline assert sees none of the
+    /// caller's matrix settings.
+    fn unset(vars: &[&str]) {
+        for v in vars {
+            std::env::remove_var(v);
+        }
+    }
+
     #[test]
     fn sweep_env_overrides_follow_the_matrix_variables() {
         // Single test covering all cases so the env-var mutation never
-        // races another assertion in this binary.
-        std::env::remove_var("SWEEP_THREADS");
-        std::env::remove_var("DEFERRED_SWEEP");
+        // races another assertion in this binary. The caller's values
+        // (a CI matrix cell's) are restored at the end.
+        const VARS: [&str; 9] = [
+            "SWEEP_THREADS",
+            "DEFERRED_SWEEP",
+            "SITE_POLICY",
+            "THIN_MIN_FREES",
+            "HARDENED_PINS",
+            "METRICS",
+            "METRICS_INTERVAL_MS",
+            "TAG_BITS",
+            "TAG_KEY",
+        ];
+        let saved: Vec<_> = VARS.iter().map(std::env::var_os).collect();
+        unset(&["SWEEP_THREADS", "DEFERRED_SWEEP"]);
         let base = Config::default();
         let cfg = sweep_env_overrides(base);
         assert_eq!(cfg.deferred_sweep, base.deferred_sweep);
@@ -311,6 +331,7 @@ mod tests {
         std::env::remove_var("DEFERRED_SWEEP");
 
         // Site-policy axis, same discipline (and same single-test rule).
+        unset(&["SITE_POLICY", "THIN_MIN_FREES", "HARDENED_PINS"]);
         let base = Config::default();
         let cfg = site_policy_env_overrides(base);
         assert_eq!(cfg.site_policy, base.site_policy);
@@ -338,6 +359,7 @@ mod tests {
         std::env::remove_var("HARDENED_PINS");
 
         // Telemetry axis, same discipline (and same single-test rule).
+        unset(&["METRICS", "METRICS_INTERVAL_MS"]);
         let base = Config::default();
         let cfg = metrics_env_overrides(base);
         assert_eq!(cfg.metrics, base.metrics);
@@ -361,6 +383,7 @@ mod tests {
         std::env::remove_var("METRICS_INTERVAL_MS");
 
         // Tagging axis, same discipline (and same single-test rule).
+        unset(&["TAG_BITS", "TAG_KEY"]);
         let base = TagScheme::ImplicitId {
             bits: DEFAULT_TAG_BITS,
             key: DEFAULT_TAG_KEY,
@@ -394,6 +417,12 @@ mod tests {
 
         std::env::remove_var("TAG_BITS");
         std::env::remove_var("TAG_KEY");
+
+        for (var, value) in VARS.iter().zip(saved) {
+            if let Some(value) = value {
+                std::env::set_var(var, value);
+            }
+        }
     }
 
     #[test]

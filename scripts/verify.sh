@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build/lint/tests, the e2ebench benchmark's own
-# test, baseline lint, repo-hygiene guard, and (full mode) quick bench
-# passes gated against the committed BENCH_hotpath.json /
-# BENCH_scaling.json baselines.
+# Repo verification: tier-1 build/lint/tests, every workspace crate's
+# tests, the e2ebench benchmark's own test, baseline lint, repo-hygiene
+# guard, and (full mode) quick bench passes gated against the committed
+# BENCH_hotpath.json / BENCH_scaling.json baselines.
 #
 # Usage:
-#   scripts/verify.sh           # full: tier-1 + baseline lint + bench gates
-#   scripts/verify.sh --fast    # tier-1 + e2ebench test + baseline lint
-#                               # (no bench runs)
+#   scripts/verify.sh           # full: tier-1 + workspace tests + baseline
+#                               # lint + bench gates
+#   scripts/verify.sh --fast    # tier-1 + workspace tests + e2ebench test
+#                               # + baseline lint (no bench runs)
 #   CI_FAST=1 scripts/verify.sh # same as --fast (for CI environment blocks)
 #
 # Tunables:
@@ -21,6 +22,8 @@
 #
 # Fails if:
 #   - the tier-1 suite (build, clippy -D warnings, tests) fails,
+#   - any workspace crate's tests fail (tier-1 `cargo test` runs only the
+#     root package's; the crates' unit tests run here),
 #   - the bounded differential-fuzz campaign finds any divergence
 #     (VERIFY_FUZZ_PROGRAMS overrides the 150-program default; 0 skips),
 #   - the repository benchmark (e2ebench, its own package) fails to
@@ -60,6 +63,11 @@ cargo clippy -q --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+# Tier-1 tests only the root package; the crates' own unit tests (log
+# tiers, sweep engine, pools, hooks, ...) run here.
+echo "== workspace: cargo test --workspace --release -q =="
+cargo test --workspace --release -q
 
 # The fixed-seed corpus replay and a bounded fixed-seed campaign already
 # ran inside cargo test (tests/fuzz_corpus.rs, instr prop_fuzz_diff); this
