@@ -5,7 +5,7 @@
 //!
 //! Emits `BENCH_hotpath.json`, with the machine's core count, so
 //! subsequent changes have a machine-readable perf trajectory
-//! (`scripts/verify.sh` gates on it).
+//! (`bench_gate` gates on it; see `dangsan_bench::gate`).
 //!
 //! Usage:
 //!
@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dangsan::{set_alloc_site, Config, DangSan, Detector, TraceLevel};
-use dangsan_bench::cores;
 use dangsan_bench::report::Json;
+use dangsan_bench::{cores, Args, HOTPATH_SCHEMA};
 use dangsan_heap::Heap;
 use dangsan_shadow::MetaPageTable;
 use dangsan_vmem::{AddressSpace, PAGE_SIZE};
@@ -575,14 +575,8 @@ fn bench_malloc_free_thin(rounds: u64, policy: bool) -> Measurement {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_hotpath.json".to_string());
+    let args = Args::parse("hotpath [--quick] [--out BENCH_hotpath.json]", 0);
+    let quick = args.has("--quick");
 
     let (reps, scale) = if quick { (3, 1u64) } else { (7, 8u64) };
     type Bench = fn(u64, bool) -> Measurement;
@@ -605,7 +599,7 @@ fn main() {
     ];
 
     let mut doc = Json::obj();
-    doc.set("schema", Json::Str("dangsan-hotpath-v1".into()));
+    doc.set("schema", Json::Str(HOTPATH_SCHEMA.into()));
     doc.set("quick", Json::Bool(quick));
     doc.set("cores", Json::Num(cores() as f64));
     let mut section = Json::obj();
@@ -632,6 +626,5 @@ fn main() {
         section.set(name, b);
     }
     doc.set("benches", section);
-    std::fs::write(&out_path, doc.render_pretty()).expect("write json");
-    eprintln!("[hotpath] wrote {out_path}");
+    args.write_out(&doc.render_pretty());
 }

@@ -18,13 +18,13 @@
 //!   against.
 //!
 //! Emits `BENCH_scaling.json` with per-thread-count throughput, parallel
-//! efficiency, and the recorded core count — the gates in
-//! `scripts/verify.sh` / `scripts/check_baselines.sh` key their floors on
-//! `cores`, because a 1-core container cannot show a real 4-thread
-//! speedup no matter how scalable the allocator is. (A time-sliced ratio
-//! slightly above 1.0 is possible even so: with the work split four
-//! ways, each worker touches a quarter of the connection pool, so each
-//! scheduler slice runs against a smaller working set.)
+//! efficiency, and the recorded core count — the bench gates
+//! (`dangsan_bench::gate`) key their floors on `cores`, because a 1-core
+//! container cannot show a real 4-thread speedup no matter how scalable
+//! the allocator is. (A time-sliced ratio slightly above 1.0 is possible
+//! even so: with the work split four ways, each worker touches a quarter
+//! of the connection pool, so each scheduler slice runs against a
+//! smaller working set.)
 //!
 //! A second section, `defenses`, is the cross-defense comparison the
 //! tagging arms join (EXPERIMENTS.md "Cross-defense comparison"):
@@ -34,19 +34,22 @@
 //! uninstrumented baseline, metadata bytes, and the arm's detection
 //! guarantee. `TAG_BITS` / `TAG_KEY` override the tagging widths for
 //! matrix runs; `--defenses-only` skips the thread sweep and emits just
-//! this section (the CI arm-comparison step).
+//! this section (the CI arm-comparison step). `--table [FILE]` runs
+//! nothing: it renders FILE's section (default `BENCH_scaling.json`) as
+//! the markdown table in EXPERIMENTS.md, the raw JSON text of each
+//! guarantee string in the last column.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release -p dangsan-bench --bin scaling [-- --quick] [--out PATH]
 //!     [--defenses-only]
+//! cargo run --release -p dangsan-bench --bin scaling -- --table [FILE]
 //! ```
 
 use dangsan::Config;
-use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
-use dangsan_bench::cores;
 use dangsan_bench::report::Json;
+use dangsan_bench::{cores, defense_arms, Args, SCALING_SCHEMA};
 use dangsan_workloads::{
     run_server, site_policy_env_overrides, sweep_env_overrides, tagging_env_overrides,
     DetectorKind, ServerProfile,
@@ -97,51 +100,6 @@ const ARMS: &[(&str, Arm)] = &[
     }),
 ];
 
-/// The cross-defense comparison arms: one representative per defense
-/// class, all run single-threaded so the numbers isolate per-operation
-/// cost, not scalability (the thread sweep above covers that). Each
-/// entry is `(name, kind, guarantee)` where the guarantee string is the
-/// detection contract the fuzz relation enforces analytically.
-fn defense_arms() -> Vec<(&'static str, DetectorKind, &'static str)> {
-    let tag = |s| DetectorKind::Tagging(tagging_env_overrides(s));
-    vec![
-        ("baseline", DetectorKind::Baseline, "none (uninstrumented)"),
-        (
-            "dangsan",
-            DetectorKind::DangSan(detector_config(1)),
-            "masks tracked copies at free; copies made after free escape",
-        ),
-        (
-            "dangnull",
-            DetectorKind::DangNull,
-            "nulls heap-stored copies at free; stack/global copies escape",
-        ),
-        (
-            "xtag",
-            tag(TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS,
-            }),
-            "deref-time generation check; misses after 2^bits block reuses",
-        ),
-        (
-            "implicit-id",
-            tag(TagScheme::ImplicitId {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            }),
-            "deref-time identifier check; 2^-bits collision odds per stale access",
-        ),
-        (
-            "pa-mac",
-            tag(TagScheme::PaMac {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            }),
-            "deref-time truncated MAC; 2^-bits forgery/collision odds",
-        ),
-    ]
-}
-
 /// One cell's measured figures: throughput, the request-latency tail, and
 /// the sweep-queue placement counters (how often an idle shard stole work
 /// and how deep each shard's backlog peaked).
@@ -182,16 +140,45 @@ fn run_once(kind: DetectorKind, workers: usize, requests: u64, seed: u64) -> Cel
     }
 }
 
+/// Renders a scaling JSON's `defenses` section as the markdown table in
+/// EXPERIMENTS.md.
+fn defense_table(doc: &Json) -> Result<String, String> {
+    let mut table = String::from(
+        "| defense | req/s | overhead | metadata bytes | tag bits | detection guarantee |\n\
+         | --- | ---: | ---: | ---: | ---: | --- |\n",
+    );
+    let Json::Obj(rows) = doc.at("defenses")? else {
+        return Err("defenses is not an object".into());
+    };
+    for (name, row) in rows {
+        table += &format!(
+            "| {name} | {:.0} | {:.2}x | {:.0} | {} | {} |\n",
+            row.num("ops_per_sec")?,
+            row.num("overhead_vs_baseline")?,
+            row.num("metadata_bytes")?,
+            row.get("tag_bits").map_or("—".into(), Json::render),
+            row.at("guarantee")?.render().trim_matches('"'),
+        );
+    }
+    Ok(table)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let defenses_only = args.iter().any(|a| a == "--defenses-only");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_scaling.json".to_string());
+    let args = Args::parse(
+        "scaling [--quick] [--defenses-only] [--out BENCH_scaling.json] | scaling --table [FILE]",
+        1,
+    );
+    if args.has("--table") {
+        let file = args.operands.first().map_or("BENCH_scaling.json", |f| f);
+        let table = Json::load(file).and_then(|doc| defense_table(&doc));
+        print!("{}", table.unwrap_or_else(|e| args.fail(&e)));
+        return;
+    }
+    if !args.operands.is_empty() {
+        args.usage_error();
+    }
+    let quick = args.has("--quick");
+    let defenses_only = args.has("--defenses-only");
 
     // Full mode takes 7 interleaved passes: the per-cell figure is a
     // best-of, and on a shared box the max of a noisy sample needs more
@@ -211,7 +198,7 @@ fn main() {
         counts
     );
     let mut doc = Json::obj();
-    doc.set("schema", Json::Str("dangsan-scaling-v1".into()));
+    doc.set("schema", Json::Str(SCALING_SCHEMA.into()));
     doc.set("quick", Json::Bool(quick));
     doc.set("cores", Json::Num(cores as f64));
 
@@ -264,8 +251,7 @@ fn main() {
         }
         doc.set("arms", arms_json);
 
-        // The derived figures the verify gates read (flat keys, one line each,
-        // so the shell-side awk extraction stays trivial).
+        // The ratios the bench gates judge, which no single cell carries.
         let idx4 = counts.iter().position(|&c| c == 4).expect("4 is swept");
         let dangsan = ARMS.iter().position(|(n, _)| *n == "dangsan").expect("arm");
         let locked = ARMS.iter().position(|(n, _)| *n == "locked").expect("arm");
@@ -286,7 +272,7 @@ fn main() {
     }
 
     // --- cross-defense comparison (single-threaded smoke cells) --------
-    let darms = defense_arms();
+    let darms = defense_arms(detector_config(1), tagging_env_overrides);
     println!(
         "{:<12} {:>14} {:>9} {:>12}",
         "defense", "req/s", "overhead", "meta bytes"
@@ -295,7 +281,7 @@ fn main() {
     // interleaved load as the baseline its overhead divides by.
     let mut dbest = vec![Cell::default(); darms.len()];
     for rep in 0..reps {
-        for (i, (_, kind, _)) in darms.iter().enumerate() {
+        for (i, (kind, _)) in darms.iter().enumerate() {
             let r = run_once(*kind, 1, req_total, 0xdefe ^ rep as u64);
             if r.rps > dbest[i].rps {
                 dbest[i] = r;
@@ -304,7 +290,8 @@ fn main() {
     }
     let base_rps = dbest[0].rps;
     let mut defenses_json = Json::obj();
-    for (i, (name, kind, guarantee)) in darms.iter().enumerate() {
+    for (i, (kind, guarantee)) in darms.iter().enumerate() {
+        let name = kind.label();
         let cell_data = dbest[i];
         let overhead = base_rps / cell_data.rps;
         println!(
@@ -324,6 +311,17 @@ fn main() {
     }
     doc.set("defenses", defenses_json);
 
-    std::fs::write(&out_path, doc.render_pretty()).expect("write json");
-    eprintln!("[scaling] wrote {out_path}");
+    args.write_out(&doc.render_pretty());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn defense_table_is_the_one_in_experiments_md() {
+        let doc = Json::parse(include_str!("../../../../BENCH_scaling.json")).expect("parses");
+        let table = defense_table(&doc).expect("the defenses section renders");
+        assert!(include_str!("../../../../EXPERIMENTS.md").contains(&table));
+    }
 }

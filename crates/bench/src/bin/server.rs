@@ -14,9 +14,9 @@
 //!    tail, and p50/p99/p999 come off the lock-free log-bucketed
 //!    histograms rather than a per-request `Vec`.
 //!
-//! Emits `BENCH_server.json` (`schema: dangsan-server-v1`) with a
-//! cores-keyed throughput-ratio floor plus latency presence gates read
-//! by `scripts/verify.sh` / `scripts/check_baselines.sh`.
+//! Emits `BENCH_server.json` (`schema: dangsan-server-v1`), which the
+//! bench gates (`dangsan_bench::gate`) hold to a cores-keyed
+//! throughput-ratio floor plus latency presence gates.
 //!
 //! Usage:
 //!
@@ -25,9 +25,8 @@
 //! ```
 
 use dangsan::Config;
-use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
-use dangsan_bench::cores;
 use dangsan_bench::report::Json;
+use dangsan_bench::{cores, Args, SERVER_SCHEMA, TAGGING_SCHEMES};
 use dangsan_workloads::{
     metrics_env_overrides, run_server, run_server_opts, site_policy_env_overrides,
     sweep_env_overrides, tagging_env_overrides, DetectorKind, ServerOptions, ServerProfile,
@@ -126,14 +125,8 @@ fn result_json(r: &ServerResult) -> Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_server.json".to_string());
+    let args = Args::parse("server [--quick] [--out BENCH_server.json]", 0);
+    let quick = args.has("--quick");
 
     let (reps, requests) = if quick {
         (3, 20_000u64)
@@ -165,39 +158,16 @@ fn main() {
     // cross-defense table and the schema lint can read. Open loop stays
     // a two-arm comparison: the tail study is about the invalidation
     // pipeline, the tagging arms have no deferred machinery to stress.
-    let tag_caps: Vec<(&'static str, f64)> = [
-        (
-            "xtag",
-            TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS,
-            },
-        ),
-        (
-            "implicit-id",
-            TagScheme::ImplicitId {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-        ),
-        (
-            "pa-mac",
-            TagScheme::PaMac {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-        ),
-    ]
-    .into_iter()
-    .map(|(name, scheme)| {
+    let tag_caps = TAGGING_SCHEMES.map(|scheme| {
         let kind = DetectorKind::Tagging(tagging_env_overrides(scheme));
+        let name = kind.label();
         let cap = capacity(kind, workers, requests, reps);
         println!(
             "capacity     {name:<12} {cap:>8.0} req/s  ({:.2}x)",
             cap / base_cap
         );
         (name, cap)
-    })
-    .collect();
+    });
 
     // Phase 2: open loop at 60% of the *instrumented* arm's capacity —
     // below saturation for both arms, so the tail reflects per-request
@@ -215,7 +185,7 @@ fn main() {
     }
 
     let mut doc = Json::obj();
-    doc.set("schema", Json::Str("dangsan-server-v1".into()));
+    doc.set("schema", Json::Str(SERVER_SCHEMA.into()));
     doc.set("quick", Json::Bool(quick));
     doc.set("cores", Json::Num(cores as f64));
     doc.set("workers", Json::Num(workers as f64));
@@ -236,7 +206,8 @@ fn main() {
     }
     doc.set("arms", arms);
 
-    // Flat derived keys for the shell-side awk gates.
+    // The open-loop dangsan figures the bench gates judge, with the
+    // capacity ratio that no single arm's row carries.
     let mut derived = Json::obj();
     derived.set("dangsan_over_baseline_rps", Json::Num(dang_cap / base_cap));
     derived.set("dangsan_p50_ns", Json::Num(rd.p50_ns as f64));
@@ -244,6 +215,5 @@ fn main() {
     derived.set("dangsan_p999_ns", Json::Num(rd.p999_ns as f64));
     doc.set("derived", derived);
 
-    std::fs::write(&out_path, doc.render_pretty()).expect("write json");
-    eprintln!("[server] wrote {out_path}");
+    args.write_out(&doc.render_pretty());
 }

@@ -129,6 +129,29 @@ impl Json {
         }
     }
 
+    /// The value at a dotted key path (`benches.registerptr.speedup`):
+    /// each key is looked up in the object the previous one named, so a
+    /// missing key is an error naming it, never a neighbour's value.
+    pub fn at(&self, path: &str) -> Result<&Json, String> {
+        let missing = |key| format!("no {path} (missing key {key:?})");
+        path.split('.')
+            .try_fold(self, |v, key| v.get(key).ok_or_else(|| missing(key)))
+    }
+
+    /// The number at a dotted key path; an error if it is missing or not
+    /// a number.
+    pub fn num(&self, path: &str) -> Result<f64, String> {
+        let v = self.at(path)?;
+        v.as_f64()
+            .ok_or_else(|| format!("{path} is {}, not a number", v.render()))
+    }
+
+    /// Reads and parses a JSON file; the error names the path.
+    pub fn load(path: &str) -> Result<Json, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        Json::parse(&text).map_err(|e| format!("{path}: {e}"))
+    }
+
     /// Renders compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -210,7 +233,9 @@ impl Json {
     }
 
     /// Parses the subset of JSON that [`Json::render`]/[`render_pretty`]
-    /// produce (enough for `verify.sh`-style regression comparisons).
+    /// produce, which the bench gates (`gate.rs`) read. `null` is an
+    /// error: the writer never emits it, and read as a number it would
+    /// pass every presence gate.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes: Vec<char> = text.chars().collect();
         let mut pos = 0usize;
@@ -310,11 +335,7 @@ impl Json {
                 Err("unterminated string".into())
             }
             Some(c) if *c == 't' || *c == 'f' || *c == 'n' => {
-                for (word, val) in [
-                    ("true", Json::Bool(true)),
-                    ("false", Json::Bool(false)),
-                    ("null", Json::Num(0.0)),
-                ] {
+                for (word, val) in [("true", Json::Bool(true)), ("false", Json::Bool(false))] {
                     let end = *pos + word.len();
                     if b.get(*pos..end).map(|s| s.iter().collect::<String>()) == Some(word.into()) {
                         *pos = end;

@@ -1,53 +1,28 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build/lint/tests, every workspace crate's
-# tests, the e2ebench benchmark's own test, baseline lint, repo-hygiene
-# guard, and (full mode) quick bench passes gated against the committed
-# BENCH_hotpath.json / BENCH_scaling.json baselines.
+# tests, a differential-fuzz slice, the e2ebench benchmark's own test,
+# the repo-hygiene guard, and the bench gates: `bench_gate` lints the
+# committed BENCH_*.json baselines and, in full mode, gates quick
+# hotpath/scaling/server runs against them. The gates, their floors and
+# what fails them are documented once, in crates/bench/src/gate.rs.
 #
 # Usage:
-#   scripts/verify.sh           # full: tier-1 + workspace tests + baseline
-#                               # lint + bench gates
-#   scripts/verify.sh --fast    # tier-1 + workspace tests + e2ebench test
-#                               # + baseline lint (no bench runs)
+#   scripts/verify.sh           # full: everything, plus the three quick
+#                               # bench runs gated against the baselines
+#   scripts/verify.sh --fast    # no bench runs: the baselines are linted
 #   CI_FAST=1 scripts/verify.sh # same as --fast (for CI environment blocks)
 #
 # Tunables:
-#   VERIFY_BENCH_TOL   Relative tolerance (percent) for the current-run
-#                      bench gates, default 20: a bench fails when its
-#                      same-run speedup drops below (1 - TOL/100) x the
-#                      committed baseline's. Raise on noisy shared
-#                      runners, e.g. VERIFY_BENCH_TOL=35 scripts/verify.sh.
-#   VERIFY_SCALING_MIN Override the cores-keyed 4t/1t scaling floor
-#                      (see scripts/check_baselines.sh for the keying).
+#   VERIFY_BENCH_TOL      Relative tolerance (percent) of the current-run
+#                         bench gates, default 20. Raise it on noisy shared
+#                         runners, e.g. VERIFY_BENCH_TOL=35 scripts/verify.sh.
+#   VERIFY_FUZZ_PROGRAMS  Programs in the fuzz slice, default 150; 0 skips.
 #
-# Fails if:
-#   - the tier-1 suite (build, clippy -D warnings, tests) fails,
-#   - any workspace crate's tests fail (tier-1 `cargo test` runs only the
-#     root package's; the crates' unit tests run here),
-#   - the bounded differential-fuzz campaign finds any divergence
-#     (VERIFY_FUZZ_PROGRAMS overrides the 150-program default; 0 skips),
-#   - the repository benchmark (e2ebench, its own package) fails to
-#     build against the current crates or fails its own test,
-#   - scripts/check_baselines.sh rejects a committed BENCH_*.json
-#     (missing, unparsable, missing a gated figure, sub-1.0 core-bench
-#     speedup, or scaling floors missed),
-#   - a tracked file matches .gitignore (stale artifacts must stay
-#     untracked once ignored),
-#   - [full mode] the current hotpath quick run regresses more than
-#     VERIFY_BENCH_TOL% vs the committed baseline on any bench,
-#   - [full mode] the trace_off same-run ratio drops below 0.98 (the
-#     flight recorder's Off mode must stay free),
-#   - [full mode] the metrics_off same-run ratio drops below 0.98 (the
-#     telemetry plane's Off mode must stay free too),
-#   - [full mode] the current scaling quick run misses the cores-keyed
-#     4t/1t floor or the 0.95x cached-vs-locked 1-thread floor (both
-#     scaled by VERIFY_BENCH_TOL like the hotpath gates),
-#   - [full mode] the current server quick run regresses its
-#     dangsan/baseline capacity ratio vs the committed BENCH_server.json
-#     beyond the tolerance, or its open-loop p50 grows beyond the
-#     double-tolerance latency budget (latency gates print the now/base
-#     ratio whether they pass or fail; the queueing-dominated p99/p999
-#     tails are printed as INFO and gated for presence only).
+# Fails if any stage fails: the tier-1 suite (build, clippy -D warnings,
+# tests), any workspace crate's tests (tier-1 `cargo test` runs only the
+# root package's), a fuzz divergence, the e2ebench build or test, a
+# tracked file matching .gitignore (stale artifacts must stay untracked
+# once ignored), or a bench gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -97,9 +72,6 @@ fi
 echo "== benchmark test: e2ebench =="
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
 
-echo "== baseline lint: scripts/check_baselines.sh =="
-scripts/check_baselines.sh
-
 echo "== repo hygiene: no tracked-but-ignored files =="
 if tracked_ignored=$(git ls-files -ci --exclude-standard) && [[ -n "$tracked_ignored" ]]; then
     echo "verify: FAIL — tracked files matching .gitignore (git rm --cached them):" >&2
@@ -108,211 +80,22 @@ if tracked_ignored=$(git ls-files -ci --exclude-standard) && [[ -n "$tracked_ign
 fi
 echo "verify: working tree clean of tracked-but-ignored files"
 
+gate=(cargo run --release -q -p dangsan-bench --bin bench_gate --)
 if [[ $fast -eq 1 ]]; then
-    echo "verify: fast mode — bench gates skipped"
+    echo "== bench gates: committed baselines (fast mode: no bench runs) =="
+    "${gate[@]}"
     echo "verify: all checks passed"
     exit 0
 fi
 
-tol=${VERIFY_BENCH_TOL:-20}
-floor=$(awk -v t="$tol" 'BEGIN { printf "%.3f", 1 - t / 100 }')
-echo "== bench gates: tolerance ${tol}% (current/baseline floor ${floor}) =="
-
-ALL_BENCHES="registerptr ptr2obj malloc_free invalidate \
-             free_many_ptrs free_many_objs free_while_reg \
-             sweep_total malloc_free_thin trace_off metrics_off"
-
-echo "== hotpath --quick =="
-tmp_hotpath=$(mktemp /tmp/hotpath.XXXXXX.json)
-tmp_scaling=$(mktemp /tmp/scaling.XXXXXX.json)
-trap 'rm -f "$tmp_hotpath" "$tmp_scaling"' EXIT
-cargo run --release -p dangsan-bench --bin hotpath -- --quick --out "$tmp_hotpath"
-
-# Extract one bench's speedup from a hotpath JSON: the value on the
-# first "speedup" line after the bench's key. Empty output = that bench
-# is missing or the file is not hotpath JSON.
-speedup_of() {
-    awk -v bench="\"$2\"" '
-        index($0, bench) { in_bench = 1 }
-        in_bench && /"speedup"/ {
-            gsub(/[",]/, "", $2); print $2; exit
-        }
-    ' "$1"
-}
-
-status=0
-
-# Gate: the current quick run must stay within the tolerance of the
-# committed baseline's speedup on every bench (same-run on/off ratios, so
-# machine noise largely cancels; check_baselines.sh holds the absolute
-# line on the committed numbers). The printed ratio is now/base: the
-# exact number this gate compares against its floor.
-for bench in $ALL_BENCHES; do
-    base=$(speedup_of BENCH_hotpath.json "$bench")
-    now=$(speedup_of "$tmp_hotpath" "$bench")
-    if [[ -z "$now" ]]; then
-        echo "verify: FAIL — current quick run produced no \"$bench\" speedup" >&2
-        status=1
-        continue
-    fi
-    awk -v bench="$bench" -v base="$base" -v now="$now" -v floor="$floor" 'BEGIN {
-        ratio = now / base
-        if (ratio < floor) {
-            printf "verify: FAIL — %s speedup regressed vs baseline: now %.2f / base %.2f = ratio %.3f < %.3f\n", bench, now, base, ratio, floor
-            exit 1
-        }
-        printf "verify: %-15s OK — now %.2f / base %.2f = ratio %.3f >= %.3f\n", bench, now, base, ratio, floor
-    }' || status=1
+runs=$(mktemp -d /tmp/verify-bench.XXXXXX)
+trap 'rm -rf "$runs"' EXIT
+for bin in hotpath scaling server; do
+    echo "== $bin --quick =="
+    cargo run --release -p dangsan-bench --bin "$bin" -- --quick --out "$runs/$bin.json"
 done
 
-# Gate: trace_overhead — the flight recorder's Off mode must be free.
-# trace_off's speedup column is a same-run ratio (trace_level=Off
-# throughput over traced throughput on an identical loop), so the 2%
-# budget is checkable on a loaded machine.
-now=$(speedup_of "$tmp_hotpath" trace_off)
-awk -v now="$now" 'BEGIN {
-    if (now < 0.98) {
-        printf "verify: FAIL — trace_overhead: Off/traced ratio %.3f < 0.980 (trace_level=Off is not free)\n", now
-        exit 1
-    }
-    printf "verify: trace_overhead   OK — Off/traced ratio %.3f >= 0.980\n", now
-}' || status=1
-
-# Gate: metrics_overhead — the telemetry plane's Off mode must be free.
-# metrics_off's speedup column is a same-run ratio (metrics=false
-# throughput over sampler-live throughput on an identical lifecycle
-# loop); the registry is pull-based so the hot paths carry no metrics
-# sites, and this holds the 2% line on that contract.
-now=$(speedup_of "$tmp_hotpath" metrics_off)
-awk -v now="$now" 'BEGIN {
-    if (now < 0.98) {
-        printf "verify: FAIL — metrics_overhead: Off/metered ratio %.3f < 0.980 (metrics=false is not free)\n", now
-        exit 1
-    }
-    printf "verify: metrics_overhead OK — Off/metered ratio %.3f >= 0.980\n", now
-}' || status=1
-
-# Gate: thin_routing — the adaptive router's fast path must WIN. The
-# malloc_free_thin speedup column is a same-run ratio (site-policy-on
-# throughput over forced-Standard on an identical clean-site churn), so
-# > 1.0 means routing reclaims real per-free work; scaled by the
-# tolerance like every current-run gate. check_baselines.sh holds the
-# unscaled 1.0 line on the committed file.
-now=$(speedup_of "$tmp_hotpath" malloc_free_thin)
-awk -v now="$now" -v tolf="$floor" 'BEGIN {
-    eff = 1.0 * tolf
-    if (now == "" || now + 0 != now) {
-        printf "verify: FAIL — hotpath quick run produced no parsable malloc_free_thin speedup\n"
-        exit 1
-    }
-    if (now + 0 < eff) {
-        printf "verify: FAIL — thin_routing: routed/standard ratio %.3f < %.3f (the thin path must win)\n", now, eff
-        exit 1
-    }
-    printf "verify: thin_routing      OK — routed/standard ratio %.3f >= %.3f\n", now, eff
-}' || status=1
-
-echo "== scaling --quick =="
-cargo run --release -p dangsan-bench --bin scaling -- --quick --out "$tmp_scaling"
-
-scaling_num() {
-    awk -v key="\"$2\"" '
-        index($0, key) {
-            for (i = 1; i <= NF; i++) if (index($i, key)) {
-                v = $(i + 1); gsub(/[",]/, "", v); print v; exit
-            }
-        }
-    ' "$1"
-}
-
-# Gate: the scaling run's 4t/1t ratio, floored by the machine's recorded
-# core count exactly like the committed-baseline gate (>= 1.8 with 4+
-# cores), scaled by the tolerance like every current-run gate.
-cores=$(scaling_num "$tmp_scaling" cores)
-if [[ -n "${VERIFY_SCALING_MIN-}" ]]; then
-    floor4=$VERIFY_SCALING_MIN
-else
-    floor4=$(awk -v c="${cores:-0}" 'BEGIN {
-        if (c >= 4) print 1.8; else if (c >= 2) print 0.9; else print 0.7
-    }')
-fi
-for gate in "dangsan_speedup_4t_over_1t:$floor4" "cached_over_locked_1t:0.95"; do
-    key=${gate%%:*}
-    gate_floor=${gate##*:}
-    now=$(scaling_num "$tmp_scaling" "$key")
-    awk -v key="$key" -v now="$now" -v gfloor="$gate_floor" -v tolf="$floor" 'BEGIN {
-        eff = gfloor * tolf
-        if (now == "" || now + 0 != now) {
-            printf "verify: FAIL — scaling quick run produced no parsable %s\n", key
-            exit 1
-        }
-        if (now + 0 < eff) {
-            printf "verify: FAIL — scaling %s = %.3f below floor %.3f (%.2f x tolerance %.3f)\n", key, now, eff, gfloor, tolf
-            exit 1
-        }
-        printf "verify: %-28s OK — %.3f >= %.3f\n", key, now, eff
-    }' || status=1
-done
-
-echo "== server --quick =="
-tmp_server=$(mktemp /tmp/server.XXXXXX.json)
-trap 'rm -f "$tmp_hotpath" "$tmp_scaling" "$tmp_server"' EXIT
-cargo run --release -p dangsan-bench --bin server -- --quick --out "$tmp_server"
-
-server_num() {
-    scaling_num "$1" "$2"
-}
-
-# Gate: the dangsan/baseline capacity ratio must stay within tolerance
-# of the committed baseline's. Both sides are same-run ratios (the two
-# arms run back to back), so machine noise largely cancels; the now/base
-# ratio is printed whether the gate passes or fails.
-base=$(server_num BENCH_server.json dangsan_over_baseline_rps)
-now=$(server_num "$tmp_server" dangsan_over_baseline_rps)
-awk -v base="$base" -v now="$now" -v floor="$floor" 'BEGIN {
-    if (now == "" || now + 0 != now || base == "" || base + 0 != base) {
-        printf "verify: FAIL — server run produced no parsable dangsan_over_baseline_rps (now \x27%s\x27 base \x27%s\x27)\n", now, base
-        exit 1
-    }
-    ratio = now / base
-    ok = ratio >= floor
-    printf "verify: server_rps_ratio  %s — now %.3f / base %.3f = ratio %.3f %s %.3f\n", \
-        ok ? "OK  " : "FAIL", now, base, ratio, ok ? ">=" : "<", floor
-    exit ok ? 0 : 1
-}' || status=1
-
-# Gate: open-loop median latency. Lower is better, so the gated ratio is
-# base/now; absolute nanoseconds are machine-shaped and noisier than the
-# throughput ratios, so the budget is the tolerance applied twice. The
-# ratio is printed on pass and on fail alike. The p99/p999 tail is
-# queueing-dominated (the offered load is derived from each run's own
-# capacity estimate, so whether the run ever falls behind is chaotic —
-# observed spread is ~35x run to run): those ratios are printed as INFO
-# for the record but only gated for presence/parsability, never floored.
-lat_floor=$(awk -v f="$floor" 'BEGIN { printf "%.3f", f * f }')
-for gate in dangsan_p50_ns:1 dangsan_p99_ns:0 dangsan_p999_ns:0; do
-    key=${gate%%:*}
-    hard=${gate##*:}
-    base=$(server_num BENCH_server.json "$key")
-    now=$(server_num "$tmp_server" "$key")
-    awk -v key="$key" -v base="$base" -v now="$now" -v floor="$lat_floor" -v hard="$hard" 'BEGIN {
-        if (now == "" || now + 0 != now || base == "" || base + 0 != base) {
-            printf "verify: FAIL — server run produced no parsable %s (now \x27%s\x27 base \x27%s\x27)\n", key, now, base
-            exit 1
-        }
-        ratio = base / now
-        if (!hard) {
-            printf "verify: %-18s INFO — base %.0f / now %.0f = ratio %.3f (tail: not floored)\n", \
-                key, base, now, ratio
-            exit 0
-        }
-        ok = ratio >= floor
-        printf "verify: %-18s %s — base %.0f / now %.0f = ratio %.3f %s %.3f\n", \
-            key, ok ? "OK  " : "FAIL", base, now, ratio, ok ? ">=" : "<", floor
-        exit ok ? 0 : 1
-    }' || status=1
-done
-
-[[ $status -eq 0 ]] || exit 1
+echo "== bench gates: committed baselines + current run =="
+"${gate[@]}" "$runs/hotpath.json" "$runs/scaling.json" "$runs/server.json"
 
 echo "verify: all checks passed"
