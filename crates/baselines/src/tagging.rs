@@ -158,8 +158,6 @@ pub struct TagDetector {
     next_id: AtomicU64,
     stats: Stats,
     meta_bytes: AtomicU64,
-    checks: AtomicU64,
-    traps: AtomicU64,
     wraps: AtomicU64,
 }
 
@@ -186,8 +184,6 @@ impl TagDetector {
             next_id: AtomicU64::new(1),
             stats: Stats::default(),
             meta_bytes: AtomicU64::new(0),
-            checks: AtomicU64::new(0),
-            traps: AtomicU64::new(0),
             wraps: AtomicU64::new(0),
         })
     }
@@ -218,16 +214,6 @@ impl TagDetector {
     /// The scheme this arm models.
     pub fn scheme(&self) -> TagScheme {
         self.scheme
-    }
-
-    /// Dereference-time tag checks performed.
-    pub fn tag_checks(&self) -> u64 {
-        self.checks.load(Ordering::Relaxed)
-    }
-
-    /// Checks that found a stale tag (each becomes a trapping access).
-    pub fn tag_traps(&self) -> u64 {
-        self.traps.load(Ordering::Relaxed)
     }
 
     /// xTag generation-space exhaustions: tags issued to some slot beyond
@@ -354,17 +340,10 @@ impl Detector for TagDetector {
         }
         match self.check(addr) {
             // Valid tag: the access proceeds at the canonical address.
-            Some(true) => {
-                self.checks.fetch_add(1, Ordering::Relaxed);
-                untag(addr)
-            }
+            Some(true) => untag(addr),
             // Stale tag: rewrite into the invalidation sweep's trapping
             // shape so the access faults as a use-after-free.
-            Some(false) => {
-                self.checks.fetch_add(1, Ordering::Relaxed);
-                self.traps.fetch_add(1, Ordering::Relaxed);
-                untag(addr) | INVALID_BIT
-            }
+            Some(false) => untag(addr) | INVALID_BIT,
             // Not a heap slot this arm ever tagged (stack, globals,
             // fabricated integers): pass through, natural fault class.
             None => addr,
@@ -377,10 +356,7 @@ impl Detector for TagDetector {
         }
         match self.check(addr) {
             Some(true) => Ok(untag(addr)),
-            Some(false) => {
-                self.traps.fetch_add(1, Ordering::Relaxed);
-                Err(AllocError::InvalidPointer(addr))
-            }
+            Some(false) => Err(AllocError::InvalidPointer(addr)),
             None => Ok(addr),
         }
     }

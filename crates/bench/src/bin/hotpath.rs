@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use dangsan::{set_alloc_site, Config, DangSan, Detector, TraceLevel};
 use dangsan_bench::report::Json;
-use dangsan_bench::{cores, Args, HOTPATH_SCHEMA};
+use dangsan_bench::{cores, Args, HOTPATH_BENCHES, HOTPATH_SCHEMA};
 use dangsan_heap::Heap;
 use dangsan_shadow::MetaPageTable;
 use dangsan_vmem::{AddressSpace, PAGE_SIZE};
@@ -580,22 +580,19 @@ fn main() {
 
     let (reps, scale) = if quick { (3, 1u64) } else { (7, 8u64) };
     type Bench = fn(u64, bool) -> Measurement;
-    let benches: [(&str, Bench, u64); 11] = [
-        ("registerptr", bench_registerptr, 400_000 * scale),
-        ("ptr2obj", bench_ptr2obj, 800_000 * scale),
-        ("malloc_free", bench_malloc_free, 20_000 * scale),
-        ("invalidate", bench_invalidate, 4_000 * scale),
-        ("free_many_ptrs", bench_free_many_ptrs, 200 * scale),
-        ("free_many_objs", bench_free_many_objs, 2_000 * scale),
-        (
-            "free_while_reg",
-            bench_free_while_registering,
-            5_000 * scale,
-        ),
-        ("sweep_total", bench_sweep_total, 2_000 * scale),
-        ("malloc_free_thin", bench_malloc_free_thin, 2_000 * scale),
-        ("trace_off", bench_trace_off, 20_000 * scale),
-        ("metrics_off", bench_metrics_off, 20_000 * scale),
+    // One row per `HOTPATH_BENCHES` entry, in its order.
+    let runs: [(Bench, u64); HOTPATH_BENCHES.len()] = [
+        (bench_registerptr, 400_000 * scale),
+        (bench_ptr2obj, 800_000 * scale),
+        (bench_malloc_free, 20_000 * scale),
+        (bench_invalidate, 4_000 * scale),
+        (bench_free_many_ptrs, 200 * scale),
+        (bench_free_many_objs, 2_000 * scale),
+        (bench_free_while_registering, 5_000 * scale),
+        (bench_sweep_total, 2_000 * scale),
+        (bench_malloc_free_thin, 2_000 * scale),
+        (bench_trace_off, 20_000 * scale),
+        (bench_metrics_off, 20_000 * scale),
     ];
 
     let mut doc = Json::obj();
@@ -611,7 +608,7 @@ fn main() {
         "{:<15} {:>16} {:>16} {:>8}",
         "bench", "off (ops/s)", "on (ops/s)", "speedup"
     );
-    for (name, f, iters) in benches {
+    for ((name, _), (f, iters)) in HOTPATH_BENCHES.into_iter().zip(runs) {
         let (off, on) = best_pair(reps, |caches| f(iters, caches));
         let speedup = on.ops_per_sec / off.ops_per_sec;
         println!(

@@ -32,8 +32,7 @@
 //! (dangsan), nulling (dangnull), and the three dereference-time
 //! tagging arms — each recording throughput, overhead vs the
 //! uninstrumented baseline, metadata bytes, and the arm's detection
-//! guarantee. `TAG_BITS` / `TAG_KEY` override the tagging widths for
-//! matrix runs; `--defenses-only` skips the thread sweep and emits just
+//! guarantee. `--defenses-only` skips the thread sweep and emits just
 //! this section (the CI arm-comparison step). `--table [FILE]` runs
 //! nothing: it renders FILE's section (default `BENCH_scaling.json`) as
 //! the markdown table in EXPERIMENTS.md, the raw JSON text of each
@@ -50,10 +49,7 @@
 use dangsan::Config;
 use dangsan_bench::report::Json;
 use dangsan_bench::{cores, defense_arms, Args, SCALING_SCHEMA};
-use dangsan_workloads::{
-    run_server, site_policy_env_overrides, sweep_env_overrides, tagging_env_overrides,
-    DetectorKind, ServerProfile,
-};
+use dangsan_workloads::{matrix_env_overrides, run_server, DetectorKind, ServerProfile};
 
 /// Worker-count sweep: the paper's 1/2/4 plus the machine's full core
 /// count when it is larger.
@@ -76,15 +72,15 @@ fn thread_counts() -> Vec<usize> {
 /// small fixed quarantine beats a per-thread budget at every thread
 /// count, because draining soon after the free walks log chains and
 /// shadow lines while they are still cache-hot — freshness is worth
-/// more than rarer backpressure trips. `SWEEP_THREADS` /
-/// `DEFERRED_SWEEP` override the mode for matrix runs.
+/// more than rarer backpressure trips. `SWEEP_THREADS` and
+/// `SITE_POLICY` override the sweep mode and routing for matrix runs.
 fn detector_config(_workers: usize) -> Config {
-    site_policy_env_overrides(sweep_env_overrides(
+    matrix_env_overrides(
         Config::default()
             .with_deferred_sweep(true)
             .with_sweep_threads(0)
             .with_quarantine_caps(256 << 10, 256),
-    ))
+    )
 }
 
 /// The three measured arms. The detector arms differ ONLY in the
@@ -272,7 +268,7 @@ fn main() {
     }
 
     // --- cross-defense comparison (single-threaded smoke cells) --------
-    let darms = defense_arms(detector_config(1), tagging_env_overrides);
+    let darms = defense_arms(detector_config(1));
     println!(
         "{:<12} {:>14} {:>9} {:>12}",
         "defense", "req/s", "overhead", "meta bytes"

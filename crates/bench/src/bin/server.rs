@@ -28,21 +28,19 @@ use dangsan::Config;
 use dangsan_bench::report::Json;
 use dangsan_bench::{cores, Args, SERVER_SCHEMA, TAGGING_SCHEMES};
 use dangsan_workloads::{
-    metrics_env_overrides, run_server, run_server_opts, site_policy_env_overrides,
-    sweep_env_overrides, tagging_env_overrides, DetectorKind, ServerOptions, ServerProfile,
+    matrix_env_overrides, run_server, run_server_opts, DetectorKind, ServerOptions, ServerProfile,
     ServerResult,
 };
 
-/// The scaling bench's shipping configuration, plus every env-override
-/// axis so the CI matrix (SWEEP_THREADS / SITE_POLICY / METRICS)
-/// reaches this bench too.
+/// The scaling bench's shipping configuration, with the CI matrix's
+/// `SWEEP_THREADS` / `SITE_POLICY` overrides applied as there.
 fn detector_config() -> Config {
-    metrics_env_overrides(site_policy_env_overrides(sweep_env_overrides(
+    matrix_env_overrides(
         Config::default()
             .with_deferred_sweep(true)
             .with_sweep_threads(0)
             .with_quarantine_caps(256 << 10, 256),
-    )))
+    )
 }
 
 fn profile(workers: usize) -> ServerProfile {
@@ -159,7 +157,7 @@ fn main() {
     // a two-arm comparison: the tail study is about the invalidation
     // pipeline, the tagging arms have no deferred machinery to stress.
     let tag_caps = TAGGING_SCHEMES.map(|scheme| {
-        let kind = DetectorKind::Tagging(tagging_env_overrides(scheme));
+        let kind = DetectorKind::Tagging(scheme);
         let name = kind.label();
         let cap = capacity(kind, workers, requests, reps);
         println!(

@@ -65,7 +65,9 @@ use dangsan::Config;
 use dangsan_workloads::DetectorKind;
 
 use crate::report::Json;
-use crate::{defense_arms, HOTPATH_SCHEMA, SCALING_SCHEMA, SERVER_SCHEMA, TAGGING_SCHEMES};
+use crate::{
+    defense_arms, HOTPATH_BENCHES, HOTPATH_SCHEMA, SCALING_SCHEMA, SERVER_SCHEMA, TAGGING_SCHEMES,
+};
 
 /// A committed baseline, named after the bin that writes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,14 +140,6 @@ const SCALING_4T: [f64; 3] = [1.8, 0.9, 0.7];
 /// The server dangsan/baseline capacity-ratio floors, keyed likewise.
 const SERVER_RPS: [f64; 3] = [0.12, 0.10, 0.08];
 
-/// Every hotpath bench.
-const HOTPATH_BENCHES: &str = "registerptr ptr2obj malloc_free invalidate free_many_ptrs \
-    free_many_objs free_while_reg sweep_total malloc_free_thin trace_off metrics_off";
-/// The hotpath benches whose on/off pair exists to win: core,
-/// deferred-free and routed.
-const MUST_WIN: &str =
-    "registerptr ptr2obj malloc_free invalidate free_many_objs free_while_reg malloc_free_thin";
-
 /// The gate table: 55 lint gates, then 20 compare gates.
 #[rustfmt::skip]
 fn gates() -> Vec<Gate> {
@@ -158,15 +152,15 @@ fn gates() -> Vec<Gate> {
         add(b, Lint, Schema, "schema".into());
         add(b, Lint, Floor(1.0), "cores".into());
     }
-    for b in HOTPATH_BENCHES.split_whitespace() { add(Hotpath, Lint, Floor(0.0), speedup(b)); }
-    for b in MUST_WIN.split_whitespace() { add(Hotpath, Lint, Floor(1.0), speedup(b)); }
+    for (b, _) in HOTPATH_BENCHES { add(Hotpath, Lint, Floor(0.0), speedup(b)); }
+    for (b, win) in HOTPATH_BENCHES { if win { add(Hotpath, Lint, Floor(1.0), speedup(b)); } }
     add(Scaling, Lint, CoresFloor(SCALING_4T, 1.0), derived("dangsan_speedup_4t_over_1t"));
     add(Scaling, Lint, Floor(0.95), derived("cached_over_locked_1t"));
     add(Scaling, Lint, CoresFloor(SCALING_4T, 4.0), derived("dangsan_parallel_efficiency_4t"));
     for key in ["sweep_steals", "sweep_shard_peak_0", "p50_ns", "p99_ns"] {
         add(Scaling, Lint, Floor(0.0), format!("arms.dangsan.t1.{key}"));
     }
-    for (arm, _) in defense_arms(Config::default(), |scheme| scheme) {
+    for (arm, _) in defense_arms(Config::default()) {
         let arm = arm.label();
         add(Scaling, Lint, Floor(0.0), format!("defenses.{arm}.ops_per_sec"));
         add(Scaling, Lint, Floor(0.0), format!("defenses.{arm}.overhead_vs_baseline"));
@@ -182,7 +176,7 @@ fn gates() -> Vec<Gate> {
         add(Server, Lint, Floor(0.0), format!("arms.{arm}.capacity_rps"));
         add(Server, Lint, Floor(0.0), format!("arms.{arm}.overhead_vs_baseline"));
     }
-    for b in HOTPATH_BENCHES.split_whitespace() { add(Hotpath, Scaled, Ratio, speedup(b)); }
+    for (b, _) in HOTPATH_BENCHES { add(Hotpath, Scaled, Ratio, speedup(b)); }
     add(Hotpath, Now, Floor(0.98), speedup("trace_off"));
     add(Hotpath, Now, Floor(0.98), speedup("metrics_off"));
     add(Hotpath, Scaled, Floor(1.0), speedup("malloc_free_thin"));

@@ -39,6 +39,19 @@ pub const SCALING_SCHEMA: &str = "dangsan-scaling-v1";
 /// The `schema` string `server` writes into `BENCH_server.json`.
 pub const SERVER_SCHEMA: &str = "dangsan-server-v1";
 
+/// The hotpath benches, in the order `hotpath` runs and writes them, each
+/// with whether its on/off pair exists to win (the gates hold those
+/// speedups to ≥ 1.0): the core benches, the deferred-free benches
+/// (`free_many_objs`, `free_while_reg`) and the routed bench
+/// (`malloc_free_thin`).
+#[rustfmt::skip]
+pub const HOTPATH_BENCHES: [(&str, bool); 11] = [
+    ("registerptr", true), ("ptr2obj", true), ("malloc_free", true), ("invalidate", true),
+    ("free_many_ptrs", false), ("free_many_objs", true), ("free_while_reg", true),
+    ("sweep_total", false), ("malloc_free_thin", true), ("trace_off", false),
+    ("metrics_off", false),
+];
+
 /// The pointer-tagging arms at their default widths and keys, in the
 /// order `server` writes their capacity rows (keyed by
 /// [`DetectorKind::label`]).
@@ -52,15 +65,13 @@ pub const TAGGING_SCHEMES: [TagScheme; 3] = [
 /// The cross-defense comparison's arms, in the order `scaling` writes
 /// its `defenses` rows (keyed by [`DetectorKind::label`]): one
 /// representative per defense class, DangSan configured as `dangsan`,
-/// then [`TAGGING_SCHEMES`] as adjusted by `tag` (`scaling` passes the
-/// `TAG_BITS` / `TAG_KEY` overrides). Each comes with its detection
-/// guarantee, the contract the fuzz relation enforces analytically.
+/// then [`TAGGING_SCHEMES`]. Each comes with its detection guarantee,
+/// the contract the fuzz relation enforces analytically.
 /// `scaling` runs them single-threaded, so the numbers isolate
 /// per-operation cost, not scalability (its thread sweep covers that).
 #[rustfmt::skip]
-pub fn defense_arms(dangsan: Config, tag: fn(TagScheme) -> TagScheme)
-    -> [(DetectorKind, &'static str); 6] {
-    let [xtag, implicit_id, pa_mac] = TAGGING_SCHEMES.map(|s| DetectorKind::Tagging(tag(s)));
+pub fn defense_arms(dangsan: Config) -> [(DetectorKind, &'static str); 6] {
+    let [xtag, implicit_id, pa_mac] = TAGGING_SCHEMES.map(DetectorKind::Tagging);
     [
         (DetectorKind::Baseline, "none (uninstrumented)"),
         (DetectorKind::DangSan(dangsan),

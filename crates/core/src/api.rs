@@ -29,17 +29,6 @@ pub struct InvalidationReport {
     pub skipped_unmapped: u64,
 }
 
-impl InvalidationReport {
-    /// Sums two reports (used when a free touches several structures).
-    pub fn merge(self, other: InvalidationReport) -> InvalidationReport {
-        InvalidationReport {
-            invalidated: self.invalidated + other.invalidated,
-            stale: self.stale + other.stale,
-            skipped_unmapped: self.skipped_unmapped + other.skipped_unmapped,
-        }
-    }
-}
-
 /// A use-after-free detector driven by allocator hooks and instrumented
 /// pointer stores.
 pub trait Detector {
@@ -194,27 +183,5 @@ mod tests {
         assert_eq!(d.on_free(0x1000), InvalidationReport::default());
         assert_eq!(d.stats(), StatsSnapshot::default());
         assert_eq!(d.metadata_bytes(), 0);
-    }
-
-    #[test]
-    fn reports_merge() {
-        let a = InvalidationReport {
-            invalidated: 1,
-            stale: 2,
-            skipped_unmapped: 3,
-        };
-        let b = InvalidationReport {
-            invalidated: 10,
-            stale: 20,
-            skipped_unmapped: 30,
-        };
-        assert_eq!(
-            a.merge(b),
-            InvalidationReport {
-                invalidated: 11,
-                stale: 22,
-                skipped_unmapped: 33
-            }
-        );
     }
 }

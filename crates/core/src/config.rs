@@ -9,6 +9,17 @@ use dangsan_trace::TraceLevel;
 /// Entries embedded directly in each per-thread log (Figure 7's static log).
 pub const EMBEDDED_ENTRIES: usize = 8;
 
+/// Slots of a log's first hash table (Figure 7's fallback tier); each
+/// grow doubles it.
+pub(crate) const HASH_INITIAL_SLOTS: u32 = 64;
+
+/// Hardened-tier reuse delay: in deferred-sweep mode, up to this many
+/// swept Hardened blocks are pinned in a FIFO before being handed back
+/// to the allocator, so a dangling pointer to a reported site traps for
+/// longer. Synchronous mode pins nothing (Hardened then behaves like
+/// Standard).
+pub(crate) const HARDENED_PIN_CAP: u64 = 64;
+
 /// Detector tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
@@ -25,8 +36,6 @@ pub struct Config {
     /// disabled, indirect blocks chain and double instead — the
     /// "near-unbounded memory consumption" ablation.
     pub hash_fallback: bool,
-    /// Initial hash-table capacity (slots, power of two).
-    pub hash_initial: usize,
     /// §7 extension (described but not implemented in the paper): hook
     /// `memcpy`-style moves and re-register any word that resolves to a
     /// tracked object at its new location. Closes the realloc-move false
@@ -71,7 +80,7 @@ pub struct Config {
     pub trace_level: TraceLevel,
     /// Enable the per-alloc-site policy router (DESIGN.md §5h): a
     /// lock-free site-profile table accumulates per-site evidence
-    /// (inbound pointers, lifetimes, prior reports) and each malloc is
+    /// (frees, inbound pointers, prior reports) and each malloc is
     /// routed to a Thin / Standard / Hardened tracking tier. Off (the
     /// default) routes everything Standard — exactly today's paths.
     /// Routing only trades work, never detection: see `crate::policy`.
@@ -81,12 +90,6 @@ pub struct Config {
     /// Thin. Higher is more conservative (more warm-up, fewer
     /// mispredicted frees that fall back to the full path).
     pub thin_min_frees: u64,
-    /// Hardened-tier reuse delay: in deferred-sweep mode, up to this
-    /// many swept Hardened blocks are pinned in a FIFO before being
-    /// handed back to the allocator, so a dangling pointer to a
-    /// reported site traps for longer. `0` disables pinning. Ignored
-    /// in synchronous mode (Hardened then behaves like Standard).
-    pub hardened_pin_objects: u64,
     /// Enable the live telemetry plane (DESIGN.md §6): [`crate::DangSan::new`]
     /// creates a pull-based metrics hub, registers the detector's gauge
     /// and counter sources (quarantine levels, sweep-shard depths, site
@@ -108,7 +111,6 @@ impl Default for Config {
             indirect_capacity: 64,
             compression: true,
             hash_fallback: true,
-            hash_initial: 64,
             hook_memcpy: false,
             hot_path_caches: true,
             thread_cached_heap: true,
@@ -119,7 +121,6 @@ impl Default for Config {
             trace_level: TraceLevel::Off,
             site_policy: false,
             thin_min_frees: 64,
-            hardened_pin_objects: 64,
             metrics: false,
             metrics_interval_ms: 100,
         }
@@ -205,12 +206,6 @@ impl Config {
         self
     }
 
-    /// Returns a copy with a different Hardened pin-FIFO capacity.
-    pub fn with_hardened_pins(mut self, objects: u64) -> Self {
-        self.hardened_pin_objects = objects;
-        self
-    }
-
     /// Returns a copy with the live telemetry plane toggled.
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metrics = on;
@@ -255,11 +250,9 @@ mod tests {
     fn site_policy_builders() {
         let c = Config::default()
             .with_site_policy(true)
-            .with_thin_min_frees(8)
-            .with_hardened_pins(16);
+            .with_thin_min_frees(8);
         assert!(c.site_policy);
         assert_eq!(c.thin_min_frees, 8);
-        assert_eq!(c.hardened_pin_objects, 16);
     }
 
     #[test]

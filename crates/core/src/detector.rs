@@ -15,7 +15,7 @@ use dangsan_trace::{
 use dangsan_vmem::{Addr, AddressSpace, FaultKind, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SIZE};
 
 use crate::api::{Detector, InvalidationReport};
-use crate::config::Config;
+use crate::config::{Config, HARDENED_PIN_CAP};
 use crate::log::ThreadLog;
 use crate::object::{fresh_epoch, ObjectMeta};
 use crate::policy::{SitePolicy, Tier};
@@ -735,21 +735,11 @@ impl DangSan {
         // each drained log on the way...
         let mut locs = SWEEP_SCRATCH.try_with(Cell::take).unwrap_or_default();
         let mut cur = logs.0;
-        let mut first_tid = 0u64;
-        let mut cross = false;
         while !cur.is_null() {
             // SAFETY: the chain was detached from its record with a
             // `swap`, making this sweep its sole owner; logs are
             // pool-owned type-stable memory.
             let log = unsafe { &*cur };
-            // Site-profile evidence: more than one thread's log on the
-            // chain means cross-thread pointers existed.
-            let tid = log.thread_id.load(Ordering::Acquire);
-            if first_tid == 0 {
-                first_tid = tid;
-            } else if tid != first_tid {
-                cross = true;
-            }
             log.for_each_location(|loc| locs.push(loc));
             let next = log.next.load(Ordering::Acquire);
             log.reset();
@@ -780,7 +770,6 @@ impl DangSan {
                     locs,
                     obj,
                     walked,
-                    cross,
                     remaining: AtomicUsize::new(parts),
                     invalidated: AtomicU64::new(0),
                     stale: AtomicU64::new(0),
@@ -805,7 +794,6 @@ impl DangSan {
             walked,
             unique,
             pages,
-            cross,
         };
         self.retire(&obj, shape, &report);
         report
@@ -840,7 +828,6 @@ impl DangSan {
                 walked: batch.walked,
                 unique: batch.locs.len() as u64,
                 pages: batch.pages.load(Ordering::Acquire),
-                cross: batch.cross,
             };
             self.retire(&batch.obj, shape, &report);
         }
@@ -930,12 +917,7 @@ impl DangSan {
         // the next allocation.
         let tier = meta.tier.load(Ordering::Relaxed);
         if let Some(policy) = &self.policy {
-            let site = meta.site.load(Ordering::Relaxed);
-            let lifetime = meta
-                .epoch
-                .load(Ordering::Relaxed)
-                .saturating_sub(obj.obj_id);
-            policy.note_free(site, shape.unique, shape.cross, lifetime);
+            policy.note_free(meta.site.load(Ordering::Relaxed), shape.unique);
         }
         self.map.clear_object(obj.base, obj.covered);
         self.meta_pool.recycle(meta);
@@ -962,10 +944,9 @@ impl DangSan {
             // so drains never wait on it) but not yet allocatable, so a
             // dangling pointer to a previously-reported site keeps
             // trapping for longer. The FIFO evicts oldest-first at cap.
-            let pin_cap = self.cfg.hardened_pin_objects;
-            if hardened && pin_cap > 0 {
+            if hardened {
                 Stats::bump(&self.stats.hardened_pins);
-                if let Some(evicted) = queue.pin_block(base, pin_cap) {
+                if let Some(evicted) = queue.pin_block(base, HARDENED_PIN_CAP) {
                     heap.requeue_batch(&[evicted]);
                 }
             } else {
@@ -1022,14 +1003,13 @@ impl DangSan {
     }
 }
 
-/// The shape counters of one finished walk (Hot::Free* bookkeeping plus
-/// the site profile's cross-thread evidence bit).
+/// The shape counters of one finished walk (Hot::Free* bookkeeping; the
+/// site profile takes `unique` as the free's inbound-pointer count).
 #[derive(Default)]
 struct SweepShape {
     walked: u64,
     unique: u64,
     pages: u64,
-    cross: bool,
 }
 
 /// A sorted location buffer's page runs: the maximal slices whose

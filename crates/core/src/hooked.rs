@@ -13,9 +13,10 @@
 //! memory write followed by the `registerptr` call that the LLVM pass
 //! would have inserted.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-use dangsan_heap::{AllocError, Allocation, FreeInfo, Heap, ReallocOutcome, ThreadCache};
+use dangsan_heap::{AllocError, Allocation, Heap, ReallocOutcome};
 use dangsan_vmem::{Addr, AddressSpace, MemFault};
 
 use crate::api::{Detector, InvalidationReport};
@@ -201,20 +202,24 @@ impl<D: Detector + ?Sized> HookedHeap<D> {
         self.mem().read_word(self.detector.check_deref(loc))
     }
 
-    /// Creates a per-thread handle with a private allocator cache.
+    /// Creates a per-thread handle for a worker thread.
     pub fn thread_handle(&self) -> HookedThread<D> {
         HookedThread {
             hooked: self.clone(),
-            cache: ThreadCache::new(Arc::clone(&self.heap)),
+            _not_send: PhantomData,
         }
     }
 }
 
-/// Per-thread view of a [`HookedHeap`]: same hooks, cached allocator fast
-/// path. Not `Sync`; create one per worker.
+/// Per-thread view of a [`HookedHeap`]: the same hooks on the same heap,
+/// whose malloc/free already serve the calling thread from its TLS
+/// magazines. Dropping the handle flushes this thread's magazines back
+/// to the central lists. Neither `Send` nor `Sync`: create one per
+/// worker, on that worker.
 pub struct HookedThread<D: Detector + ?Sized> {
     hooked: HookedHeap<D>,
-    cache: ThreadCache,
+    // The magazines the drop flushes belong to the creating thread.
+    _not_send: PhantomData<*const ()>,
 }
 
 impl<D: Detector + ?Sized> HookedThread<D> {
@@ -223,27 +228,14 @@ impl<D: Detector + ?Sized> HookedThread<D> {
         &self.hooked
     }
 
-    /// Hooked `malloc` via the thread cache.
+    /// See [`HookedHeap::malloc`].
     pub fn malloc(&mut self, size: u64) -> Result<Allocation, AllocError> {
-        let mut a = self.cache.malloc(size)?;
-        self.hooked.detector.on_alloc(&a);
-        a.base = self.hooked.detector.encode_ptr(a.base);
-        Ok(a)
+        self.hooked.malloc(size)
     }
 
-    /// Hooked `free` via the thread cache (validate → invalidate →
-    /// release). A deferring detector bypasses the cache: the block must
-    /// sit in quarantine — not in this thread's magazine — until its
-    /// sweep retires (see [`HookedHeap::free`]).
+    /// See [`HookedHeap::free`].
     pub fn free(&mut self, addr: Addr) -> Result<InvalidationReport, AllocError> {
-        let addr = self.hooked.detector.decode_free(addr)?;
-        if self.hooked.detector.defers_free() {
-            return self.hooked.free_decoded(addr);
-        }
-        self.hooked.heap.resolve_free(addr)?;
-        let report = self.hooked.detector.on_free(addr);
-        self.cache.free(addr)?;
-        Ok(report)
+        self.hooked.free(addr)
     }
 
     /// See [`HookedHeap::store_ptr`].
@@ -263,11 +255,11 @@ impl<D: Detector + ?Sized> HookedThread<D> {
     pub fn load(&self, loc: Addr) -> Result<u64, MemFault> {
         self.hooked.load(loc)
     }
+}
 
-    /// Grants access to the free info of a pending free without freeing —
-    /// used by tests.
-    pub fn resolve_free(&self, addr: Addr) -> Result<FreeInfo, AllocError> {
-        self.hooked.heap.resolve_free(addr)
+impl<D: Detector + ?Sized> Drop for HookedThread<D> {
+    fn drop(&mut self) {
+        self.hooked.heap.flush_thread_cache();
     }
 }
 
@@ -484,14 +476,7 @@ mod tests {
             assert_eq!(s.objects_freed, THREADS * ROUNDS * 2, "cached={cached}");
             assert_eq!(s.ptrs_registered, THREADS * ROUNDS, "cached={cached}");
             assert_eq!(s.ptrs_invalidated, THREADS * ROUNDS, "cached={cached}");
-            let heap = hh.heap();
-            assert_eq!(
-                heap.stats
-                    .mallocs
-                    .load(core::sync::atomic::Ordering::Relaxed),
-                THREADS * ROUNDS * 2
-            );
-            assert_eq!(heap.magazine_blocks(), 0, "joined threads drained");
+            assert_eq!(hh.heap().magazine_blocks(), 0, "joined threads drained");
         }
     }
 
@@ -813,8 +798,7 @@ mod tests {
             Config::default()
                 .with_site_policy(true)
                 .with_deferred_sweep(true)
-                .with_sweep_threads(0)
-                .with_hardened_pins(8),
+                .with_sweep_threads(0),
         );
         hh.heap().set_thread_cached(false);
         dangsan_trace::set_alloc_site(0x91);

@@ -77,7 +77,7 @@ pub use api::{Detector, InvalidationReport, NullDetector};
 pub use config::{Config, EMBEDDED_ENTRIES};
 pub use detector::{current_thread_id, DangSan};
 pub use hooked::{HookedHeap, HookedThread};
-pub use policy::{SiteEvidence, SitePolicy, Tier};
+pub use policy::{SitePolicy, Tier};
 pub use stats::{Hot, Stats, StatsSnapshot};
 
 // The flight recorder (`dangsan-trace`) re-exported at the top level:

@@ -41,7 +41,7 @@ use dangsan_trace::{EventCode, Trace, TraceLevel};
 use dangsan_vmem::Addr;
 
 use crate::compress::{self, Fold};
-use crate::config::{Config, EMBEDDED_ENTRIES};
+use crate::config::{Config, EMBEDDED_ENTRIES, HASH_INITIAL_SLOTS};
 use crate::pool::PoolItem;
 use crate::stats::{Hot, Stats};
 
@@ -387,8 +387,7 @@ impl ThreadLog {
             // Tier 3: switch to the hash table, the parked spare if any.
             let mut raw = self.spare.swap(ptr::null_mut(), Ordering::AcqRel);
             if raw.is_null() {
-                let cap = (cfg.hash_initial as u32).next_power_of_two().max(16);
-                let table = LogHashTable::new(cap);
+                let table = LogHashTable::new(HASH_INITIAL_SLOTS);
                 extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
                 Stats::bump(&stats.hashtables);
                 raw = Box::into_raw(table);
@@ -664,7 +663,6 @@ mod tests {
             compression: false,
             lookback: 0,
             indirect_capacity: 8,
-            hash_initial: 16,
             ..Config::default()
         };
         let log = ThreadLog::default();
@@ -746,7 +744,6 @@ mod tests {
             compression: false,
             lookback: 0,
             indirect_capacity: 8,
-            hash_initial: 16,
             ..Config::default()
         };
         let log = ThreadLog::default();

@@ -40,10 +40,6 @@ use core::sync::atomic::{AtomicU64, Ordering};
 /// rate low while the whole table stays a few cache lines per column.
 pub const SITE_SLOTS: usize = 1024;
 
-/// Buckets of the per-site object-lifetime histogram, in logical epochs
-/// elapsed between alloc and free: `<4`, `<64`, `<1024`, the rest.
-pub const LIFETIME_BUCKETS: usize = 4;
-
 /// The tracking depth assigned to one allocation at `malloc` time.
 ///
 /// Stored in `ObjectMeta::tier` as its `u64` discriminant so the free
@@ -82,40 +78,16 @@ struct SiteProfile {
     frees: AtomicU64,
     /// Total unique inbound pointer locations walked at those frees.
     inbound: AtomicU64,
-    /// Frees whose log chain held registrations from more than one
-    /// thread (cross-thread pointer evidence).
-    cross_thread: AtomicU64,
     /// UAF reports attributed to this site by `forensics`.
     uaf_reports: AtomicU64,
     /// Times a Thin object from this slot was contradicted (a
     /// `registerptr` or a non-empty chain at free). Permanent
     /// disqualifier: one wrong prediction ends Thin routing here.
     demotions: AtomicU64,
-    /// Object lifetime histogram (logical epochs alive, see
-    /// [`LIFETIME_BUCKETS`]).
-    lifetime_hist: [AtomicU64; LIFETIME_BUCKETS],
-}
-
-/// A read-only copy of one site's evidence (for stats / tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteEvidence {
-    /// Frees observed.
-    pub frees: u64,
-    /// Total unique inbound locations across those frees.
-    pub inbound: u64,
-    /// Frees with registrations from more than one thread.
-    pub cross_thread: u64,
-    /// UAF reports attributed to the site.
-    pub uaf_reports: u64,
-    /// Thin-prediction contradictions.
-    pub demotions: u64,
-    /// Lifetime histogram (logical epochs).
-    pub lifetime_hist: [u64; LIFETIME_BUCKETS],
 }
 
 /// A whole-table census: how many slots currently route each tier, and
-/// the accumulated demotion / free totals (the demotion *rate* is
-/// `demotions / frees`). See [`SitePolicy::census`].
+/// the accumulated demotions. See [`SitePolicy::census`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierCensus {
     /// Slots that would route Thin right now.
@@ -126,8 +98,6 @@ pub struct TierCensus {
     pub hardened: u64,
     /// Total Thin-prediction contradictions across the table.
     pub demotions: u64,
-    /// Total frees witnessed across the table.
-    pub frees: u64,
 }
 
 /// Lock-free site-profile table + router (see the module docs).
@@ -176,25 +146,13 @@ impl SitePolicy {
     }
 
     /// Records the evidence one completed free produced: `inbound`
-    /// unique locations walked, whether more than one thread had
-    /// registered (`cross_thread`), and the object's logical lifetime
-    /// in epochs.
-    pub fn note_free(&self, site: u64, inbound: u64, cross_thread: bool, lifetime_epochs: u64) {
+    /// unique locations walked.
+    pub fn note_free(&self, site: u64, inbound: u64) {
         let s = self.slot(site);
         s.frees.fetch_add(1, Ordering::Relaxed);
         if inbound > 0 {
             s.inbound.fetch_add(inbound, Ordering::Relaxed);
         }
-        if cross_thread {
-            s.cross_thread.fetch_add(1, Ordering::Relaxed);
-        }
-        let bucket = match lifetime_epochs {
-            0..=3 => 0,
-            4..=63 => 1,
-            64..=1023 => 2,
-            _ => 3,
-        };
-        s.lifetime_hist[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a Thin-prediction contradiction: the site stops routing
@@ -211,7 +169,7 @@ impl SitePolicy {
     }
 
     /// Counts every slot's *current* routing decision plus the table's
-    /// accumulated demotions and frees — the telemetry plane's
+    /// accumulated demotions — the telemetry plane's
     /// tier-population gauges. Cold (scans all [`SITE_SLOTS`] slots);
     /// each slot is classified by exactly the [`SitePolicy::route`]
     /// logic, so the census answers "what would an allocation from each
@@ -224,28 +182,9 @@ impl SitePolicy {
                 Tier::Standard => c.standard += 1,
                 Tier::Hardened => c.hardened += 1,
             }
-            let s = &self.slots[i];
-            c.demotions += s.demotions.load(Ordering::Relaxed);
-            c.frees += s.frees.load(Ordering::Relaxed);
+            c.demotions += self.slots[i].demotions.load(Ordering::Relaxed);
         }
         c
-    }
-
-    /// Snapshot of one site's slot (merged with any colliding sites).
-    pub fn evidence(&self, site: u64) -> SiteEvidence {
-        let s = self.slot(site);
-        let mut hist = [0u64; LIFETIME_BUCKETS];
-        for (out, b) in hist.iter_mut().zip(s.lifetime_hist.iter()) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        SiteEvidence {
-            frees: s.frees.load(Ordering::Relaxed),
-            inbound: s.inbound.load(Ordering::Relaxed),
-            cross_thread: s.cross_thread.load(Ordering::Relaxed),
-            uaf_reports: s.uaf_reports.load(Ordering::Relaxed),
-            demotions: s.demotions.load(Ordering::Relaxed),
-            lifetime_hist: hist,
-        }
     }
 }
 
@@ -263,19 +202,19 @@ mod tests {
     fn clean_history_earns_thin() {
         let p = SitePolicy::new(4);
         for _ in 0..3 {
-            p.note_free(7, 0, false, 1);
+            p.note_free(7, 0);
             assert_eq!(p.route(7), Tier::Standard, "below the free floor");
         }
-        p.note_free(7, 0, false, 1);
+        p.note_free(7, 0);
         assert_eq!(p.route(7), Tier::Thin);
     }
 
     #[test]
     fn inbound_pointers_disqualify_thin() {
         let p = SitePolicy::new(1);
-        p.note_free(7, 2, false, 1);
+        p.note_free(7, 2);
         for _ in 0..100 {
-            p.note_free(7, 0, false, 1);
+            p.note_free(7, 0);
         }
         assert_eq!(p.route(7), Tier::Standard, "inbound evidence is sticky");
     }
@@ -283,11 +222,11 @@ mod tests {
     #[test]
     fn demotion_is_permanent() {
         let p = SitePolicy::new(1);
-        p.note_free(7, 0, false, 1);
+        p.note_free(7, 0);
         assert_eq!(p.route(7), Tier::Thin);
         p.demote(7);
         for _ in 0..100 {
-            p.note_free(7, 0, false, 1);
+            p.note_free(7, 0);
         }
         assert_eq!(p.route(7), Tier::Standard, "one contradiction ends Thin");
     }
@@ -295,7 +234,7 @@ mod tests {
     #[test]
     fn uaf_report_forces_hardened() {
         let p = SitePolicy::new(1);
-        p.note_free(7, 0, false, 1);
+        p.note_free(7, 0);
         assert_eq!(p.route(7), Tier::Thin);
         p.note_uaf(7);
         assert_eq!(p.route(7), Tier::Hardened);
@@ -305,24 +244,10 @@ mod tests {
     fn collisions_merge_conservatively() {
         let p = SitePolicy::new(1);
         let (a, b) = (7u64, 7 + SITE_SLOTS as u64); // same slot
-        p.note_free(a, 0, false, 1);
+        p.note_free(a, 0);
         assert_eq!(p.route(b), Tier::Thin, "collision shares the history...");
-        p.note_free(b, 5, true, 1);
+        p.note_free(b, 5);
         assert_eq!(p.route(a), Tier::Standard, "...and shares disqualifiers");
-        let e = p.evidence(a);
-        assert_eq!(e.frees, 2);
-        assert_eq!(e.inbound, 5);
-        assert_eq!(e.cross_thread, 1);
-    }
-
-    #[test]
-    fn lifetime_histogram_buckets() {
-        let p = SitePolicy::new(1);
-        p.note_free(9, 0, false, 0);
-        p.note_free(9, 0, false, 10);
-        p.note_free(9, 0, false, 100);
-        p.note_free(9, 0, false, 10_000);
-        assert_eq!(p.evidence(9).lifetime_hist, [1, 1, 1, 1]);
     }
 
     #[test]

@@ -107,9 +107,6 @@ pub(crate) struct SweepBatch {
     pub obj: FreedObject,
     /// Locations drained before dedup (for the Hot::* shape counters).
     pub walked: u64,
-    /// Whether more than one thread's log was on the drained chain
-    /// (site-profile cross-thread evidence).
-    pub cross: bool,
     /// Parts not yet finished; the decrement to zero elects the retirer.
     pub remaining: AtomicUsize,
     /// Aggregate outcome: locations rewritten.
@@ -147,7 +144,7 @@ pub(crate) struct SweepQueue {
     /// scaling bench can show how evenly frees spread across shards).
     peaks: [AtomicU64; SWEEP_SHARDS],
     /// Hardened-tier reuse delay: swept blocks from Hardened-routed
-    /// objects wait here (FIFO, bounded by `Config::hardened_pin_objects`)
+    /// objects wait here (FIFO, bounded by `config::HARDENED_PIN_CAP`)
     /// before being handed back to the allocator. Pinned blocks are
     /// *retired* — their sweep ran, their quarantine charge is released —
     /// so they never block `drain`; `take_pins` flushes them at drain

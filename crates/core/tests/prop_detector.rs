@@ -50,7 +50,6 @@ fn random_config(rng: &mut SmallRng) -> Config {
         compression: rng.gen_bool(0.5),
         hash_fallback: rng.gen_bool(0.5),
         indirect_capacity: rng.gen_range(4usize..64),
-        hash_initial: 16,
         hot_path_caches: rng.gen_bool(0.5),
         ..Config::default()
     }
@@ -180,7 +179,6 @@ fn concurrent_free_recycle_never_validates_stale_cache_slots() {
             compression: rng.gen_bool(0.5),
             // Tiny array tiers: logs reach the hash tier within one round.
             indirect_capacity: 4,
-            hash_initial: 16,
             ..Config::default()
         };
         let mem = Arc::new(AddressSpace::new());

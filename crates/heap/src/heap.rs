@@ -26,19 +26,6 @@ pub const CENTRAL_SHARDS: usize = 4;
 /// Never-reused heap identity for the TLS magazine bindings.
 static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Allocator statistics (all monotonic counters).
-#[derive(Debug, Default)]
-pub struct HeapStats {
-    /// Number of successful `malloc`s (including realloc-moves).
-    pub mallocs: AtomicU64,
-    /// Number of successful `free`s.
-    pub frees: AtomicU64,
-    /// Spans carved from the page heap.
-    pub spans: AtomicU64,
-    /// Sum of requested allocation sizes.
-    pub requested_bytes: AtomicU64,
-}
-
 /// Outcome of `realloc`, mirroring the three cases of paper §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReallocOutcome {
@@ -101,8 +88,6 @@ pub struct Heap {
     /// Weak self-reference handed to TLS bindings so they can drain back
     /// into the central lists on rebind or thread exit.
     self_weak: Weak<Heap>,
-    /// Public statistics.
-    pub stats: HeapStats,
     /// Flight-recorder attach point; span carving is recorded here. The
     /// cached malloc/free fast paths never touch it.
     trace: Trace,
@@ -130,7 +115,6 @@ impl Heap {
             mag_registry: Mutex::new(Vec::new()),
             id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
             self_weak: self_weak.clone(),
-            stats: HeapStats::default(),
             trace: Trace::new(),
         })
     }
@@ -274,7 +258,6 @@ impl Heap {
             .map(start, pages * PAGE_SIZE)
             .map_err(|_| AllocError::OutOfMemory)?;
         self.heap_pages.fetch_add(pages, Ordering::Relaxed);
-        self.stats.spans.fetch_add(1, Ordering::Relaxed);
         self.trace
             .record(TraceLevel::Full, EventCode::HeapCarve, start, pages, 0);
         Ok(start)
@@ -355,10 +338,6 @@ impl Heap {
         let idx = span.object_index(base).expect("base inside span");
         let fresh = span.mark_allocated(idx);
         debug_assert!(fresh, "object handed out twice");
-        self.stats.mallocs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .requested_bytes
-            .fetch_add(requested, Ordering::Relaxed);
         Allocation {
             base,
             requested,
@@ -480,7 +459,6 @@ impl Heap {
         if !span.mark_free(idx) {
             return Err(AllocError::DoubleFree(addr));
         }
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
         Ok((
             span,
             FreeInfo {
@@ -523,10 +501,10 @@ impl Heap {
     }
 
     /// Frees the object at `addr` into quarantine: the liveness bit is
-    /// cleared (so a second free still reports `DoubleFree`) and the
-    /// heap's free counter is bumped, but the block is pushed to *no*
-    /// free list — it cannot be handed out by `malloc` again until a
-    /// matching [`Heap::requeue_batch`] retires it. Deferred-sweep
+    /// cleared (so a second free still reports `DoubleFree`), but the
+    /// block is pushed to *no* free list — it cannot be handed out by
+    /// `malloc` again until a matching [`Heap::requeue_batch`] retires
+    /// it. Deferred-sweep
     /// detectors use this to keep a block out of circulation while its
     /// invalidation sweep is still in flight, so the object's address
     /// range can never be recarved (and its range-check snapshot never
@@ -697,6 +675,20 @@ mod tests {
     }
 
     #[test]
+    fn flush_returns_objects_to_central() {
+        let (_, heap) = setup();
+        let a = heap.malloc(16).unwrap();
+        heap.free(a.base).unwrap();
+        heap.flush_thread_cache();
+        assert_eq!(heap.magazine_blocks(), 0, "flush empties the magazines");
+        // Allocate through the locked path so the flushed block cannot
+        // hide in a refilled magazine while we search for it.
+        heap.set_thread_cached(false);
+        let seen = (0..200).any(|_| heap.malloc(16).unwrap().base == a.base);
+        assert!(seen, "flushed object is reachable from the central list");
+    }
+
+    #[test]
     fn double_free_detected() {
         let (_, heap) = setup();
         let a = heap.malloc(64).unwrap();
@@ -711,7 +703,7 @@ mod tests {
         heap.set_thread_cached(false);
         let a = heap.malloc(64).unwrap();
         heap.quarantine(a.base).unwrap();
-        // Quarantine counts as the free for stats and double-free...
+        // Quarantine counts as the free for double-free...
         assert_eq!(heap.quarantine(a.base), Err(AllocError::DoubleFree(a.base)));
         assert_eq!(heap.free(a.base), Err(AllocError::DoubleFree(a.base)));
         // ...but the block is on no list: a same-class malloc must carve
@@ -837,18 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_operations() {
-        let (_, heap) = setup();
-        let a = heap.malloc(10).unwrap();
-        let b = heap.malloc(10).unwrap();
-        heap.free(a.base).unwrap();
-        assert_eq!(heap.stats.mallocs.load(Ordering::Relaxed), 2);
-        assert_eq!(heap.stats.frees.load(Ordering::Relaxed), 1);
-        assert_eq!(heap.stats.requested_bytes.load(Ordering::Relaxed), 20);
-        heap.free(b.base).unwrap();
-    }
-
-    #[test]
     fn resident_bytes_grow_with_spans() {
         let (_, heap) = setup();
         assert_eq!(heap.resident_bytes(), 0);
@@ -925,9 +905,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(
-            heap.stats.mallocs.load(Ordering::Relaxed),
-            heap.stats.frees.load(Ordering::Relaxed)
-        );
+        assert_eq!(heap.magazine_blocks(), 0, "joined threads drained");
     }
 }

@@ -27,12 +27,10 @@ mod heap;
 mod magazine;
 mod size_classes;
 mod span;
-mod thread_cache;
 
-pub use heap::{Heap, HeapStats, ReallocOutcome, CENTRAL_SHARDS};
+pub use heap::{Heap, ReallocOutcome, CENTRAL_SHARDS};
 pub use size_classes::{class_for_size, classes, SizeClass, MAX_SMALL};
 pub use span::{SpanInfo, SpanRegistry};
-pub use thread_cache::ThreadCache;
 
 use dangsan_vmem::Addr;
 

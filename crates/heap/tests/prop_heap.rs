@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dangsan_heap::{AllocError, Heap, ThreadCache};
+use dangsan_heap::{AllocError, Heap};
 use dangsan_vmem::rng::SmallRng;
 use dangsan_vmem::AddressSpace;
 
@@ -109,23 +109,21 @@ fn allocator_invariants() {
 }
 
 /// The thread-cache path and the central path hand out the same
-/// non-overlapping objects.
+/// non-overlapping objects: mallocs alternate between the TLS magazines
+/// and the locked central lists (turning caching off flushes this
+/// thread's magazines back to them).
 #[test]
 fn cache_path_equivalence() {
     for case in 0..CASES {
         let mut rng = SmallRng::seed_from_u64(0xCAC4E + case);
         let mem = Arc::new(AddressSpace::new());
         let heap = Heap::new(Arc::clone(&mem));
-        let mut tc = ThreadCache::new(Arc::clone(&heap));
         let mut ranges: Vec<(u64, u64)> = Vec::new();
         let count = rng.gen_range(1usize..100);
         for i in 0..count {
             let s = rng.gen_range(1u64..9000);
-            let a = if i % 2 == 0 {
-                tc.malloc(s).unwrap()
-            } else {
-                heap.malloc(s).unwrap()
-            };
+            heap.set_thread_cached(i % 2 == 0);
+            let a = heap.malloc(s).unwrap();
             ranges.push((a.base, a.base + a.stride));
         }
         ranges.sort_unstable();

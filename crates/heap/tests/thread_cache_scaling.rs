@@ -1,14 +1,13 @@
 //! Cross-thread behaviour of the TLS-magazine allocator: blocks freed on
 //! a foreign thread land on the right class list, thread exit drains
-//! every magazine, counters stay exact, and the cached and locked paths
-//! obey identical liveness invariants under ABA-style recycling stress.
+//! every magazine, and the cached and locked paths obey identical
+//! liveness invariants under ABA-style recycling stress.
 //!
 //! Threads are created with `spawn` + `join` throughout: joining a thread
 //! orders its TLS destructors (which drain the magazines) before the
 //! join returns, which scoped threads do not guarantee.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use dangsan_heap::{AllocError, Heap};
@@ -83,11 +82,9 @@ fn cross_thread_double_free_detected() {
     assert_eq!(heap.free(a.base), Err(AllocError::DoubleFree(a.base)));
 }
 
-/// Thread exit leaves zero cached blocks, and the heap's monotonic
-/// counters are exact — every worker's mallocs and frees counted once —
-/// because stats are bumped per operation, not per batch transfer.
+/// Thread exit leaves zero cached blocks.
 #[test]
-fn thread_exit_drains_and_counters_stay_exact() {
+fn thread_exit_drains_every_magazine() {
     let (_, heap) = setup();
     const THREADS: u64 = 4;
     const OPS: u64 = 3000;
@@ -113,15 +110,14 @@ fn thread_exit_drains_and_counters_stay_exact() {
         h.join().unwrap();
     }
     assert_eq!(heap.magazine_blocks(), 0, "all magazines drained on exit");
-    assert_eq!(heap.stats.mallocs.load(Ordering::Relaxed), THREADS * OPS);
-    assert_eq!(heap.stats.frees.load(Ordering::Relaxed), THREADS * OPS);
 }
 
 /// ABA-style recycling stress, cached and locked paths alike: threads
 /// hammer one size class so the same blocks recycle constantly across
 /// magazines and central shards. A block handed to two owners at once
-/// would corrupt the other owner's tag; a lost block would break the
-/// exact malloc/free accounting.
+/// would corrupt the other owner's tag; a lost block — one that no free
+/// list holds after every thread has freed it and exited — would never
+/// be handed out again by the central-path search after the join.
 #[test]
 fn recycling_stress_cached_and_locked() {
     for cached in [true, false] {
@@ -136,10 +132,12 @@ fn recycling_stress_cached_and_locked() {
                     let mut rng = SmallRng::seed_from_u64(0xABA0 + 31 * case + t);
                     let tag_base = (t + 1) << 56;
                     let mut live: Vec<(u64, u64)> = Vec::new();
+                    let mut handed = BTreeSet::new();
                     for i in 0..2000u64 {
                         // One class (size 64) so every thread fights over
                         // the same blocks.
                         let a = heap.malloc(48).unwrap();
+                        handed.insert(a.base);
                         let tag = tag_base | i;
                         mem.write_word(a.base, tag).unwrap();
                         live.push((a.base, tag));
@@ -155,17 +153,33 @@ fn recycling_stress_cached_and_locked() {
                         assert_eq!(mem.read_word(b).unwrap(), tag);
                         heap.free(b).unwrap();
                     }
+                    handed
                 }));
             }
+            let mut handed = BTreeSet::new();
             for h in handles {
-                h.join().unwrap();
+                handed.append(&mut h.join().unwrap());
             }
-            assert_eq!(
-                heap.stats.mallocs.load(Ordering::Relaxed),
-                heap.stats.frees.load(Ordering::Relaxed),
-                "cached={cached} case={case}"
-            );
             assert_eq!(heap.magazine_blocks(), 0);
+            // Every base the stress handed out is allocatable again: with
+            // caching off, malloc pops the central lists (every shard)
+            // before it carves a fresh span.
+            heap.set_thread_cached(false);
+            let mut recovered = BTreeSet::new();
+            for _ in 0..4 * handed.len() {
+                let a = heap.malloc(48).unwrap();
+                if handed.contains(&a.base) {
+                    recovered.insert(a.base);
+                }
+                if recovered.len() == handed.len() {
+                    break;
+                }
+            }
+            let lost: Vec<_> = handed.difference(&recovered).collect();
+            assert!(
+                lost.is_empty(),
+                "cached={cached} case={case}: lost {lost:#x?}"
+            );
         }
     }
 }

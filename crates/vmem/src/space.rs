@@ -599,11 +599,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Returns whether the page containing `addr` is mapped.
-    pub fn is_mapped(&self, addr: Addr) -> bool {
-        is_canonical_user(addr) && self.lookup_page(addr).is_some()
-    }
-
     /// Number of currently mapped pages (for resident-memory accounting).
     pub fn mapped_pages(&self) -> usize {
         self.mapped_pages.load(Ordering::Relaxed)

@@ -61,107 +61,29 @@ impl DetectorKind {
     }
 }
 
-/// Environment-variable overrides for the deferred-sweep knobs, the CI
-/// matrix axis: `SWEEP_THREADS=0` forces the synchronous free path,
-/// `SWEEP_THREADS=N` (N > 0) turns the deferred sweep on with N helper
-/// threads, and `DEFERRED_SWEEP=0|1` overrides the mode independently
-/// of the helper count. Unset variables leave `cfg` untouched, so local
-/// runs and committed baselines see exactly the config the caller built.
+/// Environment-variable overrides for the CI matrix axes:
+/// `SWEEP_THREADS=0` forces the synchronous free path, `SWEEP_THREADS=N`
+/// (N > 0) turns the deferred sweep on with N helper threads, and
+/// `SITE_POLICY=on|1` enables adaptive routing (`off|0` forces it off).
+/// Unset or unparsable variables leave `cfg` untouched, so local runs
+/// and committed baselines see exactly the config the caller built.
 ///
-/// Perf harnesses (the scaling bench) opt in by calling this on the
-/// configs they build; [`local_env`]/[`shared_env`] deliberately do NOT
-/// apply it, because deferred sweeping changes observable timing (a load
-/// in the quarantine window reads the raw pointer until the sweep runs)
-/// and the detection tests rely on synchronous trap semantics.
-pub fn sweep_env_overrides(mut cfg: Config) -> Config {
+/// Perf harnesses (the scaling and server benches) opt in by calling
+/// this on the configs they build; [`local_env`]/[`shared_env`]
+/// deliberately do NOT apply it, because deferred sweeping changes
+/// observable timing (a load in the quarantine window reads the raw
+/// pointer until the sweep runs) and the detection tests rely on
+/// synchronous trap semantics.
+pub fn matrix_env_overrides(mut cfg: Config) -> Config {
     if let Ok(v) = std::env::var("SWEEP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             cfg = cfg.with_sweep_threads(n).with_deferred_sweep(n > 0);
         }
     }
-    if let Ok(v) = std::env::var("DEFERRED_SWEEP") {
-        cfg = cfg.with_deferred_sweep(v.trim() != "0");
-    }
-    cfg
-}
-
-/// Environment-variable overrides for the site-policy knobs, mirroring
-/// [`sweep_env_overrides`]: `SITE_POLICY=on|1` enables adaptive routing
-/// (`off|0` forces it off), `THIN_MIN_FREES=N` sets the clean-free count
-/// a site must accumulate before routing Thin, and `HARDENED_PINS=N`
-/// sets the hardened quarantine-pin budget. Unset variables leave `cfg`
-/// untouched. Applied by the perf harnesses only, for the same reason as
-/// the sweep overrides: the detection tests pin their own configs.
-pub fn site_policy_env_overrides(mut cfg: Config) -> Config {
-    if let Ok(v) = std::env::var("SITE_POLICY") {
-        match v.trim() {
-            "on" | "1" => cfg = cfg.with_site_policy(true),
-            "off" | "0" => cfg = cfg.with_site_policy(false),
-            _ => {}
-        }
-    }
-    if let Ok(v) = std::env::var("THIN_MIN_FREES") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            cfg = cfg.with_thin_min_frees(n);
-        }
-    }
-    if let Ok(v) = std::env::var("HARDENED_PINS") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            cfg = cfg.with_hardened_pins(n);
-        }
-    }
-    cfg
-}
-
-/// Environment-variable overrides for the telemetry knobs, mirroring
-/// [`sweep_env_overrides`]: `METRICS=on|1` enables the live metrics hub
-/// and sampler (`off|0` forces them off) and `METRICS_INTERVAL_MS=N`
-/// sets the sampler cadence. Unset variables leave `cfg` untouched.
-/// Applied by the perf harnesses (so the CI `METRICS` matrix axis
-/// reaches them); the detection tests pin their own configs.
-pub fn metrics_env_overrides(mut cfg: Config) -> Config {
-    if let Ok(v) = std::env::var("METRICS") {
-        match v.trim() {
-            "on" | "1" => cfg = cfg.with_metrics(true),
-            "off" | "0" => cfg = cfg.with_metrics(false),
-            _ => {}
-        }
-    }
-    if let Ok(v) = std::env::var("METRICS_INTERVAL_MS") {
-        if let Ok(n) = v.trim().parse::<u64>() {
-            cfg = cfg.with_metrics_interval_ms(n);
-        }
-    }
-    cfg
-}
-
-/// Environment-variable overrides for the tagging-arm knobs, mirroring
-/// [`sweep_env_overrides`]: `TAG_BITS=N` sets the spare-bit tag width
-/// (the detector clamps it to 1..=15) and `TAG_KEY=0xHEX` the key of
-/// the keyed schemes (xTag is keyless; its key is left alone). Unset or
-/// unparsable variables leave `scheme` untouched. Applied by the perf
-/// harnesses only; the fuzz relation and detection tests pin their own
-/// widths and keys.
-pub fn tagging_env_overrides(scheme: TagScheme) -> TagScheme {
-    let bits = std::env::var("TAG_BITS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok());
-    let key = std::env::var("TAG_KEY").ok().and_then(|v| {
-        let v = v.trim();
-        u64::from_str_radix(v.strip_prefix("0x").unwrap_or(v), 16).ok()
-    });
-    match scheme {
-        TagScheme::XTag { bits: b } => TagScheme::XTag {
-            bits: bits.unwrap_or(b),
-        },
-        TagScheme::ImplicitId { bits: b, key: k } => TagScheme::ImplicitId {
-            bits: bits.unwrap_or(b),
-            key: key.unwrap_or(k),
-        },
-        TagScheme::PaMac { bits: b, key: k } => TagScheme::PaMac {
-            bits: bits.unwrap_or(b),
-            key: key.unwrap_or(k),
-        },
+    match std::env::var("SITE_POLICY").as_deref().map(str::trim) {
+        Ok("on" | "1") => cfg.with_site_policy(true),
+        Ok("off" | "0") => cfg.with_site_policy(false),
+        _ => cfg,
     }
 }
 
@@ -290,133 +212,44 @@ mod tests {
     }
 
     #[test]
-    fn sweep_env_overrides_follow_the_matrix_variables() {
+    fn matrix_env_overrides_follow_the_matrix_variables() {
         // Single test covering all cases so the env-var mutation never
         // races another assertion in this binary. The caller's values
         // (a CI matrix cell's) are restored at the end.
-        const VARS: [&str; 9] = [
-            "SWEEP_THREADS",
-            "DEFERRED_SWEEP",
-            "SITE_POLICY",
-            "THIN_MIN_FREES",
-            "HARDENED_PINS",
-            "METRICS",
-            "METRICS_INTERVAL_MS",
-            "TAG_BITS",
-            "TAG_KEY",
-        ];
+        const VARS: [&str; 2] = ["SWEEP_THREADS", "SITE_POLICY"];
         let saved: Vec<_> = VARS.iter().map(std::env::var_os).collect();
-        unset(&["SWEEP_THREADS", "DEFERRED_SWEEP"]);
+        unset(&VARS);
         let base = Config::default();
-        let cfg = sweep_env_overrides(base);
+        let cfg = matrix_env_overrides(base);
         assert_eq!(cfg.deferred_sweep, base.deferred_sweep);
         assert_eq!(cfg.sweep_threads, base.sweep_threads);
+        assert_eq!(cfg.site_policy, base.site_policy);
 
         std::env::set_var("SWEEP_THREADS", "2");
-        let cfg = sweep_env_overrides(Config::default());
+        let cfg = matrix_env_overrides(Config::default());
         assert!(cfg.deferred_sweep);
         assert_eq!(cfg.sweep_threads, 2);
 
         std::env::set_var("SWEEP_THREADS", "0");
-        let cfg = sweep_env_overrides(Config::default());
+        let cfg = matrix_env_overrides(Config::default());
         assert!(!cfg.deferred_sweep);
         assert_eq!(cfg.sweep_threads, 0);
 
-        std::env::set_var("DEFERRED_SWEEP", "1");
-        let cfg = sweep_env_overrides(Config::default());
-        assert!(cfg.deferred_sweep, "DEFERRED_SWEEP wins over thread count");
-        assert_eq!(cfg.sweep_threads, 0);
-
         std::env::remove_var("SWEEP_THREADS");
-        std::env::remove_var("DEFERRED_SWEEP");
-
-        // Site-policy axis, same discipline (and same single-test rule).
-        unset(&["SITE_POLICY", "THIN_MIN_FREES", "HARDENED_PINS"]);
-        let base = Config::default();
-        let cfg = site_policy_env_overrides(base);
-        assert_eq!(cfg.site_policy, base.site_policy);
-        assert_eq!(cfg.thin_min_frees, base.thin_min_frees);
-        assert_eq!(cfg.hardened_pin_objects, base.hardened_pin_objects);
 
         std::env::set_var("SITE_POLICY", "on");
-        std::env::set_var("THIN_MIN_FREES", "8");
-        std::env::set_var("HARDENED_PINS", "16");
-        let cfg = site_policy_env_overrides(Config::default());
+        let cfg = matrix_env_overrides(Config::default());
         assert!(cfg.site_policy);
-        assert_eq!(cfg.thin_min_frees, 8);
-        assert_eq!(cfg.hardened_pin_objects, 16);
 
         std::env::set_var("SITE_POLICY", "0");
-        let cfg = site_policy_env_overrides(Config::default().with_site_policy(true));
+        let cfg = matrix_env_overrides(Config::default().with_site_policy(true));
         assert!(!cfg.site_policy, "explicit off beats the built config");
 
         std::env::set_var("SITE_POLICY", "banana");
-        let cfg = site_policy_env_overrides(Config::default());
+        let cfg = matrix_env_overrides(Config::default());
         assert!(!cfg.site_policy, "unparsable values leave cfg untouched");
 
         std::env::remove_var("SITE_POLICY");
-        std::env::remove_var("THIN_MIN_FREES");
-        std::env::remove_var("HARDENED_PINS");
-
-        // Telemetry axis, same discipline (and same single-test rule).
-        unset(&["METRICS", "METRICS_INTERVAL_MS"]);
-        let base = Config::default();
-        let cfg = metrics_env_overrides(base);
-        assert_eq!(cfg.metrics, base.metrics);
-        assert_eq!(cfg.metrics_interval_ms, base.metrics_interval_ms);
-
-        std::env::set_var("METRICS", "1");
-        std::env::set_var("METRICS_INTERVAL_MS", "25");
-        let cfg = metrics_env_overrides(Config::default());
-        assert!(cfg.metrics);
-        assert_eq!(cfg.metrics_interval_ms, 25);
-
-        std::env::set_var("METRICS", "off");
-        let cfg = metrics_env_overrides(Config::default().with_metrics(true));
-        assert!(!cfg.metrics, "explicit off beats the built config");
-
-        std::env::set_var("METRICS", "banana");
-        let cfg = metrics_env_overrides(Config::default());
-        assert!(!cfg.metrics, "unparsable values leave cfg untouched");
-
-        std::env::remove_var("METRICS");
-        std::env::remove_var("METRICS_INTERVAL_MS");
-
-        // Tagging axis, same discipline (and same single-test rule).
-        unset(&["TAG_BITS", "TAG_KEY"]);
-        let base = TagScheme::ImplicitId {
-            bits: DEFAULT_TAG_BITS,
-            key: DEFAULT_TAG_KEY,
-        };
-        assert_eq!(tagging_env_overrides(base), base);
-
-        std::env::set_var("TAG_BITS", "4");
-        std::env::set_var("TAG_KEY", "0xBEEF");
-        assert_eq!(
-            tagging_env_overrides(base),
-            TagScheme::ImplicitId {
-                bits: 4,
-                key: 0xBEEF
-            }
-        );
-        assert_eq!(
-            tagging_env_overrides(TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS
-            }),
-            TagScheme::XTag { bits: 4 },
-            "xTag takes the width and ignores the key"
-        );
-
-        std::env::set_var("TAG_BITS", "banana");
-        std::env::set_var("TAG_KEY", "banana");
-        assert_eq!(
-            tagging_env_overrides(base),
-            base,
-            "unparsable values leave the scheme untouched"
-        );
-
-        std::env::remove_var("TAG_BITS");
-        std::env::remove_var("TAG_KEY");
 
         for (var, value) in VARS.iter().zip(saved) {
             if let Some(value) = value {

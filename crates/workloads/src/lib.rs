@@ -22,10 +22,7 @@ pub mod server;
 pub mod spec;
 
 pub use cost::{calibrate, CostModel};
-pub use env::{
-    local_env, metrics_env_overrides, shared_env, site_policy_env_overrides, sweep_env_overrides,
-    tagging_env_overrides, DetectorKind,
-};
+pub use env::{local_env, matrix_env_overrides, shared_env, DetectorKind};
 pub use profiles::ServerProfile;
 pub use server::{run_server, run_server_opts, ClassLatency, ServerOptions, ServerResult};
 pub use spec::{run_spec, RunResult};

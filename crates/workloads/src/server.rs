@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dangsan::telemetry::{Histogram, HistogramSnapshot, MetricsHub};
+use dangsan::telemetry::{Histogram, MetricsHub};
 use dangsan::{Detector, HookedHeap};
 use dangsan_vmem::rng::SmallRng;
 use dangsan_vmem::Addr;
@@ -372,17 +372,6 @@ where
             )
             .collect(),
     }
-}
-
-/// Merges the per-class histograms of a result-producing run into one
-/// snapshot — a convenience for harnesses that keep class histograms and
-/// want overall percentiles without a second recording pass.
-pub fn merged_snapshot(hists: &[Arc<Histogram>]) -> HistogramSnapshot {
-    let mut merged = HistogramSnapshot::default();
-    for h in hists {
-        merged.merge(&h.snapshot());
-    }
-    merged
 }
 
 #[cfg(test)]
