@@ -25,7 +25,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dangsan::{Detector, Hot, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::Allocation;
 use dangsan_vmem::{Addr, AddressSpace, INVALID_BIT};
 // The original locks with pthread mutexes; `std::sync::Mutex` (a futex/
@@ -130,7 +130,7 @@ impl Detector for DangNull {
                 incoming: BTreeSet::new(),
             },
         );
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump(&[Counter::ObjectsAllocated]);
         self.account(obj_cost(alloc.requested));
     }
 
@@ -144,25 +144,23 @@ impl Detector for DangNull {
         for loc in rec.incoming.iter() {
             st.loc_to_obj.remove(loc);
             match self.mem.read_word(*loc) {
-                Err(_) => {
-                    report.skipped_unmapped += 1;
-                    Stats::bump(&self.stats.sigsegv_skips);
-                }
+                Err(_) => report.skipped_unmapped += 1,
                 Ok(value) if value >= base && value <= end => {
                     // Nullify with the fixed poison value (loses bits).
                     if self.mem.write_word(*loc, DANGNULL_POISON).is_ok() {
                         report.invalidated += 1;
-                        Stats::bump(&self.stats.ptrs_invalidated);
                     }
                 }
-                Ok(_) => {
-                    report.stale += 1;
-                    Stats::bump(&self.stats.stale_ptrs);
-                }
+                Ok(_) => report.stale += 1,
             }
         }
         self.account(-(obj_cost(rec.size) + rec.incoming.len() as i64 * EDGE_COST));
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.add(&[
+            (Counter::ObjectsFreed, 1),
+            (Counter::PtrsInvalidated, report.invalidated),
+            (Counter::StalePtrs, report.stale),
+            (Counter::SigsegvSkips, report.skipped_unmapped),
+        ]);
         report
     }
 
@@ -202,7 +200,7 @@ impl Detector for DangNull {
             .expect("object just found")
             .incoming
             .insert(loc);
-        self.stats.bump_hot(Hot::PtrsRegistered);
+        self.stats.bump(&[Counter::PtrsRegistered]);
         if fresh {
             self.account(EDGE_COST);
         }

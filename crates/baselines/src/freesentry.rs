@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dangsan::{Detector, Hot, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::{Allocation, Heap};
 use dangsan_vmem::{Addr, AddressSpace, INVALID_BIT};
 
@@ -88,7 +88,7 @@ impl Detector for FreeSentry {
             },
         );
         st.meta_bytes += OBJ_COST + (alloc.requested / 64) * 2; // label memory
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump(&[Counter::ObjectsAllocated]);
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
@@ -105,27 +105,25 @@ impl Detector for FreeSentry {
             }
             st.loc_to_obj.remove(loc);
             match self.mem.read_word(*loc) {
-                Err(_) => {
-                    report.skipped_unmapped += 1;
-                    Stats::bump(&self.stats.sigsegv_skips);
-                }
+                Err(_) => report.skipped_unmapped += 1,
                 Ok(value) if value >= base && value <= end => {
                     // Set a high bit, preserving the address bits.
                     if self.mem.write_word(*loc, value | INVALID_BIT).is_ok() {
                         report.invalidated += 1;
-                        Stats::bump(&self.stats.ptrs_invalidated);
                     }
                 }
-                Ok(_) => {
-                    report.stale += 1;
-                    Stats::bump(&self.stats.stale_ptrs);
-                }
+                Ok(_) => report.stale += 1,
             }
         }
         st.meta_bytes = st
             .meta_bytes
             .saturating_sub(OBJ_COST + rec.incoming.len() as u64 * EDGE_COST);
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.add(&[
+            (Counter::ObjectsFreed, 1),
+            (Counter::PtrsInvalidated, report.invalidated),
+            (Counter::StalePtrs, report.stale),
+            (Counter::SigsegvSkips, report.skipped_unmapped),
+        ]);
         report
     }
 
@@ -160,7 +158,7 @@ impl Detector for FreeSentry {
                 .push(loc);
             st.meta_bytes += EDGE_COST;
         }
-        self.stats.bump_hot(Hot::PtrsRegistered);
+        self.stats.bump(&[Counter::PtrsRegistered]);
     }
 
     fn stats(&self) -> StatsSnapshot {

@@ -45,7 +45,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, Weak};
 
-use dangsan::{Detector, Hot, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::{Allocation, Heap};
 use dangsan_vmem::{Addr, AddressSpace, INVALID_BIT};
 
@@ -140,22 +140,20 @@ impl ShadowOracle {
         let mut report = InvalidationReport::default();
         for loc in rec.incoming.iter() {
             match self.mem.read_word(*loc) {
-                Err(_) => {
-                    report.skipped_unmapped += 1;
-                    Stats::bump(&self.stats.sigsegv_skips);
-                }
+                Err(_) => report.skipped_unmapped += 1,
                 Ok(value) if value >= base && value <= rec.end => {
                     if self.mem.write_word(*loc, value | INVALID_BIT).is_ok() {
                         report.invalidated += 1;
-                        Stats::bump(&self.stats.ptrs_invalidated);
                     }
                 }
-                Ok(_) => {
-                    report.stale += 1;
-                    Stats::bump(&self.stats.stale_ptrs);
-                }
+                Ok(_) => report.stale += 1,
             }
         }
+        self.stats.add(&[
+            (Counter::PtrsInvalidated, report.invalidated),
+            (Counter::StalePtrs, report.stale),
+            (Counter::SigsegvSkips, report.skipped_unmapped),
+        ]);
         report
     }
 }
@@ -178,7 +176,7 @@ impl Detector for ShadowOracle {
                 incoming: BTreeSet::new(),
             },
         );
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump(&[Counter::ObjectsAllocated]);
         self.meta_bytes.fetch_add(48, Ordering::Relaxed);
     }
 
@@ -195,7 +193,7 @@ impl Detector for ShadowOracle {
             return InvalidationReport::default();
         };
         st.dead.push((base, rec.end, rec.max_end));
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump(&[Counter::ObjectsFreed]);
         match self.mode {
             OracleMode::Eager => {
                 let report = self.invalidate(base, &rec);
@@ -233,7 +231,7 @@ impl Detector for ShadowOracle {
             return;
         };
         rec.incoming.insert(loc);
-        self.stats.bump_hot(Hot::PtrsRegistered);
+        self.stats.bump(&[Counter::PtrsRegistered]);
     }
 
     fn defers_free(&self) -> bool {

@@ -16,7 +16,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Weak};
 
-use dangsan::{Detector, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::{AllocError, Allocation, FreeInfo, Heap};
 use dangsan_vmem::Addr;
 use std::sync::Mutex;
@@ -158,14 +158,14 @@ impl Detector for QuarantineDetector {
     }
 
     fn on_alloc(&self, _alloc: &Allocation) {
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump(&[Counter::ObjectsAllocated]);
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
         // The hooked heap already quarantined the block; remember it so
         // drain can retire it.
         self.parked.lock().expect("not poisoned").push(base);
-        Stats::bump(&self.stats.objects_freed);
+        self.stats.bump(&[Counter::ObjectsFreed]);
         InvalidationReport::default()
     }
 

@@ -100,58 +100,11 @@ fn free_one(heap: &Heap, det: &DangSan, base: u64) {
     }
 }
 
-/// `trace_off`: the flight recorder's Off-mode overhead, measured as a
-/// same-run ratio so the 2%-budget gate survives machine noise that
-/// cross-run absolute comparisons do not. The "off" side runs a
-/// malloc/register/free lifecycle loop with `trace_level=Lifecycles`
-/// (every lifecycle records birth, free and epoch events into a ring);
-/// the "on" side runs the identical loop with `trace_level=Off`, where
-/// each record site is one relaxed load and an untaken branch. The
-/// speedup column is therefore Off-throughput / traced-throughput: below
-/// ~1.0 means disabling tracing failed to remove its cost.
-fn bench_trace_off(rounds: u64, untraced: bool) -> Measurement {
-    let level = if untraced {
-        TraceLevel::Off
-    } else {
-        TraceLevel::Lifecycles
-    };
-    let mem = Arc::new(AddressSpace::new());
-    let heap = Heap::new(Arc::clone(&mem));
-    let det = DangSan::new(Arc::clone(&mem), Config::default().with_trace_level(level));
-    let holder = heap.malloc(8).expect("holder");
-    det.on_alloc(&holder);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let obj = heap.malloc(64).expect("obj");
-        det.on_alloc(&obj);
-        mem.write_word(holder.base, obj.base).expect("store");
-        det.register_ptr(holder.base, obj.base);
-        det.on_free(obj.base);
-        heap.free(obj.base).expect("free");
-    }
-    let t = start.elapsed().as_secs_f64();
-    Measurement {
-        ops_per_sec: rounds as f64 / t,
-        ops: rounds,
-    }
-}
-
-/// Telemetry ablation twin of [`bench_trace_off`]: the "off" column runs
-/// the full malloc/register/free lifecycle with the metrics hub live — a
-/// 5 ms sampler pulling every detector gauge concurrently — and the "on"
-/// column runs the identical loop with `metrics=false`, where the
-/// detector builds no hub at all. Because the registry is pull-based the
-/// hot paths carry no metrics sites, so the speedup column (no-metrics /
-/// metrics throughput) should sit at ~1.0; `scripts/verify.sh` gates it
-/// at 0.98, the same contract the flight recorder's Off mode keeps.
-fn bench_metrics_off(rounds: u64, unmetered: bool) -> Measurement {
-    let cfg = if unmetered {
-        Config::default()
-    } else {
-        Config::default()
-            .with_metrics(true)
-            .with_metrics_interval_ms(5)
-    };
+/// The malloc/register/free lifecycle loop the two Off-mode rows share:
+/// `rounds` lifecycles on a fresh detector built from `cfg`, each one
+/// allocating an object, storing a pointer to it into a long-lived
+/// holder, and freeing it.
+fn lifecycle_loop(rounds: u64, cfg: Config) -> Measurement {
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
     let det = DangSan::new(Arc::clone(&mem), cfg);
@@ -171,6 +124,43 @@ fn bench_metrics_off(rounds: u64, unmetered: bool) -> Measurement {
         ops_per_sec: rounds as f64 / t,
         ops: rounds,
     }
+}
+
+/// `trace_off`: the flight recorder's Off-mode overhead, measured as a
+/// same-run ratio so the 2%-budget gate survives machine noise that
+/// cross-run absolute comparisons do not. The "off" side runs the
+/// [`lifecycle_loop`] with `trace_level=Lifecycles` (every lifecycle
+/// records birth, free and epoch events into a ring); the "on" side runs
+/// it with `trace_level=Off`, where each record site is one relaxed load
+/// and an untaken branch. The speedup column is therefore
+/// Off-throughput / traced-throughput: below ~1.0 means disabling
+/// tracing failed to remove its cost.
+fn bench_trace_off(rounds: u64, untraced: bool) -> Measurement {
+    let level = if untraced {
+        TraceLevel::Off
+    } else {
+        TraceLevel::Lifecycles
+    };
+    lifecycle_loop(rounds, Config::default().with_trace_level(level))
+}
+
+/// Telemetry ablation twin of [`bench_trace_off`]: the "off" column runs
+/// the [`lifecycle_loop`] with the metrics hub live — a 5 ms sampler
+/// pulling every detector gauge concurrently — and the "on" column runs
+/// it with `metrics=false`, where the detector builds no hub at all.
+/// Because the registry is pull-based the hot paths carry no metrics
+/// sites, so the speedup column (no-metrics / metrics throughput) should
+/// sit at ~1.0; `bench_gate` holds it at 0.98, the same contract the
+/// flight recorder's Off mode keeps.
+fn bench_metrics_off(rounds: u64, unmetered: bool) -> Measurement {
+    let cfg = if unmetered {
+        Config::default()
+    } else {
+        Config::default()
+            .with_metrics(true)
+            .with_metrics_interval_ms(5)
+    };
+    lifecycle_loop(rounds, cfg)
 }
 
 /// `registerptr` repeated-store: the pattern the caches target — a loop

@@ -4,8 +4,9 @@
 //!
 //! 1. the human-readable UAF forensics report (which object, who freed
 //!    it, what the faulting thread was doing),
-//! 2. an event/ring summary, reconciled against the detector's `Hot::*`
-//!    free-histogram counters (the aggregate and event views must agree),
+//! 2. an event/ring summary, reconciled against the detector's
+//!    `Counter::FreeHist*` free-histogram counters (the aggregate and
+//!    event views must agree),
 //! 3. Chrome `trace_event` JSON for chrome://tracing or
 //!    <https://ui.perfetto.dev> (load the file directly).
 //!
@@ -99,7 +100,7 @@ fn run_workload(mem: &Arc<AddressSpace>, heap: &Arc<Heap>, det: &Arc<DangSan>) -
 }
 
 /// The `free_locs_hist` bucket a `FreeSweep` event's walked count lands
-/// in (mirrors `Hot::free_hist_bucket`).
+/// in (mirrors `Counter::free_hist_bucket`).
 fn hist_bucket(walked: u64) -> usize {
     match walked {
         0 => 0,
@@ -213,13 +214,13 @@ fn main() {
     println!("events:\n{}", codes.render());
 
     // 3. Counter/event reconciliation: the detector's free histogram
-    // (aggregate Hot::* counters) against the same histogram rebuilt
+    // (aggregate `Counter::FreeHist*` counts) against the same histogram rebuilt
     // from FreeSweep events. With every thread joined and rings big
     // enough to hold the run, the two views must agree bucket for
     // bucket — a mismatch means dropped events (see the rings table)
     // or a counter bug.
     let stats = det.stats();
-    let mut hist = Table::new(&["locs/free", "Hot::* counters", "FreeSweep events", "match"]);
+    let mut hist = Table::new(&["locs/free", "stats counters", "FreeSweep events", "match"]);
     let labels = ["0", "1-8", "9-64", "65-512", ">512"];
     let mut reconciled = true;
     for (i, label) in labels.iter().enumerate() {

@@ -20,7 +20,7 @@ use crate::log::ThreadLog;
 use crate::object::{fresh_epoch, ObjectMeta};
 use crate::policy::{SitePolicy, Tier};
 use crate::pool::Pool;
-use crate::stats::{Hot, Stats, StatsSnapshot};
+use crate::stats::{Counter, Stats, StatsSnapshot};
 use crate::sweep::{
     FreedObject, LogChain, MetaRef, ObjectSweep, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES,
 };
@@ -408,11 +408,6 @@ impl DangSan {
         &self.cfg
     }
 
-    /// Direct access to the pointer-to-object mapper (for tests).
-    pub fn mapper(&self) -> &MetaPageTable {
-        &self.map
-    }
-
     /// `ptr2obj`: resolves a (possibly interior) pointer to its object's
     /// metadata, if tracked.
     #[inline]
@@ -474,7 +469,7 @@ impl DangSan {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    Stats::bump(&self.stats.logs_created);
+                    self.stats.bump(&[Counter::LogsCreated]);
                     return fresh;
                 }
                 Err(winner) => {
@@ -526,8 +521,8 @@ impl DangSan {
         {
             let site = meta.site.load(Ordering::Relaxed);
             policy.demote(site);
-            Stats::bump(&self.stats.thin_promotions);
-            Stats::bump(&self.stats.site_demotions);
+            self.stats
+                .bump(&[Counter::ThinPromotions, Counter::SiteDemotions]);
             self.trace.record(
                 TraceLevel::Full,
                 EventCode::SiteDemote,
@@ -566,89 +561,99 @@ impl DangSan {
     /// Table 1 counters) is identical to the uncached
     /// [`Self::find_or_create_log`] + append.
     fn register_ptr_cached(&self, loc: Addr, value: u64) {
-        DET_CACHES.with(|caches| {
-            if caches.reg_used.get() {
-                let slot = caches.reg[((loc >> 3) as usize) & (REG_CACHE_SLOTS - 1)].get();
-                let memo_hit =
-                    slot.det_id == self.id && slot.loc == loc && slot.value == value && {
-                        // SAFETY: the det_id compare just passed, so `meta_val`
-                        // names a record in this detector's live, type-stable
-                        // pool (see [`RegCacheSlot`] — the order matters).
-                        let meta = unsafe { ObjectMeta::from_meta_value(slot.meta_val) };
-                        meta.epoch.load(Ordering::Acquire) == slot.epoch
-                    };
-                if memo_hit {
-                    // Counter effects of the skipped walk: one registration,
-                    // one hash-tier duplicate, plus the cache diagnostic.
-                    self.stats
-                        .bump_hot3(Hot::PtrsRegistered, Hot::DupPtrs, Hot::LogCacheHits);
-                    return;
-                }
-            }
-            // Values pointing into the same 64-byte line of the same
-            // object share a slot; see [`LogCacheSlot`] for why the hit
-            // test below needs no metapagetable lookup.
-            let lidx = ((value >> 6) as usize) & (LOG_CACHE_SLOTS - 1);
-            let lslot = caches.log[lidx].get();
-            let (log, meta_val, epoch) = if lslot.det_id == self.id && {
+        // The caches are reached through a raw pointer fetched by a
+        // closure small enough for `LocalKey::with` to inline. With this
+        // whole body as the closure, `with` stays out of line and every
+        // store pays an indirect call to the thread-local accessor.
+        let caches = DET_CACHES.with(ptr::from_ref);
+        // SAFETY: `DET_CACHES` is const-initialised and needs no
+        // destructor, so its storage lives as long as this thread; the
+        // borrow ends with this call.
+        let caches = unsafe { &*caches };
+        if caches.reg_used.get() {
+            let slot = caches.reg[((loc >> 3) as usize) & (REG_CACHE_SLOTS - 1)].get();
+            let memo_hit = slot.det_id == self.id && slot.loc == loc && slot.value == value && {
                 // SAFETY: the det_id compare just passed, so `meta_val`
                 // names a record in this detector's live, type-stable
-                // pool (see [`LogCacheSlot`] — the order matters).
-                let meta = unsafe { ObjectMeta::from_meta_value(lslot.meta_val) };
-                meta.in_range(value) && meta.epoch.load(Ordering::Acquire) == lslot.epoch
-            } {
-                self.stats.bump_hot2(Hot::PtrsRegistered, Hot::LogCacheHits);
-                // SAFETY: the validated slot holds this detector's
-                // pool-owned log; see [`LogCacheSlot`].
-                (unsafe { &*lslot.log }, lslot.meta_val, lslot.epoch)
-            } else {
-                let Some(meta) = self.ptr2obj(value) else {
-                    return;
-                };
-                // A Thin-routed object getting its first registration:
-                // promote before the append so the free path sees the
-                // Standard tier no later than it can see the new log.
-                self.maybe_promote(meta);
-                // Load the epoch before touching the log: if a free runs
-                // concurrently, every slot filled below captures an
-                // already retired epoch and can never validate —
-                // conservative, never unsafe.
-                let epoch = meta.epoch.load(Ordering::Acquire);
-                let meta_val = meta.as_meta_value();
-                self.stats
-                    .bump_hot2(Hot::PtrsRegistered, Hot::LogCacheMisses);
-                let log = self.find_or_create_log(meta);
-                caches.log[lidx].set(LogCacheSlot {
-                    det_id: self.id,
-                    meta_val,
-                    epoch,
-                    log: log as *const ThreadLog,
-                });
-                (log as &ThreadLog, meta_val, epoch)
+                // pool (see [`RegCacheSlot`] — the order matters).
+                let meta = unsafe { ObjectMeta::from_meta_value(slot.meta_val) };
+                meta.epoch.load(Ordering::Acquire) == slot.epoch
             };
-            log.append(
-                loc,
-                &self.cfg,
-                &self.stats,
-                &self.extra_bytes,
-                &self.trace,
-                epoch,
-            );
-            if log.hash_active() {
-                // `loc` is now a member of the log's hash set, and members
-                // are never removed while the object lives: memoize the
-                // pair so identical re-registrations skip the walk until
-                // the object dies.
-                caches.reg[((loc >> 3) as usize) & (REG_CACHE_SLOTS - 1)].set(RegCacheSlot {
-                    det_id: self.id,
-                    meta_val,
-                    epoch,
-                    loc,
-                    value,
-                });
-                caches.reg_used.set(true);
+            if memo_hit {
+                // Counter effects of the skipped walk: one registration,
+                // one hash-tier duplicate, plus the cache diagnostic.
+                self.stats.bump(&[
+                    Counter::PtrsRegistered,
+                    Counter::DupPtrs,
+                    Counter::LogCacheHits,
+                ]);
+                return;
             }
-        })
+        }
+        // Values pointing into the same 64-byte line of the same
+        // object share a slot; see [`LogCacheSlot`] for why the hit
+        // test below needs no metapagetable lookup.
+        let lidx = ((value >> 6) as usize) & (LOG_CACHE_SLOTS - 1);
+        let lslot = caches.log[lidx].get();
+        let (log, meta_val, epoch) = if lslot.det_id == self.id && {
+            // SAFETY: the det_id compare just passed, so `meta_val`
+            // names a record in this detector's live, type-stable
+            // pool (see [`LogCacheSlot`] — the order matters).
+            let meta = unsafe { ObjectMeta::from_meta_value(lslot.meta_val) };
+            meta.in_range(value) && meta.epoch.load(Ordering::Acquire) == lslot.epoch
+        } {
+            self.stats
+                .bump(&[Counter::PtrsRegistered, Counter::LogCacheHits]);
+            // SAFETY: the validated slot holds this detector's
+            // pool-owned log; see [`LogCacheSlot`].
+            (unsafe { &*lslot.log }, lslot.meta_val, lslot.epoch)
+        } else {
+            let Some(meta) = self.ptr2obj(value) else {
+                return;
+            };
+            // A Thin-routed object getting its first registration:
+            // promote before the append so the free path sees the
+            // Standard tier no later than it can see the new log.
+            self.maybe_promote(meta);
+            // Load the epoch before touching the log: if a free runs
+            // concurrently, every slot filled below captures an
+            // already retired epoch and can never validate —
+            // conservative, never unsafe.
+            let epoch = meta.epoch.load(Ordering::Acquire);
+            let meta_val = meta.as_meta_value();
+            self.stats
+                .bump(&[Counter::PtrsRegistered, Counter::LogCacheMisses]);
+            let log = self.find_or_create_log(meta);
+            caches.log[lidx].set(LogCacheSlot {
+                det_id: self.id,
+                meta_val,
+                epoch,
+                log: log as *const ThreadLog,
+            });
+            (log as &ThreadLog, meta_val, epoch)
+        };
+        log.append(
+            loc,
+            &self.cfg,
+            &self.stats,
+            &self.extra_bytes,
+            &self.trace,
+            epoch,
+        );
+        if log.hash_active() {
+            // `loc` is now a member of the log's hash set, and members
+            // are never removed while the object lives: memoize the
+            // pair so identical re-registrations skip the walk until
+            // the object dies.
+            caches.reg[((loc >> 3) as usize) & (REG_CACHE_SLOTS - 1)].set(RegCacheSlot {
+                det_id: self.id,
+                meta_val,
+                epoch,
+                loc,
+                value,
+            });
+            caches.reg_used.set(true);
+        }
     }
 
     /// The deferred `on_free` tail: O(1) bookkeeping, no log walk.
@@ -663,7 +668,6 @@ impl DangSan {
     /// teardown and running the range check against a snapshot (instead
     /// of the live record) sound.
     fn defer_free(&self, queue: &SweepQueue, sweep: ObjectSweep) -> InvalidationReport {
-        Stats::bump(&self.stats.frees_deferred);
         let obj_id = sweep.obj.obj_id;
         // The quarantine charge: the object's checked range is within a
         // byte of its block size, close enough for backpressure.
@@ -694,9 +698,11 @@ impl DangSan {
                 if batch.is_empty() {
                     break;
                 }
-                Stats::add(&self.stats.sweep_steals, stolen);
+                self.stats.add(&[
+                    (Counter::SweepsBackpressure, batch.len() as u64),
+                    (Counter::SweepSteals, stolen),
+                ]);
                 for job in batch.drain(..) {
-                    Stats::bump(&self.stats.sweeps_backpressure);
                     self.run_sweep_job(job, SWEEP_MODE_BACKPRESSURE);
                 }
             }
@@ -776,7 +782,8 @@ impl DangSan {
                     skipped: AtomicU64::new(0),
                     pages: AtomicU64::new(0),
                 });
-                Stats::add(&self.stats.sweep_splits, (parts - 1) as u64);
+                self.stats
+                    .add(&[(Counter::SweepSplits, (parts - 1) as u64)]);
                 for part in bounds[1..].windows(2) {
                     queue.push_part(Arc::clone(&batch), part[0], part[1]);
                 }
@@ -894,14 +901,14 @@ impl DangSan {
     /// must precede the requeue: a reallocation of this range must find
     /// cleared shadow slots, not the dying record.
     fn retire(&self, obj: &FreedObject, shape: SweepShape, report: &InvalidationReport) {
-        Stats::add(&self.stats.ptrs_invalidated, report.invalidated);
-        Stats::add(&self.stats.stale_ptrs, report.stale);
-        Stats::add(&self.stats.sigsegv_skips, report.skipped_unmapped);
-        self.stats.bump_hot_by(&[
-            (Hot::FreeLocsWalked, shape.walked),
-            (Hot::FreeDupLocs, shape.walked - shape.unique),
-            (Hot::FreePagesTouched, shape.pages),
-            (Hot::free_hist_bucket(shape.walked), 1),
+        self.stats.add(&[
+            (Counter::PtrsInvalidated, report.invalidated),
+            (Counter::StalePtrs, report.stale),
+            (Counter::SigsegvSkips, report.skipped_unmapped),
+            (Counter::FreeLocsWalked, shape.walked),
+            (Counter::FreeDupLocs, shape.walked - shape.unique),
+            (Counter::FreePagesTouched, shape.pages),
+            (Counter::free_hist_bucket(shape.walked), 1),
         ]);
         self.trace.record(
             TraceLevel::Lifecycles,
@@ -945,7 +952,7 @@ impl DangSan {
             // dangling pointer to a previously-reported site keeps
             // trapping for longer. The FIFO evicts oldest-first at cap.
             if hardened {
-                Stats::bump(&self.stats.hardened_pins);
+                self.stats.bump(&[Counter::HardenedPins]);
                 if let Some(evicted) = queue.pin_block(base, HARDENED_PIN_CAP) {
                     heap.requeue_batch(&[evicted]);
                 }
@@ -998,12 +1005,12 @@ impl DangSan {
 
     /// Host bytes used by per-thread logs and object metadata (excludes
     /// the shadow tables; see [`Detector::metadata_bytes`]).
-    pub fn pool_bytes(&self) -> u64 {
+    fn pool_bytes(&self) -> u64 {
         self.meta_pool.bytes() + self.log_pool.bytes() + self.extra_bytes.load(Ordering::Relaxed)
     }
 }
 
-/// The shape counters of one finished walk (Hot::Free* bookkeeping; the
+/// The shape counters of one finished walk (`Counter::Free*` bookkeeping; the
 /// site profile takes `unique` as the free's inbound-pointer count).
 #[derive(Default)]
 struct SweepShape {
@@ -1033,7 +1040,7 @@ fn sweep_worker(det: Weak<DangSan>, queue: Arc<SweepQueue>) {
                     return;
                 };
                 if stolen {
-                    Stats::bump(&det.stats.sweep_steals);
+                    det.stats.bump(&[Counter::SweepSteals]);
                 }
                 let mode = if stolen {
                     SWEEP_MODE_STOLEN
@@ -1095,18 +1102,18 @@ impl Detector for DangSan {
             match policy.route(site) {
                 Tier::Thin => {
                     meta.tier.store(Tier::Thin as u64, Ordering::Release);
-                    Stats::bump(&self.stats.routed_thin);
+                    self.stats.bump(&[Counter::RoutedThin]);
                 }
                 Tier::Hardened => {
                     meta.tier.store(Tier::Hardened as u64, Ordering::Release);
-                    Stats::bump(&self.stats.routed_hardened);
+                    self.stats.bump(&[Counter::RoutedHardened]);
                 }
                 Tier::Standard => {}
             }
         }
         self.map
             .set_object(alloc.base, alloc.stride, meta.as_meta_value());
-        Stats::bump(&self.stats.objects_allocated);
+        self.stats.bump(&[Counter::ObjectsAllocated]);
         if self.trace.enabled(TraceLevel::Lifecycles) {
             // The object's id *is* its epoch: globally never reused, so a
             // forensics pass can tell apart lifetimes sharing a base.
@@ -1149,7 +1156,6 @@ impl Detector for DangSan {
         // router decide off one observation: an empty chain proves no
         // registration the walk could see exists.
         let chain = meta.head.swap(ptr::null_mut(), Ordering::AcqRel);
-        Stats::bump(&self.stats.objects_freed);
         let obj = FreedObject {
             base: meta.base.load(Ordering::Acquire),
             end: meta.end.load(Ordering::Acquire),
@@ -1169,7 +1175,8 @@ impl Detector for DangSan {
                 // queue round trip). Counter effects are bit-exact with
                 // a Standard free that drained zero locations
                 // (`frees_thin` is a diagnostic `behavioural` zeroes).
-                Stats::bump(&self.stats.frees_thin);
+                self.stats
+                    .bump(&[Counter::ObjectsFreed, Counter::FreesThin]);
                 let report = InvalidationReport::default();
                 self.retire(&obj, SweepShape::default(), &report);
                 return report;
@@ -1182,7 +1189,7 @@ impl Detector for DangSan {
             if let Some(policy) = &self.policy {
                 policy.demote(site);
             }
-            Stats::bump(&self.stats.site_demotions);
+            self.stats.bump(&[Counter::SiteDemotions]);
             self.trace
                 .record(TraceLevel::Full, EventCode::SiteDemote, site, obj_id, 1);
         }
@@ -1195,8 +1202,15 @@ impl Detector for DangSan {
             // sweep subsystem. The report is all zeros — the outcome
             // lands in the stats once the sweep retires (exact after
             // [`DangSan::drain`]).
-            Some(queue) => self.defer_free(queue, sweep),
-            None => self.run_object_sweep(sweep, SWEEP_MODE_INLINE),
+            Some(queue) => {
+                self.stats
+                    .bump(&[Counter::ObjectsFreed, Counter::FreesDeferred]);
+                self.defer_free(queue, sweep)
+            }
+            None => {
+                self.stats.bump(&[Counter::ObjectsFreed]);
+                self.run_object_sweep(sweep, SWEEP_MODE_INLINE)
+            }
         }
     }
 
@@ -1218,7 +1232,7 @@ impl Detector for DangSan {
             return;
         };
         self.maybe_promote(meta);
-        self.stats.bump_hot(Hot::PtrsRegistered);
+        self.stats.bump(&[Counter::PtrsRegistered]);
         let log = self.find_or_create_log(meta);
         let epoch = meta.epoch.load(Ordering::Relaxed);
         log.append(

@@ -447,13 +447,26 @@ mod tests {
     #[test]
     fn hot_counters_exact_across_thread_cached_heap() {
         // The detector's per-op counters must be exact after a join no
-        // matter which allocator path served the traffic: stats are
-        // bumped per operation, never per magazine batch.
-        for cached in [true, false] {
-            let (_, hh) = setup_dangsan();
+        // matter which allocator path served the traffic or where the
+        // sweeps ran: stats are counted per operation, never per magazine
+        // batch, on per-thread slabs a reader ordered after the join sees
+        // in full.
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 400;
+        // No helpers, and caps small enough that the mutators run
+        // backpressure drains.
+        let deferred = Config::default()
+            .with_deferred_sweep(true)
+            .with_sweep_threads(0)
+            .with_quarantine_caps(4 << 10, 16);
+        for (cfg, cached) in [
+            (Config::default(), true),
+            (Config::default(), false),
+            (deferred, true),
+        ] {
+            let arm = format!("cached={cached} deferred={}", cfg.deferred_sweep);
+            let hh = setup_with(cfg);
             hh.heap().set_thread_cached(cached);
-            const THREADS: u64 = 4;
-            const ROUNDS: u64 = 400;
             let mut handles = Vec::new();
             for _ in 0..THREADS {
                 let hh = hh.clone();
@@ -471,12 +484,26 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
+            hh.detector().drain();
             let s = hh.detector().stats();
-            assert_eq!(s.objects_allocated, THREADS * ROUNDS * 2, "cached={cached}");
-            assert_eq!(s.objects_freed, THREADS * ROUNDS * 2, "cached={cached}");
-            assert_eq!(s.ptrs_registered, THREADS * ROUNDS, "cached={cached}");
-            assert_eq!(s.ptrs_invalidated, THREADS * ROUNDS, "cached={cached}");
-            assert_eq!(hh.heap().magazine_blocks(), 0, "joined threads drained");
+            assert_eq!(s.objects_allocated, THREADS * ROUNDS * 2, "{arm}");
+            assert_eq!(s.objects_freed, THREADS * ROUNDS * 2, "{arm}");
+            assert_eq!(s.ptrs_registered, THREADS * ROUNDS, "{arm}");
+            // One registration per object, into a fresh lifetime: each
+            // object gets exactly one log.
+            assert_eq!(s.logs_created, THREADS * ROUNDS, "{arm}");
+            if cfg.deferred_sweep {
+                assert_eq!(s.frees_deferred, THREADS * ROUNDS * 2, "{arm}");
+                assert!(s.sweeps_backpressure > 0, "{arm}: {s:?}");
+                // A holder recycled before its object's sweep ran can
+                // turn the hit stale (the documented deferred timing).
+                assert_eq!(s.ptrs_invalidated + s.stale_ptrs, THREADS * ROUNDS, "{arm}");
+            } else {
+                assert_eq!(s.ptrs_invalidated, THREADS * ROUNDS, "{arm}");
+                // The drain above requeues into the main thread's
+                // magazine, so only the inline arms end with none cached.
+                assert_eq!(hh.heap().magazine_blocks(), 0, "joined threads drained");
+            }
         }
     }
 

@@ -78,7 +78,7 @@ pub use config::{Config, EMBEDDED_ENTRIES};
 pub use detector::{current_thread_id, DangSan};
 pub use hooked::{HookedHeap, HookedThread};
 pub use policy::{SitePolicy, Tier};
-pub use stats::{Hot, Stats, StatsSnapshot};
+pub use stats::{Counter, Stats, StatsSnapshot};
 
 // The flight recorder (`dangsan-trace`) re-exported at the top level:
 // `Config::trace_level` takes a `TraceLevel`, `DangSan::tracer` hands back

@@ -43,7 +43,7 @@ use dangsan_vmem::Addr;
 use crate::compress::{self, Fold};
 use crate::config::{Config, EMBEDDED_ENTRIES, HASH_INITIAL_SLOTS};
 use crate::pool::PoolItem;
-use crate::stats::{Hot, Stats};
+use crate::stats::{Counter, Stats};
 
 /// `b` payload of a [`EventCode::TierPromote`] event: a fresh indirect
 /// block replaced the embedded array (tier 1 → 2).
@@ -212,7 +212,7 @@ impl ThreadLog {
 
         // Lookback (§4.4): scan the most recent entries for this location.
         if cfg.lookback > 0 && self.lookback_contains(loc, cfg.lookback) {
-            stats.bump_hot(Hot::DupPtrs);
+            stats.bump(&[Counter::DupPtrs]);
             return Appended::Duplicate;
         }
 
@@ -221,12 +221,12 @@ impl ThreadLog {
             if let Some((slot, cur)) = self.last_slot() {
                 match compress::fold(cur, loc) {
                     Fold::Duplicate => {
-                        stats.bump_hot(Hot::DupPtrs);
+                        stats.bump(&[Counter::DupPtrs]);
                         return Appended::Duplicate;
                     }
                     Fold::Merged(v) => {
                         slot.store(v, Ordering::Release);
-                        stats.bump_hot(Hot::CompressedMerges);
+                        stats.bump(&[Counter::CompressedMerges]);
                         return Appended::Compressed;
                     }
                     Fold::Full => {}
@@ -251,7 +251,7 @@ impl ThreadLog {
             match table.insert(loc) {
                 Ok(true) => return Appended::Stored,
                 Ok(false) => {
-                    stats.bump_hot(Hot::DupPtrs);
+                    stats.bump(&[Counter::DupPtrs]);
                     return Appended::Duplicate;
                 }
                 Err(()) => {
@@ -364,7 +364,7 @@ impl ThreadLog {
         if ind_ptr.is_null() {
             let block = IndirectBlock::new(cfg.indirect_capacity as u32);
             extra_bytes.fetch_add(block.bytes(), Ordering::Relaxed);
-            Stats::bump(&stats.indirect_blocks);
+            stats.bump(&[Counter::IndirectBlocks]);
             trace.record(
                 TraceLevel::Full,
                 EventCode::TierPromote,
@@ -389,7 +389,7 @@ impl ThreadLog {
             if raw.is_null() {
                 let table = LogHashTable::new(HASH_INITIAL_SLOTS);
                 extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
-                Stats::bump(&stats.hashtables);
+                stats.bump(&[Counter::Hashtables]);
                 raw = Box::into_raw(table);
             }
             // SAFETY: hash tables live as long as the detector.
@@ -408,7 +408,7 @@ impl ThreadLog {
             // log the paper warns about).
             let block = IndirectBlock::new(ind.cap * 2);
             extra_bytes.fetch_add(block.bytes(), Ordering::Relaxed);
-            Stats::bump(&stats.indirect_blocks);
+            stats.bump(&[Counter::IndirectBlocks]);
             trace.record(
                 TraceLevel::Full,
                 EventCode::TierPromote,

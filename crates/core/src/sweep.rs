@@ -17,7 +17,7 @@
 
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use dangsan_vmem::Addr;
 
@@ -105,7 +105,8 @@ pub(crate) struct SweepBatch {
     pub locs: Vec<u64>,
     /// The object being swept.
     pub obj: FreedObject,
-    /// Locations drained before dedup (for the Hot::* shape counters).
+    /// Locations drained before dedup (for the `Counter::Free*` shape
+    /// counters).
     pub walked: u64,
     /// Parts not yet finished; the decrement to zero elects the retirer.
     pub remaining: AtomicUsize,
@@ -119,9 +120,27 @@ pub(crate) struct SweepBatch {
     pub pages: AtomicU64,
 }
 
+/// One work-queue shard: its jobs and the deepest the deque ever got,
+/// both behind the shard's mutex.
+#[derive(Default)]
+struct Shard {
+    jobs: VecDeque<SweepJob>,
+    /// Highest job depth this shard's deque ever reached (diagnostics:
+    /// surfaced through `StatsSnapshot::sweep_shard_peaks` so the scaling
+    /// bench can show how evenly frees spread across shards).
+    peak: u64,
+}
+
+impl Shard {
+    fn push(&mut self, job: SweepJob) {
+        self.jobs.push_back(job);
+        self.peak = self.peak.max(self.jobs.len() as u64);
+    }
+}
+
 /// The sharded deferred-sweep queue (see the module docs).
 pub(crate) struct SweepQueue {
-    shards: [Mutex<VecDeque<SweepJob>>; SWEEP_SHARDS],
+    shards: [Mutex<Shard>; SWEEP_SHARDS],
     /// Objects enqueued and not yet retired (in-flight included).
     pending: AtomicU64,
     /// Bytes quarantined by those objects.
@@ -139,10 +158,6 @@ pub(crate) struct SweepQueue {
     /// Workers currently asleep; enqueue skips the notify syscall when
     /// nobody is listening (the common case in a free-heavy loop).
     sleepers: AtomicU64,
-    /// Highest job depth each shard's deque ever reached (diagnostics:
-    /// surfaced through `StatsSnapshot::sweep_shard_peaks` so the
-    /// scaling bench can show how evenly frees spread across shards).
-    peaks: [AtomicU64; SWEEP_SHARDS],
     /// Hardened-tier reuse delay: swept blocks from Hardened-routed
     /// objects wait here (FIFO, bounded by `config::HARDENED_PIN_CAP`)
     /// before being handed back to the allocator. Pinned blocks are
@@ -155,7 +170,7 @@ pub(crate) struct SweepQueue {
 impl SweepQueue {
     pub(crate) fn new(max_bytes: u64, max_objects: u64) -> SweepQueue {
         SweepQueue {
-            shards: [const { Mutex::new(VecDeque::new()) }; SWEEP_SHARDS],
+            shards: Default::default(),
             pending: AtomicU64::new(0),
             pending_bytes: AtomicU64::new(0),
             stop: AtomicU64::new(0),
@@ -164,7 +179,6 @@ impl SweepQueue {
             sync: Mutex::new(()),
             cv: Condvar::new(),
             sleepers: AtomicU64::new(0),
-            peaks: [const { AtomicU64::new(0) }; SWEEP_SHARDS],
             pins: Mutex::new(VecDeque::new()),
         }
     }
@@ -174,19 +188,17 @@ impl SweepQueue {
         (dangsan_trace::current_thread_id() as usize) % SWEEP_SHARDS
     }
 
+    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
+        self.shards[i].lock().expect("not poisoned")
+    }
+
     /// Enqueues a fresh object sweep, charging `bytes` to the quarantine
     /// accounting (recorded in the job, released by its retire). Returns
     /// `(pending objects, pending bytes)` after the enqueue, for the
     /// trace event and the caller's backpressure check.
     pub(crate) fn push_object(&self, mut job: ObjectSweep, bytes: u64) -> (u64, u64) {
         job.obj.charge = Some(bytes);
-        let shard = Self::home_shard();
-        let depth = {
-            let mut q = self.shards[shard].lock().expect("not poisoned");
-            q.push_back(SweepJob::Object(job));
-            q.len() as u64
-        };
-        self.peaks[shard].fetch_max(depth, Ordering::Relaxed);
+        self.shard(Self::home_shard()).push(SweepJob::Object(job));
         let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
         let pending_bytes = self.pending_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
         self.wake();
@@ -197,24 +209,15 @@ impl SweepQueue {
     /// charge of their own — the object stays pending until its last
     /// part retires.
     pub(crate) fn push_part(&self, batch: std::sync::Arc<SweepBatch>, lo: usize, hi: usize) {
-        let shard = Self::home_shard();
-        let depth = {
-            let mut q = self.shards[shard].lock().expect("not poisoned");
-            q.push_back(SweepJob::Part(batch, lo, hi));
-            q.len() as u64
-        };
-        self.peaks[shard].fetch_max(depth, Ordering::Relaxed);
+        self.shard(Self::home_shard())
+            .push(SweepJob::Part(batch, lo, hi));
         self.wake();
     }
 
     /// Returns a popped job to the queue (a worker losing its detector
     /// reference mid-shutdown hands the job back for the final drain).
     pub(crate) fn push_back(&self, job: SweepJob) {
-        let shard = Self::home_shard();
-        self.shards[shard]
-            .lock()
-            .expect("not poisoned")
-            .push_back(job);
+        self.shard(Self::home_shard()).jobs.push_back(job);
         self.wake();
     }
 
@@ -254,14 +257,13 @@ impl SweepQueue {
             if left == 0 {
                 break;
             }
-            let shard = (home + probe) % SWEEP_SHARDS;
-            let mut shard = self.shards[shard].lock().expect("not poisoned");
-            let take = left.min(shard.len());
+            let jobs = &mut self.shard((home + probe) % SWEEP_SHARDS).jobs;
+            let take = left.min(jobs.len());
             if probe != 0 {
                 stolen += take as u64;
             }
-            let split = shard.len() - take;
-            out.extend(shard.drain(split..));
+            let split = jobs.len() - take;
+            out.extend(jobs.drain(split..));
         }
         stolen
     }
@@ -270,8 +272,7 @@ impl SweepQueue {
     /// other shards. The flag reports whether the job was stolen.
     pub(crate) fn pop(&self, home: usize) -> Option<(SweepJob, bool)> {
         for probe in 0..SWEEP_SHARDS {
-            let shard = (home + probe) % SWEEP_SHARDS;
-            let job = self.shards[shard].lock().expect("not poisoned").pop_front();
+            let job = self.shard((home + probe) % SWEEP_SHARDS).jobs.pop_front();
             if let Some(job) = job {
                 return Some((job, probe != 0));
             }
@@ -303,11 +304,7 @@ impl SweepQueue {
     /// telemetry gauge twin of the monotone [`SweepQueue::shard_peaks`]).
     /// One short lock per shard — cold, collection-path only.
     pub(crate) fn shard_depths(&self) -> [u64; SWEEP_SHARDS] {
-        let mut out = [0u64; SWEEP_SHARDS];
-        for (o, shard) in out.iter_mut().zip(self.shards.iter()) {
-            *o = shard.lock().expect("not poisoned").len() as u64;
-        }
-        out
+        core::array::from_fn(|i| self.shard(i).jobs.len() as u64)
     }
 
     /// Whether the quarantine exceeds either cap (freeing threads must
@@ -365,13 +362,10 @@ impl SweepQueue {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Highest depth each shard ever reached (see the `peaks` field).
+    /// Highest depth each shard ever reached (see [`Shard::peak`]).
+    /// One short lock per shard — cold, collection-path only.
     pub(crate) fn shard_peaks(&self) -> [u64; SWEEP_SHARDS] {
-        let mut out = [0u64; SWEEP_SHARDS];
-        for (o, p) in out.iter_mut().zip(self.peaks.iter()) {
-            *o = p.load(Ordering::Relaxed);
-        }
-        out
+        core::array::from_fn(|i| self.shard(i).peak)
     }
 
     /// Pins one swept Hardened block, delaying its return to the
@@ -395,9 +389,7 @@ impl SweepQueue {
     }
 
     fn is_empty(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.lock().expect("not poisoned").is_empty())
+        (0..SWEEP_SHARDS).all(|i| self.shard(i).jobs.is_empty())
     }
 }
 

@@ -213,11 +213,6 @@ impl Heap {
         &self.mem
     }
 
-    /// The page-to-span registry (used by tests and diagnostics).
-    pub fn registry(&self) -> &SpanRegistry {
-        &self.registry
-    }
-
     /// Bytes of simulated memory the heap has claimed (its resident set).
     pub fn resident_bytes(&self) -> u64 {
         self.heap_pages.load(Ordering::Relaxed) * PAGE_SIZE

@@ -30,7 +30,7 @@ mod span;
 
 pub use heap::{Heap, ReallocOutcome, CENTRAL_SHARDS};
 pub use size_classes::{class_for_size, classes, SizeClass, MAX_SMALL};
-pub use span::{SpanInfo, SpanRegistry};
+pub use span::SpanInfo;
 
 use dangsan_vmem::Addr;
 

@@ -7,7 +7,7 @@
 //! blocks per class, so per-thread hoarding is bounded.
 //!
 //! The lifecycle follows the same TLS-slab discipline as the detector's
-//! hot counters (`dangsan::stats`):
+//! counters (`dangsan::stats`):
 //!
 //! * a thread's magazines bind to **one heap at a time**, identified by a
 //!   never-reused id; touching a different heap drains the old binding

@@ -72,11 +72,6 @@ impl FunctionBuilder {
         self.current = b.0 as usize;
     }
 
-    /// The current insertion block.
-    pub fn current_block(&self) -> BlockId {
-        BlockId(self.current as u32)
-    }
-
     fn push(&mut self, inst: Inst) {
         self.blocks[self.current].insts.push(inst);
     }

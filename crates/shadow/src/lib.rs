@@ -34,7 +34,7 @@ use std::ptr;
 use std::sync::Arc;
 
 use dangsan_trace::{EventCode, Trace, TraceLevel, Tracer};
-use dangsan_vmem::{Addr, HEAP_BASE, HEAP_SIZE, PAGE_SHIFT, PAGE_SIZE};
+use dangsan_vmem::{Addr, HitCountdown, HEAP_BASE, HEAP_SIZE, PAGE_SHIFT, PAGE_SIZE};
 
 const FANOUT: usize = 1 << 12;
 const L1_COUNT: usize = (HEAP_SIZE >> PAGE_SHIFT) as usize / FANOUT;
@@ -71,30 +71,19 @@ impl P2oSlot {
 
 struct ThreadP2o {
     slots: [Cell<P2oSlot>; P2O_SLOTS],
-    /// Hit-batch *countdown*: hits remaining before the batch flushes.
-    /// Counting down instead of up lets the hit path be load / decrement /
-    /// branch-if-zero / store — no compare against a limit, and no
-    /// attribution check at all (that waits until flush time, which is
-    /// rare). Starts full.
-    hits_left: Cell<u64>,
-    /// Pre-shifted identity of the table the current batch is attributed
-    /// to. Read and written only on flush and miss, never on the hit path;
-    /// in the single-live-table steady state every process has, the
-    /// attribution is exact (see [`MetaPageTable::cache_stats`]).
-    batch_owner: Cell<u64>,
+    /// Hits not yet credited, keeping a shared `fetch_add` off the
+    /// instrumented-store fast path. Owned by the pre-shifted identity of
+    /// the last table that missed on this thread; in the single-live-table
+    /// steady state every process has, the attribution is exact (see
+    /// [`MetaPageTable::cache_stats`]).
+    hits: HitCountdown,
 }
-
-/// Hits are batched per thread and flushed to the owning table's counter
-/// after this many (and on every miss), keeping a shared `fetch_add` off
-/// the instrumented-store fast path.
-const HIT_FLUSH_EVERY: u64 = 64;
 
 thread_local! {
     static P2O: ThreadP2o = const {
         ThreadP2o {
             slots: [const { Cell::new(P2oSlot::EMPTY) }; P2O_SLOTS],
-            hits_left: Cell::new(HIT_FLUSH_EVERY),
-            batch_owner: Cell::new(0),
+            hits: HitCountdown::new(),
         }
     };
 }
@@ -389,7 +378,7 @@ impl MetaPageTable {
         P2O.with(|cache| {
             let slot = cache.slots[idx & (P2O_SLOTS - 1)].get();
             if slot.key == key {
-                self.note_cache_hit(cache);
+                cache.hits.hit(self.identity, &self.cache_hits);
                 Some(slot.entry)
             } else {
                 self.fill_slot(cache, idx, key)
@@ -401,10 +390,9 @@ impl MetaPageTable {
     /// of line so the hit path compiles to a handful of instructions.
     #[cold]
     fn fill_slot(&self, cache: &ThreadP2o, idx: usize, key: u64) -> Option<u64> {
-        self.flush_pending_hits(cache);
         // The batch that starts now is this table's (any foreign remnant
-        // was just dropped by the flush).
-        cache.batch_owner.set(self.identity);
+        // is dropped by the flush).
+        cache.hits.restart(self.identity, &self.cache_hits);
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         let entry = self.entry_walk(idx)?;
         // Unregistered pages (None) are never cached: registration
@@ -421,36 +409,6 @@ impl MetaPageTable {
         (entry != 0).then_some(entry)
     }
 
-    /// Records one cache hit: decrement the countdown, flush the batch
-    /// when it reaches zero. Attribution to a table happens only at flush
-    /// time — a batch whose owner is a *different* table (possible only
-    /// when lookups of two live tables interleave on one thread with no
-    /// miss in between) is dropped rather than flushed, so a counter is
-    /// never inflated by a table that may already be gone.
-    #[inline(always)]
-    fn note_cache_hit(&self, cache: &ThreadP2o) {
-        let left = cache.hits_left.get() - 1;
-        if left == 0 {
-            if cache.batch_owner.get() == self.identity {
-                self.cache_hits
-                    .fetch_add(HIT_FLUSH_EVERY, Ordering::Relaxed);
-            }
-            cache.hits_left.set(HIT_FLUSH_EVERY);
-        } else {
-            cache.hits_left.set(left);
-        }
-    }
-
-    fn flush_pending_hits(&self, cache: &ThreadP2o) {
-        let n = HIT_FLUSH_EVERY - cache.hits_left.get();
-        if n > 0 {
-            if cache.batch_owner.get() == self.identity {
-                self.cache_hits.fetch_add(n, Ordering::Relaxed);
-            }
-            cache.hits_left.set(HIT_FLUSH_EVERY);
-        }
-    }
-
     /// `ptr2obj`-cache hit/miss counters for this table.
     ///
     /// The calling thread's pending hit batch is flushed first, so
@@ -461,7 +419,7 @@ impl MetaPageTable {
     /// flush time, not per lookup) — a deliberate, bounded imprecision
     /// that keeps the hit path to four instructions of accounting.
     pub fn cache_stats(&self) -> P2oCacheStats {
-        P2O.with(|cache| self.flush_pending_hits(cache));
+        P2O.with(|cache| cache.hits.flush(self.identity, &self.cache_hits));
         P2oCacheStats {
             hits: self.cache_hits.load(Ordering::Relaxed),
             misses: self.cache_misses.load(Ordering::Relaxed),

@@ -4,7 +4,7 @@
 //! layer of the stack (vmem faults, shadow remaps, heap span carving,
 //! detector lifecycles) records compact 32-byte binary events into a ring
 //! owned by the recording thread, using the same single-writer-slab
-//! discipline as the hot counters in `dangsan::stats`: the owning thread
+//! discipline as the counters in `dangsan::stats`: the owning thread
 //! writes with plain load + store (never an RMW, never a lock), and any
 //! thread may read the rings through the tracer's registry.
 //!

@@ -22,11 +22,13 @@
 //! detector never contend on a lock.
 
 mod bump;
+mod hits;
 mod layout;
 pub mod rng;
 mod space;
 
 pub use bump::BumpSegment;
+pub use hits::HitCountdown;
 pub use layout::{
     canonical, is_canonical_user, page_of, tag_of, untag, with_tag, word_index, Addr, GLOBALS_BASE,
     GLOBALS_SIZE, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SHIFT, PAGE_SIZE, STACKS_BASE,

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use dangsan_trace::{EventCode, Trace, TraceLevel, Tracer};
 
+use crate::hits::HitCountdown;
 use crate::layout::{
     is_canonical_user, page_of, word_index, Addr, PAGE_SHIFT, PAGE_SIZE, WORDS_PER_PAGE,
 };
@@ -84,35 +85,18 @@ impl TlbSlot {
 /// batch of hit counts not yet flushed to the owning space's atomic
 /// counter (flushing every hit would put a contended `fetch_add` back on
 /// the path the TLB exists to shorten).
-///
-/// Hit accounting is a countdown, not a tally: the hit path only loads,
-/// decrements and stores `hits_left`, and every `HIT_FLUSH_EVERY`th hit
-/// takes a branch that credits the whole batch to `batch_owner`. Checking
-/// *which* space got each hit on every access (a compare plus a second
-/// cell store) measurably slowed the very path being counted; deferring
-/// the attribution to batch boundaries keeps the common case at one
-/// predictable branch.
 struct ThreadTlb {
     slots: [Cell<TlbSlot>; TLB_SLOTS],
-    /// Hits remaining before the current batch is flushed; starts (and
-    /// resets to) `HIT_FLUSH_EVERY`.
-    hits_left: Cell<u64>,
-    /// Stamp of the space the in-flight batch is credited to: the last
-    /// space that took a miss on this thread.
-    batch_owner: Cell<u64>,
+    /// Hits not yet credited, owned by the stamp of the last space that
+    /// took a miss on this thread.
+    hits: HitCountdown,
 }
-
-/// Pending hits are published to the space after this many accumulate (and
-/// on every miss), so counters lag true counts by a bounded, deterministic
-/// amount.
-const HIT_FLUSH_EVERY: u64 = 64;
 
 thread_local! {
     static TLB: ThreadTlb = const {
         ThreadTlb {
             slots: [const { Cell::new(TlbSlot::EMPTY) }; TLB_SLOTS],
-            hits_left: Cell::new(HIT_FLUSH_EVERY),
-            batch_owner: Cell::new(0),
+            hits: HitCountdown::new(),
         }
     };
 }
@@ -432,7 +416,7 @@ impl AddressSpace {
             let slot = tlb.slots[idx].get();
             let stamp = self.tlb_stamp.load(Ordering::Acquire);
             if slot.stamp == stamp && slot.page == page_no {
-                self.note_tlb_hit(tlb, stamp);
+                tlb.hits.hit(stamp, &self.tlb_hits);
                 // SAFETY: stamps are never reused, so a matching stamp
                 // proves this very space (alive through `&self`) filled
                 // the slot and no `unmap` intervened — the page is still
@@ -456,8 +440,7 @@ impl AddressSpace {
         idx: usize,
         stamp: u64,
     ) -> Option<&Page> {
-        self.flush_pending_hits(tlb);
-        tlb.batch_owner.set(stamp);
+        tlb.hits.restart(stamp, &self.tlb_hits);
         self.tlb_misses.fetch_add(1, Ordering::Relaxed);
         let page = self.lookup_page(addr)?;
         // Negative results are never cached: a later `map` must be
@@ -472,35 +455,6 @@ impl AddressSpace {
         Some(page)
     }
 
-    /// Records one TLB hit: decrement the countdown, and on every
-    /// `HIT_FLUSH_EVERY`th hit credit the whole batch — if this space
-    /// still owns it. A batch spanning accesses to several spaces (or an
-    /// `unmap` on this one) is dropped rather than split: the owner may
-    /// already be gone, and the loss is bounded by one batch per
-    /// interleaving.
-    #[inline(always)]
-    fn note_tlb_hit(&self, tlb: &ThreadTlb, stamp: u64) {
-        let left = tlb.hits_left.get() - 1;
-        if left == 0 {
-            if tlb.batch_owner.get() == stamp {
-                self.tlb_hits.fetch_add(HIT_FLUSH_EVERY, Ordering::Relaxed);
-            }
-            tlb.hits_left.set(HIT_FLUSH_EVERY);
-        } else {
-            tlb.hits_left.set(left);
-        }
-    }
-
-    fn flush_pending_hits(&self, tlb: &ThreadTlb) {
-        let n = HIT_FLUSH_EVERY - tlb.hits_left.get();
-        if n > 0 {
-            if tlb.batch_owner.get() == self.tlb_stamp.load(Ordering::Acquire) {
-                self.tlb_hits.fetch_add(n, Ordering::Relaxed);
-            }
-            tlb.hits_left.set(HIT_FLUSH_EVERY);
-        }
-    }
-
     /// Software-TLB hit/miss counters for this space.
     ///
     /// The calling thread's pending hit batch is flushed first, so after a
@@ -510,7 +464,8 @@ impl AddressSpace {
     /// credited entirely to the space that started it (the one that last
     /// missed on that thread).
     pub fn tlb_stats(&self) -> TlbStats {
-        TLB.with(|tlb| self.flush_pending_hits(tlb));
+        let stamp = self.tlb_stamp.load(Ordering::Acquire);
+        TLB.with(|tlb| tlb.hits.flush(stamp, &self.tlb_hits));
         TlbStats {
             hits: self.tlb_hits.load(Ordering::Relaxed),
             misses: self.tlb_misses.load(Ordering::Relaxed),
