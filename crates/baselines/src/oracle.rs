@@ -78,10 +78,9 @@ struct State {
     /// Lazy mode: freed objects whose invalidation walk is still owed,
     /// in free order.
     pending: Vec<(Addr, ObjRec)>,
-    /// Every `(base, end_at_free, max_end)` ever freed, for post-hoc
-    /// triage of traps in timing-nondeterministic arms and for the
-    /// tagging arms' extra-detection relation.
-    dead: Vec<(Addr, Addr, Addr)>,
+    /// Every `(base, max_end)` ever freed, for the tagging arms'
+    /// extra-detection relation ([`ShadowOracle::ever_dangling`]).
+    dead: Vec<(Addr, Addr)>,
 }
 
 /// The exact-tracking oracle detector. See the module docs.
@@ -107,13 +106,6 @@ impl ShadowOracle {
         })
     }
 
-    /// Every `(base, inclusive_end)` range freed so far, in free order,
-    /// with the end measured at free time.
-    pub fn dead_ranges(&self) -> Vec<(Addr, Addr)> {
-        let st = self.state.lock().expect("not poisoned");
-        st.dead.iter().map(|&(b, e, _)| (b, e)).collect()
-    }
-
     /// Whether `addr` was ever inside an object that has since been
     /// freed, measured by the object's *largest lifetime extent*
     /// (inclusive, same +1 guard-byte rule as the invalidation walk).
@@ -129,7 +121,7 @@ impl ShadowOracle {
     /// certifies that, address by address.
     pub fn ever_dangling(&self, addr: Addr) -> bool {
         let st = self.state.lock().expect("not poisoned");
-        st.dead.iter().any(|&(b, _, m)| addr >= b && addr <= m)
+        st.dead.iter().any(|&(b, m)| addr >= b && addr <= m)
     }
 
     /// The invalidation walk for one freed object: re-read every
@@ -192,7 +184,7 @@ impl Detector for ShadowOracle {
             }
             return InvalidationReport::default();
         };
-        st.dead.push((base, rec.end, rec.max_end));
+        st.dead.push((base, rec.max_end));
         self.stats.bump(&[Counter::ObjectsFreed]);
         match self.mode {
             OracleMode::Eager => {
@@ -353,7 +345,8 @@ mod tests {
         // Drain: masked, and the block circulates again.
         hh.detector().drain();
         assert_eq!(mem.read_word(holder.base).unwrap(), obj.base | INVALID_BIT);
-        assert_eq!(hh.detector().dead_ranges(), vec![(obj.base, obj.base + 48)]);
+        assert!(hh.detector().ever_dangling(obj.base + 48));
+        assert!(!hh.detector().ever_dangling(obj.base + 49));
         let mut reused = false;
         for _ in 0..64 {
             if hh.malloc(48).unwrap().base == obj.base {

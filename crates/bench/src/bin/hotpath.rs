@@ -447,7 +447,7 @@ fn bench_free_while_registering(rounds: u64, opt: bool) -> Measurement {
 /// inline at each free, on defers through the quarantine and drains
 /// every 64 rounds on the freeing thread (zero helpers: on a small
 /// machine a helper handoff only measures the scheduler, not the sweep;
-/// the CI matrix covers the helper-threaded configuration for
+/// the sweep tests cover the helper-threaded configuration for
 /// correctness). Ops are frees.
 fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
     const OBJS: u64 = 8;

@@ -73,7 +73,7 @@ fn thread_counts() -> Vec<usize> {
 /// count, because draining soon after the free walks log chains and
 /// shadow lines while they are still cache-hot — freshness is worth
 /// more than rarer backpressure trips. `SWEEP_THREADS` and
-/// `SITE_POLICY` override the sweep mode and routing for matrix runs.
+/// `SITE_POLICY` override the sweep mode and routing.
 fn detector_config(_workers: usize) -> Config {
     matrix_env_overrides(
         Config::default()

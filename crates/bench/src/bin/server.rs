@@ -32,7 +32,7 @@ use dangsan_workloads::{
     ServerResult,
 };
 
-/// The scaling bench's shipping configuration, with the CI matrix's
+/// The scaling bench's shipping configuration, with the
 /// `SWEEP_THREADS` / `SITE_POLICY` overrides applied as there.
 fn detector_config() -> Config {
     matrix_env_overrides(

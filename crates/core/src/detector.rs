@@ -1,6 +1,6 @@
 //! The DangSan detector: pointer tracker + pointer logger + invalidation.
 
-use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::{Arc, Mutex, Weak};
@@ -21,9 +21,7 @@ use crate::object::{fresh_epoch, ObjectMeta};
 use crate::policy::{SitePolicy, Tier};
 use crate::pool::Pool;
 use crate::stats::{Counter, Stats, StatsSnapshot};
-use crate::sweep::{
-    FreedObject, LogChain, MetaRef, ObjectSweep, SweepBatch, SweepJob, SweepQueue, SPLIT_PAGES,
-};
+use crate::sweep::{FreedObject, LogChain, MetaRef, ObjectSweep, SweepQueue};
 use dangsan_telemetry::{Collector, MetricsHub, Sampler};
 
 /// This thread's stable small integer id.
@@ -703,7 +701,7 @@ impl DangSan {
                     (Counter::SweepSteals, stolen),
                 ]);
                 for job in batch.drain(..) {
-                    self.run_sweep_job(job, SWEEP_MODE_BACKPRESSURE);
+                    self.run_object_sweep(job, SWEEP_MODE_BACKPRESSURE);
                 }
             }
         }
@@ -712,28 +710,10 @@ impl DangSan {
         InvalidationReport::default()
     }
 
-    /// Runs one popped sweep job to completion (`mode` tags the trace
-    /// span with how the job reached this thread).
-    fn run_sweep_job(&self, job: SweepJob, mode: u64) {
-        match job {
-            SweepJob::Object(sweep) => {
-                self.run_object_sweep(sweep, mode);
-            }
-            SweepJob::Part(batch, start, end) => self.run_part_sweep(&batch, start, end, mode),
-        }
-    }
-
     /// The sweep engine — the paper's `invalptrs` — for every free that
     /// has a log chain, inline or queued: drain the detached chain, sort
     /// and dedup it, invalidate page run by page run, and retire the
     /// object. Returns the retired outcome.
-    ///
-    /// With a sweep queue, a walk spanning more than [`SPLIT_PAGES`]
-    /// page runs is split into page-aligned parts instead, so one giant
-    /// object cannot stall a sweeper (idle helpers steal the parts and
-    /// share the walk); the report is then empty and the outcome lands
-    /// in the stats when the last part retires. An inline free has no
-    /// one to share the walk with and never splits.
     fn run_object_sweep(&self, sweep: ObjectSweep, mode: u64) -> InvalidationReport {
         let ObjectSweep { obj, logs } = sweep;
         // Drain every tier of every thread's log into this thread's
@@ -759,40 +739,6 @@ impl DangSan {
         // page's locations in one contiguous run for the walk.
         locs.sort_unstable();
         locs.dedup();
-        if let Some(queue) = &self.sweep {
-            if page_runs(&locs).nth(SPLIT_PAGES).is_some() {
-                // A new part starts every SPLIT_PAGES page runs.
-                let mut bounds = vec![0];
-                let mut at = 0;
-                for (i, run) in page_runs(&locs).enumerate() {
-                    if i > 0 && i % SPLIT_PAGES == 0 {
-                        bounds.push(at);
-                    }
-                    at += run.len();
-                }
-                bounds.push(at);
-                let parts = bounds.len() - 1;
-                let batch = Arc::new(SweepBatch {
-                    locs,
-                    obj,
-                    walked,
-                    remaining: AtomicUsize::new(parts),
-                    invalidated: AtomicU64::new(0),
-                    stale: AtomicU64::new(0),
-                    skipped: AtomicU64::new(0),
-                    pages: AtomicU64::new(0),
-                });
-                self.stats
-                    .add(&[(Counter::SweepSplits, (parts - 1) as u64)]);
-                for part in bounds[1..].windows(2) {
-                    queue.push_part(Arc::clone(&batch), part[0], part[1]);
-                }
-                // Run the first slice here; the last part to finish
-                // retires the object.
-                self.run_part_sweep(&batch, bounds[0], bounds[1], mode);
-                return InvalidationReport::default();
-            }
-        }
         let (report, pages) = self.walk(&locs, &obj, walked, mode);
         let unique = locs.len() as u64;
         locs.clear();
@@ -804,40 +750,6 @@ impl DangSan {
         };
         self.retire(&obj, shape, &report);
         report
-    }
-
-    /// Invalidates one page-aligned slice `[start, end)` of a split
-    /// sweep's sorted location buffer, folding the outcome into the
-    /// shared batch. The part that empties `remaining` retires the
-    /// object with the accumulated totals.
-    fn run_part_sweep(&self, batch: &SweepBatch, start: usize, end: usize, mode: u64) {
-        let (report, pages) = self.walk(
-            &batch.locs[start..end],
-            &batch.obj,
-            (end - start) as u64,
-            mode,
-        );
-        batch
-            .invalidated
-            .fetch_add(report.invalidated, Ordering::AcqRel);
-        batch.stale.fetch_add(report.stale, Ordering::AcqRel);
-        batch
-            .skipped
-            .fetch_add(report.skipped_unmapped, Ordering::AcqRel);
-        batch.pages.fetch_add(pages, Ordering::AcqRel);
-        if batch.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let report = InvalidationReport {
-                invalidated: batch.invalidated.load(Ordering::Acquire),
-                stale: batch.stale.load(Ordering::Acquire),
-                skipped_unmapped: batch.skipped.load(Ordering::Acquire),
-            };
-            let shape = SweepShape {
-                walked: batch.walked,
-                unique: batch.locs.len() as u64,
-                pages: batch.pages.load(Ordering::Acquire),
-            };
-            self.retire(&batch.obj, shape, &report);
-        }
     }
 
     /// Invalidates a sorted, deduped location slice against `obj`'s
@@ -977,14 +889,14 @@ impl DangSan {
         };
         loop {
             if let Some((job, _)) = queue.pop(SweepQueue::home_shard()) {
-                self.run_sweep_job(job, SWEEP_MODE_INLINE);
+                self.run_object_sweep(job, SWEEP_MODE_INLINE);
                 continue;
             }
             if queue.pending() == 0 {
                 break;
             }
             // Jobs are in flight on the helpers: wait for a retire (or
-            // for a split part to land back in the queue).
+            // for a job to land back in the queue).
             queue.wait_for_retire_or_work();
         }
         self.flush_pins(queue);
@@ -1047,7 +959,7 @@ fn sweep_worker(det: Weak<DangSan>, queue: Arc<SweepQueue>) {
                 } else {
                     SWEEP_MODE_DEFERRED
                 };
-                det.run_sweep_job(job, mode);
+                det.run_object_sweep(job, mode);
             }
             None => {
                 if queue.stopping() {

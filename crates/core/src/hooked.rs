@@ -507,28 +507,6 @@ mod tests {
         }
     }
 
-    /// Helper-thread count for the deferred arms of the sweep tests. The
-    /// CI matrix exports `SWEEP_THREADS` (0 and 2) so both drain-driven
-    /// and helper-driven sweeping get exercised; locally the default
-    /// matches the committed configuration.
-    fn matrix_sweep_threads() -> usize {
-        std::env::var("SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(2)
-    }
-
-    /// Site-policy arm for the counter-equivalence tests. The CI matrix
-    /// exports `SITE_POLICY` (0 and 1) so the bit-exactness claims get
-    /// checked with adaptive routing both off and on; locally the default
-    /// matches the committed (off) configuration.
-    fn matrix_site_policy(cfg: Config) -> Config {
-        match std::env::var("SITE_POLICY").ok().as_deref().map(str::trim) {
-            Some("1") | Some("on") => cfg.with_site_policy(true).with_thin_min_frees(4),
-            _ => cfg,
-        }
-    }
-
     fn setup_with(cfg: Config) -> HookedHeap<DangSan> {
         let mem = Arc::new(AddressSpace::new());
         let heap = Heap::new(Arc::clone(&mem));
@@ -567,20 +545,29 @@ mod tests {
         // The same program must produce identical Table 1 counters
         // whether the free walk runs inline, deferred on the freeing
         // thread (zero helpers), or on helper threads — the sweep moves
-        // work in time and across threads, never changes it.
-        let inline = run_sequence(matrix_site_policy(Config::default()));
-        let helped = run_sequence(matrix_site_policy(
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(matrix_sweep_threads()),
-        ));
-        let solo = run_sequence(matrix_site_policy(
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(0),
-        ));
-        assert_eq!(inline, helped, "helper-thread sweep diverged");
-        assert_eq!(inline, solo, "drain-driven sweep diverged");
+        // work in time and across threads, never changes it. Each arm
+        // runs with adaptive routing off and on.
+        for routed in [false, true] {
+            let route = |cfg: Config| {
+                if routed {
+                    cfg.with_site_policy(true).with_thin_min_frees(4)
+                } else {
+                    cfg
+                }
+            };
+            let inline = run_sequence(route(Config::default()));
+            for helpers in [0, 2] {
+                let deferred = run_sequence(route(
+                    Config::default()
+                        .with_deferred_sweep(true)
+                        .with_sweep_threads(helpers),
+                ));
+                assert_eq!(
+                    inline, deferred,
+                    "deferred sweep diverged: {helpers} helpers, routing {routed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -628,67 +615,62 @@ mod tests {
         // the final drain every last-stored pointer is masked.
         const THREADS: u64 = 4;
         const ROUNDS: u64 = 300;
-        let hh = setup_with(
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(matrix_sweep_threads())
-                .with_quarantine_caps(4 << 10, 16),
-        );
-        let slots = hh.malloc(8 * THREADS).unwrap();
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let hh = hh.clone();
-            let slot = slots.base + t * 8;
-            handles.push(std::thread::spawn(move || {
-                let mut th = hh.thread_handle();
-                let mut last = 0u64;
-                for round in 0..ROUNDS {
-                    let obj = th.malloc(16 + (round % 4) * 16).unwrap();
-                    th.store_ptr(slot, obj.base).unwrap();
-                    th.free(obj.base).unwrap();
-                    let seen = hh.mem().read_word(slot).unwrap();
-                    assert_eq!(
-                        seen & !INVALID_BIT,
-                        obj.base,
-                        "slot holds neither the raw nor the masked pointer"
-                    );
-                    last = obj.base;
-                }
-                last
-            }));
-        }
-        let lasts: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        hh.detector().drain();
-        for (t, last) in lasts.iter().enumerate() {
-            assert_eq!(
-                hh.mem().read_word(slots.base + t as u64 * 8).unwrap(),
-                last | INVALID_BIT,
-                "thread {t}: final pointer escaped invalidation"
+        for helpers in [0, 2] {
+            let hh = setup_with(
+                Config::default()
+                    .with_deferred_sweep(true)
+                    .with_sweep_threads(helpers)
+                    .with_quarantine_caps(4 << 10, 16),
+            );
+            let slots = hh.malloc(8 * THREADS).unwrap();
+            let mut handles = Vec::new();
+            for t in 0..THREADS {
+                let hh = hh.clone();
+                let slot = slots.base + t * 8;
+                handles.push(std::thread::spawn(move || {
+                    let mut th = hh.thread_handle();
+                    let mut last = 0u64;
+                    for round in 0..ROUNDS {
+                        let obj = th.malloc(16 + (round % 4) * 16).unwrap();
+                        th.store_ptr(slot, obj.base).unwrap();
+                        th.free(obj.base).unwrap();
+                        let seen = hh.mem().read_word(slot).unwrap();
+                        assert_eq!(
+                            seen & !INVALID_BIT,
+                            obj.base,
+                            "slot holds neither the raw nor the masked pointer"
+                        );
+                        last = obj.base;
+                    }
+                    last
+                }));
+            }
+            let lasts: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            hh.detector().drain();
+            for (t, last) in lasts.iter().enumerate() {
+                assert_eq!(
+                    hh.mem().read_word(slots.base + t as u64 * 8).unwrap(),
+                    last | INVALID_BIT,
+                    "thread {t}, {helpers} helpers: final pointer escaped invalidation"
+                );
+            }
+            let s = hh.detector().stats();
+            assert_eq!(s.frees_deferred, THREADS * ROUNDS, "{helpers} helpers");
+            assert!(
+                s.sweeps_backpressure > 0,
+                "16-object cap never tripped over {} frees with {helpers} helpers",
+                THREADS * ROUNDS
             );
         }
-        let s = hh.detector().stats();
-        assert_eq!(s.frees_deferred, THREADS * ROUNDS);
-        assert!(
-            s.sweeps_backpressure > 0,
-            "16-object cap never tripped over {} frees",
-            THREADS * ROUNDS
-        );
     }
 
     #[test]
-    fn giant_sweeps_split_page_wise_and_stay_exact() {
-        // Locations spread across more than SPLIT_PAGES vmem pages force
-        // the object's sweep to split into parts; the accumulated
-        // outcome must equal the inline walk's.
+    fn giant_deferred_sweeps_stay_exact() {
+        // One object with locations on 20 vmem pages: its deferred sweep,
+        // run by the draining thread or by a helper, must equal the
+        // inline walk.
         const PAGES: u64 = 20;
-        let run = |deferred: bool| {
-            let cfg = if deferred {
-                Config::default()
-                    .with_deferred_sweep(true)
-                    .with_sweep_threads(0)
-            } else {
-                Config::default()
-            };
+        let run = |cfg: Config| {
             let hh = setup_with(cfg);
             let holders = hh.malloc(PAGES * 4096).unwrap();
             let obj = hh.malloc(128).unwrap();
@@ -705,24 +687,27 @@ mod tests {
                     assert_eq!(
                         hh.load(holders.base + p * 4096 + s * 8).unwrap(),
                         (obj.base + s * 8) | INVALID_BIT,
-                        "deferred={deferred} p={p} s={s}"
+                        "{cfg:?} p={p} s={s}"
                     );
                 }
             }
             hh.detector().stats()
         };
-        let inline = run(false);
-        let deferred = run(true);
-        assert_eq!(inline.behavioural(), deferred.behavioural());
-        assert_eq!(inline.sweep_splits, 0);
-        assert!(
-            deferred.sweep_splits >= 1,
-            "a {PAGES}-page walk must split: {deferred:?}"
-        );
-        assert!(
-            deferred.free_pages_touched >= PAGES,
-            "one page run per holder page: {deferred:?}"
-        );
+        let inline = run(Config::default());
+        for helpers in [0, 2] {
+            let deferred = run(Config::default()
+                .with_deferred_sweep(true)
+                .with_sweep_threads(helpers));
+            assert_eq!(
+                inline.behavioural(),
+                deferred.behavioural(),
+                "{helpers} helpers"
+            );
+            assert!(
+                deferred.free_pages_touched >= PAGES,
+                "one page run per holder page: {deferred:?}"
+            );
+        }
     }
 
     /// A two-site mix for the routing tests: site `0xA1` churns

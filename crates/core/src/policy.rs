@@ -56,19 +56,6 @@ pub enum Tier {
     Hardened = 2,
 }
 
-impl Tier {
-    /// Decodes the `u64` stored in `ObjectMeta::tier`. Unknown values
-    /// decode as `Standard` — the safe direction.
-    #[inline]
-    pub fn from_u64(v: u64) -> Tier {
-        match v {
-            1 => Tier::Thin,
-            2 => Tier::Hardened,
-            _ => Tier::Standard,
-        }
-    }
-}
-
 /// One slot of evidence. All counters are monotonic and relaxed: the
 /// profile is a heuristic input to the router, never a safety input —
 /// see the module docs.
@@ -248,13 +235,5 @@ mod tests {
         assert_eq!(p.route(b), Tier::Thin, "collision shares the history...");
         p.note_free(b, 5);
         assert_eq!(p.route(a), Tier::Standard, "...and shares disqualifiers");
-    }
-
-    #[test]
-    fn tier_u64_roundtrip() {
-        for t in [Tier::Standard, Tier::Thin, Tier::Hardened] {
-            assert_eq!(Tier::from_u64(t as u64), t);
-        }
-        assert_eq!(Tier::from_u64(99), Tier::Standard, "unknown decodes safe");
     }
 }

@@ -73,8 +73,6 @@ pub enum Counter {
     SweepsBackpressure,
     /// Deferred sweeps a helper thread stole from a non-home shard.
     SweepSteals,
-    /// Page-wise sub-tasks spawned beyond the first for large sweeps.
-    SweepSplits,
     /// Allocations routed to the Thin tier by the site policy.
     RoutedThin,
     /// Allocations routed to the Hardened tier by the site policy.
@@ -273,8 +271,6 @@ pub struct StatsSnapshot {
     pub sweeps_backpressure: u64,
     /// See [`Counter::SweepSteals`].
     pub sweep_steals: u64,
-    /// See [`Counter::SweepSplits`].
-    pub sweep_splits: u64,
     /// See [`Counter::RoutedThin`].
     pub routed_thin: u64,
     /// See [`Counter::RoutedHardened`].
@@ -342,7 +338,6 @@ impl Stats {
             frees_deferred: n(Counter::FreesDeferred),
             sweeps_backpressure: n(Counter::SweepsBackpressure),
             sweep_steals: n(Counter::SweepSteals),
-            sweep_splits: n(Counter::SweepSplits),
             routed_thin: n(Counter::RoutedThin),
             routed_hardened: n(Counter::RoutedHardened),
             frees_thin: n(Counter::FreesThin),
@@ -452,13 +447,12 @@ impl StatsSnapshot {
         self.tlb_misses = 0;
         self.ptr2obj_cache_hits = 0;
         self.ptr2obj_cache_misses = 0;
-        // Sweep scheduling (deferred vs inline, steals, splits) is a
-        // placement choice, not behaviour: the invalidation outcome is
-        // identical whichever thread runs the sweep.
+        // Sweep scheduling (deferred vs inline, steals) is a placement
+        // choice, not behaviour: the invalidation outcome is identical
+        // whichever thread runs the sweep.
         self.frees_deferred = 0;
         self.sweeps_backpressure = 0;
         self.sweep_steals = 0;
-        self.sweep_splits = 0;
         // Routing is a work-placement choice too: Thin/Standard/Hardened
         // change *how* a free is executed, never which pointers get
         // invalidated. The differential property tests pin this by

@@ -1,21 +1,21 @@
 //! Deferred free sweep: a bounded quarantine behind a sharded work queue.
 //!
 //! With `Config::deferred_sweep` on, `on_free` retires the object's epoch,
-//! detaches its pointer logs, and enqueues a [`SweepJob`] here instead of
-//! walking the logs on the freeing thread. Helper threads (or the freeing
-//! thread itself, under backpressure or an explicit drain) pop jobs and run
-//! the invalidation walk; the freed block stays quarantined in the heap —
-//! on no free list — until its sweep retires, so its address range can
-//! never be recarved while stale pointers to it are still being masked.
+//! detaches its pointer logs, and enqueues an [`ObjectSweep`] here instead
+//! of walking the logs on the freeing thread. Helper threads (or the
+//! freeing thread itself, under backpressure or an explicit drain) pop
+//! jobs and run the invalidation walk; the freed block stays quarantined
+//! in the heap — on no free list — until its sweep retires, so its
+//! address range can never be recarved while stale pointers to it are
+//! still being masked.
 //!
 //! The queue copies `heap::magazine`'s central-list discipline: four
 //! shards, each a mutex around a deque, with a home shard per thread and
-//! steal-before-sleep probing of the other shards. `pending` counts
-//! *objects* (not queue entries: a large sweep split page-wise stays one
-//! pending object until its last part finishes), which is what both the
-//! backpressure caps and `drain` wait on.
+//! steal-before-sleep probing of the other shards. Each job is one whole
+//! object, and `pending` counts objects queued or in flight, which is what
+//! both the backpressure caps and `drain` wait on.
 
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -26,10 +26,6 @@ use crate::object::ObjectMeta;
 
 /// Work-queue shards, matching `heap::magazine`'s central-list sharding.
 pub(crate) const SWEEP_SHARDS: usize = 4;
-
-/// Page-run count above which an object's sweep is split into
-/// page-aligned sub-tasks so one giant object cannot stall a sweeper.
-pub(crate) const SPLIT_PAGES: usize = 8;
 
 /// The detached log chain of a freed object. The chain was removed from
 /// its `ObjectMeta` with a `swap`, so the holder is its sole owner; logs
@@ -53,10 +49,7 @@ pub(crate) struct MetaRef(pub *const ObjectMeta);
 
 // SAFETY: records are pool-owned type-stable memory; from detach to
 // retire the sweep holding this reference is the record's sole owner.
-// (`Sync` as well: a split sweep's parts share the reference through an
-// `Arc<SweepBatch>`, and `ObjectMeta` itself is all atomics.)
 unsafe impl Send for MetaRef {}
-unsafe impl Sync for MetaRef {}
 
 /// A freed object's identity and teardown handles, snapshotted at the
 /// free and carried to its retire.
@@ -87,44 +80,11 @@ pub(crate) struct ObjectSweep {
     pub logs: LogChain,
 }
 
-/// A queued unit of sweep work.
-pub(crate) enum SweepJob {
-    /// A whole object: drain + dedup its logs, then invalidate (splitting
-    /// into `Part`s when the walk spans many pages).
-    Object(ObjectSweep),
-    /// One page-aligned slice of a split sweep's sorted location buffer.
-    Part(std::sync::Arc<SweepBatch>, usize, usize),
-}
-
-/// Shared state of one split sweep: the sorted deduped locations plus
-/// aggregate outcome counters. The worker finishing the last part retires
-/// the object (requeues its block, records the trace event, bumps the
-/// per-free counters) with the accumulated totals.
-pub(crate) struct SweepBatch {
-    /// Sorted, deduped locations to invalidate.
-    pub locs: Vec<u64>,
-    /// The object being swept.
-    pub obj: FreedObject,
-    /// Locations drained before dedup (for the `Counter::Free*` shape
-    /// counters).
-    pub walked: u64,
-    /// Parts not yet finished; the decrement to zero elects the retirer.
-    pub remaining: AtomicUsize,
-    /// Aggregate outcome: locations rewritten.
-    pub invalidated: AtomicU64,
-    /// Aggregate outcome: locations stale (overwritten or lost CAS).
-    pub stale: AtomicU64,
-    /// Aggregate outcome: locations on unmapped pages.
-    pub skipped: AtomicU64,
-    /// Aggregate pages translated.
-    pub pages: AtomicU64,
-}
-
 /// One work-queue shard: its jobs and the deepest the deque ever got,
 /// both behind the shard's mutex.
 #[derive(Default)]
 struct Shard {
-    jobs: VecDeque<SweepJob>,
+    jobs: VecDeque<ObjectSweep>,
     /// Highest job depth this shard's deque ever reached (diagnostics:
     /// surfaced through `StatsSnapshot::sweep_shard_peaks` so the scaling
     /// bench can show how evenly frees spread across shards).
@@ -132,7 +92,7 @@ struct Shard {
 }
 
 impl Shard {
-    fn push(&mut self, job: SweepJob) {
+    fn push(&mut self, job: ObjectSweep) {
         self.jobs.push_back(job);
         self.peak = self.peak.max(self.jobs.len() as u64);
     }
@@ -198,25 +158,16 @@ impl SweepQueue {
     /// trace event and the caller's backpressure check.
     pub(crate) fn push_object(&self, mut job: ObjectSweep, bytes: u64) -> (u64, u64) {
         job.obj.charge = Some(bytes);
-        self.shard(Self::home_shard()).push(SweepJob::Object(job));
+        self.shard(Self::home_shard()).push(job);
         let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
         let pending_bytes = self.pending_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
         self.wake();
         (pending, pending_bytes)
     }
 
-    /// Enqueues one slice of a split sweep. Parts carry no quarantine
-    /// charge of their own — the object stays pending until its last
-    /// part retires.
-    pub(crate) fn push_part(&self, batch: std::sync::Arc<SweepBatch>, lo: usize, hi: usize) {
-        self.shard(Self::home_shard())
-            .push(SweepJob::Part(batch, lo, hi));
-        self.wake();
-    }
-
     /// Returns a popped job to the queue (a worker losing its detector
     /// reference mid-shutdown hands the job back for the final drain).
-    pub(crate) fn push_back(&self, job: SweepJob) {
+    pub(crate) fn push_back(&self, job: ObjectSweep) {
         self.shard(Self::home_shard()).jobs.push_back(job);
         self.wake();
     }
@@ -250,7 +201,7 @@ impl SweepQueue {
     /// lines the freeing thread just touched — while helpers and `drain`
     /// pop the front, keeping the oldest jobs age-bounded. Returns the
     /// number of jobs taken by stealing.
-    pub(crate) fn pop_batch(&self, home: usize, max: usize, out: &mut Vec<SweepJob>) -> u64 {
+    pub(crate) fn pop_batch(&self, home: usize, max: usize, out: &mut Vec<ObjectSweep>) -> u64 {
         let mut stolen = 0;
         for probe in 0..SWEEP_SHARDS {
             let left = max - out.len();
@@ -270,7 +221,7 @@ impl SweepQueue {
 
     /// Pops a job: the home shard first (FIFO), then steals from the
     /// other shards. The flag reports whether the job was stolen.
-    pub(crate) fn pop(&self, home: usize) -> Option<(SweepJob, bool)> {
+    pub(crate) fn pop(&self, home: usize) -> Option<(ObjectSweep, bool)> {
         for probe in 0..SWEEP_SHARDS {
             let job = self.shard((home + probe) % SWEEP_SHARDS).jobs.pop_front();
             if let Some(job) = job {
@@ -420,10 +371,7 @@ mod tests {
         let home = SweepQueue::home_shard();
         let (j, stolen) = q.pop(home).expect("job queued");
         assert!(!stolen, "home shard serves its own pushes first");
-        match j {
-            SweepJob::Object(o) => assert_eq!(o.obj.charge, Some(100)),
-            SweepJob::Part(..) => panic!("pushed an object"),
-        }
+        assert_eq!(j.obj.charge, Some(100));
         // Popping does not retire: the object is in flight, still pending.
         assert_eq!(q.pending(), 2);
         q.retire_object(100);

@@ -413,19 +413,7 @@ impl Heap {
     /// detector invalidate pointers, so invalidation always happens while
     /// the object still owns its memory.
     pub fn resolve_free(&self, addr: Addr) -> Result<FreeInfo, AllocError> {
-        if addr & INVALID_BIT != 0 {
-            return Err(AllocError::InvalidPointer(addr));
-        }
-        let span = self
-            .registry
-            .lookup(addr)
-            .ok_or(AllocError::NotAnObject(addr))?;
-        let idx = span
-            .object_index(addr)
-            .ok_or(AllocError::NotAnObject(addr))?;
-        if span.object_base(idx) != addr {
-            return Err(AllocError::NotAnObject(addr));
-        }
+        let (span, idx) = self.object_slot(addr)?;
         if !span.is_allocated(idx) {
             return Err(AllocError::DoubleFree(addr));
         }
@@ -435,9 +423,11 @@ impl Heap {
         })
     }
 
-    /// Shared free logic: validates, clears the liveness bit, and returns
-    /// the span so the caller can decide where the object goes.
-    pub(crate) fn release(&self, addr: Addr) -> Result<(&SpanInfo, FreeInfo), AllocError> {
+    /// The span and slot index of the object whose base is `addr`: the
+    /// lookup every free and realloc starts with. A masked pointer is an
+    /// `InvalidPointer`; an address that is not an object base is
+    /// `NotAnObject`. Whether the slot is live is the caller's check.
+    fn object_slot(&self, addr: Addr) -> Result<(&SpanInfo, u64), AllocError> {
         if addr & INVALID_BIT != 0 {
             return Err(AllocError::InvalidPointer(addr));
         }
@@ -451,6 +441,13 @@ impl Heap {
         if span.object_base(idx) != addr {
             return Err(AllocError::NotAnObject(addr));
         }
+        Ok((span, idx))
+    }
+
+    /// Shared free logic: validates, clears the liveness bit, and returns
+    /// the span so the caller can decide where the object goes.
+    fn release(&self, addr: Addr) -> Result<(&SpanInfo, FreeInfo), AllocError> {
+        let (span, idx) = self.object_slot(addr)?;
         if !span.mark_free(idx) {
             return Err(AllocError::DoubleFree(addr));
         }
@@ -464,7 +461,7 @@ impl Heap {
     }
 
     /// Returns a (released) large span to the reuse pool.
-    pub(crate) fn pool_large(&self, span: &SpanInfo) {
+    fn pool_large(&self, span: &SpanInfo) {
         self.large_pool
             .lock()
             .expect("not poisoned")
@@ -473,25 +470,36 @@ impl Heap {
             .push(span.start);
     }
 
+    /// Puts the released block at `addr` back into circulation: a large
+    /// span into the reuse pool, a small block into the calling thread's
+    /// magazine when thread caching is on, otherwise (or when the
+    /// magazine is full) straight to the home central-list shard.
+    /// Inlined into both callers: `free` and a retiring sweep's
+    /// single-block requeue are each on a hot path.
+    #[inline(always)]
+    fn put_back(&self, span: &SpanInfo, addr: Addr) {
+        if span.large {
+            self.pool_large(span);
+            return;
+        }
+        let class_id = class_for_size(span.stride)
+            .expect("span stride is a class size")
+            .id;
+        if !(self.thread_cached() && magazine::free(self, class_id, addr)) {
+            let shard = magazine::shard_index();
+            self.central[class_id as usize][shard]
+                .lock()
+                .expect("not poisoned")
+                .push(addr);
+        }
+    }
+
     /// Frees the object at `addr`: into the calling thread's magazine
     /// when thread caching is on, otherwise straight to the home
     /// central-list shard.
     pub fn free(&self, addr: Addr) -> Result<FreeInfo, AllocError> {
         let (span, info) = self.release(addr)?;
-        if span.large {
-            self.pool_large(span);
-        } else {
-            let class_id = class_for_size(span.stride)
-                .expect("span stride is a class size")
-                .id;
-            if !(self.thread_cached() && magazine::free(self, class_id, addr)) {
-                let shard = magazine::shard_index();
-                self.central[class_id as usize][shard]
-                    .lock()
-                    .expect("not poisoned")
-                    .push(addr);
-            }
-        }
+        self.put_back(span, addr);
         Ok(info)
     }
 
@@ -517,27 +525,13 @@ impl Heap {
     pub fn requeue_batch(&self, addrs: &[Addr]) {
         // The common caller is a retiring sweep requeuing one block; that
         // path must not allocate (it sits on the drain's critical path),
-        // so singles go straight to the calling thread's magazine — or
-        // the central shard when the magazine is off or full.
+        // so singles go back the way a plain free's block does.
         if let [addr] = *addrs {
             let span = self
                 .registry
                 .lookup(addr)
                 .expect("quarantined block's span is registered");
-            if span.large {
-                self.pool_large(span);
-                return;
-            }
-            let class_id = class_for_size(span.stride)
-                .expect("span stride is a class size")
-                .id;
-            if !(self.thread_cached() && magazine::free(self, class_id, addr)) {
-                let shard = magazine::shard_index();
-                self.central[class_id as usize][shard]
-                    .lock()
-                    .expect("not poisoned")
-                    .push(addr);
-            }
+            self.put_back(span, addr);
             return;
         }
         let shard = magazine::shard_index();
@@ -572,17 +566,10 @@ impl Heap {
     /// allocates, copies, and frees, returning both halves so a heap
     /// tracker can invalidate pointers to the old object.
     pub fn realloc(&self, addr: Addr, new_size: u64) -> Result<ReallocOutcome, AllocError> {
-        if addr & INVALID_BIT != 0 {
-            return Err(AllocError::InvalidPointer(addr));
-        }
-        let span = self
-            .registry
-            .lookup(addr)
-            .ok_or(AllocError::NotAnObject(addr))?;
-        let idx = span
-            .object_index(addr)
-            .ok_or(AllocError::NotAnObject(addr))?;
-        if span.object_base(idx) != addr || !span.is_allocated(idx) {
+        let (span, idx) = self.object_slot(addr)?;
+        // Unlike a free, a realloc of a freed block is not a double free:
+        // the block is simply not an object any more.
+        if !span.is_allocated(idx) {
             return Err(AllocError::NotAnObject(addr));
         }
         let internal = new_size.checked_add(1).ok_or(AllocError::BadSize)?;
@@ -758,6 +745,34 @@ mod tests {
         assert_eq!(
             heap.free(a.base + 8),
             Err(AllocError::NotAnObject(a.base + 8))
+        );
+    }
+
+    #[test]
+    fn free_and_realloc_share_the_lookup_but_not_the_freed_verdict() {
+        // Masked and interior addresses fail the shared lookup the same
+        // way everywhere; a freed block is a double free to the free
+        // paths but names no object to realloc.
+        let (_, heap) = setup();
+        let a = heap.malloc(64).unwrap();
+        let masked = a.base | INVALID_BIT;
+        let interior = a.base + 8;
+        for (addr, err) in [
+            (masked, AllocError::InvalidPointer(masked)),
+            (interior, AllocError::NotAnObject(interior)),
+        ] {
+            assert_eq!(heap.resolve_free(addr), Err(err));
+            assert_eq!(heap.quarantine(addr), Err(err));
+            assert_eq!(heap.realloc(addr, 8).unwrap_err(), err);
+        }
+        heap.free(a.base).unwrap();
+        let freed = AllocError::DoubleFree(a.base);
+        assert_eq!(heap.resolve_free(a.base), Err(freed));
+        assert_eq!(heap.quarantine(a.base), Err(freed));
+        assert_eq!(heap.free(a.base), Err(freed));
+        assert_eq!(
+            heap.realloc(a.base, 8).unwrap_err(),
+            AllocError::NotAnObject(a.base)
         );
     }
 

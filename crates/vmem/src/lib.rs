@@ -34,7 +34,7 @@ pub use layout::{
     GLOBALS_SIZE, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SHIFT, PAGE_SIZE, STACKS_BASE,
     STACKS_SIZE, TAG_BITS, TAG_MASK, TAG_SHIFT, WORDS_PER_PAGE,
 };
-pub use space::{AddressSpace, CasOutcome, PageRef, TlbStats};
+pub use space::{AddressSpace, PageRef, TlbStats};
 
 /// The kind of memory fault produced by an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -166,20 +166,8 @@ impl<C> Node<C> {
     }
 }
 
-/// Outcome of a compare-and-swap on a simulated memory word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CasOutcome {
-    /// The swap happened; the word now holds the new value.
-    Stored,
-    /// The word did not contain the expected value; it holds `actual`.
-    Conflict {
-        /// The value actually observed in the word.
-        actual: u64,
-    },
-}
-
 /// A page translated once, for batched word operations — the bulk
-/// counterpart of [`AddressSpace::read_word`]/[`AddressSpace::cas_word`],
+/// counterpart of [`AddressSpace::read_word`]/[`AddressSpace::write_word`],
 /// obtained from [`AddressSpace::with_page`].
 ///
 /// Every access through a `PageRef` skips the page-directory walk (and the
@@ -223,19 +211,6 @@ impl PageRef<'_> {
     #[inline]
     pub fn write_word(&self, addr: Addr, value: u64) {
         self.word(addr).store(value, Ordering::Release);
-    }
-
-    /// Compare-and-swap on the word at `addr` — the same primitive as
-    /// [`AddressSpace::cas_word`], minus the per-call translation.
-    #[inline]
-    pub fn cas_word(&self, addr: Addr, expected: u64, new: u64) -> CasOutcome {
-        match self
-            .word(addr)
-            .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => CasOutcome::Stored,
-            Err(actual) => CasOutcome::Conflict { actual },
-        }
     }
 
     /// Invalidates a run of `count` adjacent word slots starting at
@@ -591,55 +566,15 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Compare-and-swap on the word at `addr`.
-    ///
-    /// This is the primitive `invalptrs` uses so that invalidating an old
-    /// pointer can never clobber a new pointer written concurrently by
-    /// another thread (paper §4.4).
-    pub fn cas_word(&self, addr: Addr, expected: u64, new: u64) -> Result<CasOutcome, MemFault> {
-        match self
-            .word(addr)?
-            .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => Ok(CasOutcome::Stored),
-            Err(actual) => Ok(CasOutcome::Conflict { actual }),
-        }
-    }
-
-    /// Reads a single byte.
-    pub fn read_u8(&self, addr: Addr) -> Result<u8, MemFault> {
-        let word_addr = addr & !7;
-        let w = self.word(word_addr)?.load(Ordering::Acquire);
-        Ok((w >> ((addr & 7) * 8)) as u8)
-    }
-
-    /// Writes a single byte (CAS loop on the containing word, so concurrent
-    /// writers to other bytes of the same word are preserved).
-    pub fn write_u8(&self, addr: Addr, value: u8) -> Result<(), MemFault> {
-        let word_addr = addr & !7;
-        let shift = (addr & 7) * 8;
-        let word = self.word(word_addr)?;
-        let mut cur = word.load(Ordering::Acquire);
-        loop {
-            let next = (cur & !(0xffu64 << shift)) | ((value as u64) << shift);
-            match word.compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return Ok(()),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     /// Translates the page containing `addr` once and returns a
     /// [`PageRef`] for batched word operations on it, or the fault that a
     /// word access at `addr` would raise ([`FaultKind::NonCanonical`] or
     /// [`FaultKind::Unmapped`] — alignment is per word, checked by the
     /// `PageRef` accessors).
     ///
-    /// The translation deliberately bypasses the software TLB in both
-    /// directions: batched callers amortise one radix walk over a whole
-    /// page of words, so a per-batch TLB probe would add nothing, and
-    /// keeping it out of the counters means TLB hit rates keep describing
-    /// the per-word paths in every cache configuration.
+    /// The translation goes through the software TLB like any word
+    /// access (and counts in its hit rates), once per call: batched
+    /// callers amortise it over every word they touch on the page.
     #[inline]
     pub fn with_page(&self, addr: Addr) -> Result<PageRef<'_>, MemFault> {
         if !is_canonical_user(addr) {
@@ -652,26 +587,6 @@ impl AddressSpace {
             }),
             None => Err(self.fault(FaultKind::Unmapped, addr)),
         }
-    }
-
-    /// Bulk compare-and-swap: applies every `(addr, expected, new)` op in
-    /// order, resolving the shared page once. All ops must lie on the page
-    /// containing the first op's address. Returns how many ops `Stored`
-    /// and how many hit a `Conflict`; faults if the page does not
-    /// translate (no op is applied in that case).
-    pub fn cas_words_on_page(&self, ops: &[(Addr, u64, u64)]) -> Result<(u64, u64), MemFault> {
-        let Some(&(first, _, _)) = ops.first() else {
-            return Ok((0, 0));
-        };
-        let page = self.with_page(first)?;
-        let (mut stored, mut conflicts) = (0, 0);
-        for &(addr, expected, new) in ops {
-            match page.cas_word(addr, expected, new) {
-                CasOutcome::Stored => stored += 1,
-                CasOutcome::Conflict { .. } => conflicts += 1,
-            }
-        }
-        Ok((stored, conflicts))
     }
 
     /// Copies `len` bytes from `src` to `dst` word-wise, used by the
@@ -728,25 +643,6 @@ impl AddressSpace {
                 page.write_word(a + w * 8, 0);
             }
             i += span;
-        }
-        Ok(())
-    }
-
-    /// Reads `buf.len()` bytes starting at `addr` (no alignment required).
-    ///
-    /// Byte reads are individually atomic; the span as a whole is not,
-    /// matching ordinary memory semantics.
-    pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) -> Result<(), MemFault> {
-        for (i, b) in buf.iter_mut().enumerate() {
-            *b = self.read_u8(addr + i as u64)?;
-        }
-        Ok(())
-    }
-
-    /// Writes `buf` starting at `addr` (no alignment required).
-    pub fn write_bytes(&self, addr: Addr, buf: &[u8]) -> Result<(), MemFault> {
-        for (i, b) in buf.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b)?;
         }
         Ok(())
     }
@@ -873,48 +769,6 @@ mod tests {
             mem.unmap(HEAP_BASE, PAGE_SIZE),
             Err(MapError::NotMapped(HEAP_BASE))
         );
-    }
-
-    #[test]
-    fn cas_semantics() {
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        mem.write_word(HEAP_BASE, 5).unwrap();
-        assert_eq!(mem.cas_word(HEAP_BASE, 5, 9).unwrap(), CasOutcome::Stored);
-        assert_eq!(
-            mem.cas_word(HEAP_BASE, 5, 11).unwrap(),
-            CasOutcome::Conflict { actual: 9 }
-        );
-        assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 9);
-    }
-
-    #[test]
-    fn byte_accesses() {
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        mem.write_word(HEAP_BASE, 0x1122_3344_5566_7788).unwrap();
-        assert_eq!(mem.read_u8(HEAP_BASE).unwrap(), 0x88);
-        assert_eq!(mem.read_u8(HEAP_BASE + 7).unwrap(), 0x11);
-        mem.write_u8(HEAP_BASE + 7, 0xAB).unwrap();
-        assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 0xAB22_3344_5566_7788);
-    }
-
-    #[test]
-    fn byte_slice_roundtrip_unaligned() {
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, 2 * PAGE_SIZE).unwrap();
-        let msg = b"use-after-free detection";
-        // Unaligned start, crossing a word boundary.
-        mem.write_bytes(HEAP_BASE + 5, msg).unwrap();
-        let mut back = vec![0u8; msg.len()];
-        mem.read_bytes(HEAP_BASE + 5, &mut back).unwrap();
-        assert_eq!(&back, msg);
-        // Crossing a page boundary too.
-        mem.write_bytes(HEAP_BASE + PAGE_SIZE - 3, msg).unwrap();
-        let mut back = vec![0u8; msg.len()];
-        mem.read_bytes(HEAP_BASE + PAGE_SIZE - 3, &mut back)
-            .unwrap();
-        assert_eq!(&back, msg);
     }
 
     #[test]
@@ -1082,37 +936,10 @@ mod tests {
         p.write_word(HEAP_BASE + 24, 77);
         assert_eq!(p.read_word(HEAP_BASE + 24), 77);
         assert_eq!(mem.read_word(HEAP_BASE + 24).unwrap(), 77);
-        assert_eq!(p.cas_word(HEAP_BASE + 24, 77, 78), CasOutcome::Stored);
-        assert_eq!(
-            p.cas_word(HEAP_BASE + 24, 77, 79),
-            CasOutcome::Conflict { actual: 78 }
-        );
         // Writes through the per-word API are visible through the ref and
         // vice versa — it is the same page.
         mem.write_word(HEAP_BASE + 24, 80).unwrap();
         assert_eq!(p.read_word(HEAP_BASE + 24), 80);
-    }
-
-    #[test]
-    fn cas_words_on_page_counts_outcomes() {
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        for i in 0..4u64 {
-            mem.write_word(HEAP_BASE + i * 8, i).unwrap();
-        }
-        let ops: Vec<(Addr, u64, u64)> = (0..4u64)
-            .map(|i| (HEAP_BASE + i * 8, if i == 2 { 99 } else { i }, i + 100))
-            .collect();
-        assert_eq!(mem.cas_words_on_page(&ops).unwrap(), (3, 1));
-        assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 100);
-        assert_eq!(mem.read_word(HEAP_BASE + 16).unwrap(), 2); // conflict kept
-        assert_eq!(mem.cas_words_on_page(&[]).unwrap(), (0, 0));
-        assert_eq!(
-            mem.cas_words_on_page(&[(HEAP_BASE + PAGE_SIZE, 0, 1)])
-                .unwrap_err()
-                .kind,
-            FaultKind::Unmapped
-        );
     }
 
     #[test]
@@ -1180,30 +1007,5 @@ mod tests {
             mem.zero(HEAP_BASE + 1, 8).unwrap_err().kind,
             FaultKind::Unaligned
         );
-    }
-
-    #[test]
-    fn concurrent_cas_counter() {
-        use std::sync::Arc;
-        let mem = Arc::new(AddressSpace::new());
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let mem = Arc::clone(&mem);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    loop {
-                        let cur = mem.read_word(HEAP_BASE).unwrap();
-                        if let CasOutcome::Stored = mem.cas_word(HEAP_BASE, cur, cur + 1).unwrap() {
-                            break;
-                        }
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 4000);
     }
 }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dangsan_vmem::rng::SmallRng;
-use dangsan_vmem::{AddressSpace, CasOutcome, FaultKind, HEAP_BASE, PAGE_SIZE};
+use dangsan_vmem::{AddressSpace, FaultKind, HEAP_BASE, PAGE_SIZE};
 
 #[cfg(not(feature = "heavy-tests"))]
 const CASES: u64 = 48;
@@ -34,59 +34,6 @@ fn writes_match_reference_model() {
         }
         for (addr, val) in model {
             assert_eq!(mem.read_word(addr).unwrap(), val);
-        }
-    }
-}
-
-/// Byte writes never disturb neighbouring bytes.
-#[test]
-fn byte_writes_are_isolated() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xB17E + case);
-        let base_word = rng.next_u64();
-        let idx = rng.gen_range(0u64..8);
-        let b = rng.next_u64() as u8;
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        mem.write_word(HEAP_BASE, base_word).unwrap();
-        mem.write_u8(HEAP_BASE + idx, b).unwrap();
-        for i in 0..8u64 {
-            let expect = if i == idx {
-                b
-            } else {
-                (base_word >> (i * 8)) as u8
-            };
-            assert_eq!(mem.read_u8(HEAP_BASE + i).unwrap(), expect);
-        }
-    }
-}
-
-/// CAS either stores exactly the new value or reports the actual one.
-#[test]
-fn cas_is_consistent() {
-    for case in 0..CASES {
-        let mut rng = SmallRng::seed_from_u64(0xCA5 + case);
-        let initial = rng.next_u64();
-        // Half the cases use a matching expectation so both arms are hit.
-        let expected = if rng.gen_bool(0.5) {
-            initial
-        } else {
-            rng.next_u64()
-        };
-        let new = rng.next_u64();
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        mem.write_word(HEAP_BASE, initial).unwrap();
-        match mem.cas_word(HEAP_BASE, expected, new).unwrap() {
-            CasOutcome::Stored => {
-                assert_eq!(initial, expected);
-                assert_eq!(mem.read_word(HEAP_BASE).unwrap(), new);
-            }
-            CasOutcome::Conflict { actual } => {
-                assert_ne!(initial, expected);
-                assert_eq!(actual, initial);
-                assert_eq!(mem.read_word(HEAP_BASE).unwrap(), initial);
-            }
         }
     }
 }

@@ -74,19 +74,6 @@ pub fn calibrate() -> CostModel {
     }
 }
 
-impl CostModel {
-    /// Computes the spin units per store that make a DangSan run land on
-    /// `target_overhead` (e.g. `1.41`).
-    ///
-    /// From `o = 1 + extra / (base + k·spin)`:
-    /// `k = (extra / (o − 1) − base) / spin`.
-    pub fn compute_units_for(&self, target_overhead: f64) -> u32 {
-        let o = target_overhead.max(1.005);
-        let k = (self.dangsan_extra_ns / (o - 1.0) - self.baseline_store_ns) / self.spin_ns;
-        k.clamp(0.0, 2_000_000.0) as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,21 +92,5 @@ mod tests {
         assert!(cm.spin_ns > 0.0);
         assert!(cm.baseline_store_ns > 0.0);
         assert!(cm.dangsan_extra_ns > 0.0);
-    }
-
-    #[test]
-    fn compute_units_is_monotone_in_target() {
-        let cm = CostModel {
-            spin_ns: 1.0,
-            baseline_store_ns: 20.0,
-            dangsan_extra_ns: 40.0,
-        };
-        let low = cm.compute_units_for(1.05);
-        let high = cm.compute_units_for(2.0);
-        assert!(low > high, "cheaper target needs more padding compute");
-        // o=2 → k = (40/1 - 20)/1 = 20.
-        assert_eq!(high, 20);
-        // o=1.05 → k = (800 - 20) = 780 (± floating-point truncation).
-        assert!((779..=780).contains(&low), "low = {low}");
     }
 }

@@ -39,11 +39,6 @@ impl DetectorKind {
         }
     }
 
-    /// Whether the detector supports multithreaded workloads.
-    pub fn thread_safe(&self) -> bool {
-        !matches!(self, DetectorKind::FreeSentry)
-    }
-
     /// The detector `Config` this kind carries, if any. Kinds without one
     /// (baseline, comparators) run on the default allocator settings.
     fn config(&self) -> Option<&Config> {
@@ -61,7 +56,7 @@ impl DetectorKind {
     }
 }
 
-/// Environment-variable overrides for the CI matrix axes:
+/// Environment-variable overrides for the sweep and routing axes:
 /// `SWEEP_THREADS=0` forces the synchronous free path, `SWEEP_THREADS=N`
 /// (N > 0) turns the deferred sweep on with N helper threads, and
 /// `SITE_POLICY=on|1` enables adaptive routing (`off|0` forces it off).
@@ -189,12 +184,10 @@ mod tests {
             implicit,
             pamac,
         ] {
-            assert!(kind.thread_safe());
             let hh = shared_env(kind);
             let a = hh.malloc(32).unwrap();
             hh.free(a.base).unwrap();
         }
-        assert!(!DetectorKind::FreeSentry.thread_safe());
     }
 
     #[test]
@@ -215,7 +208,7 @@ mod tests {
     fn matrix_env_overrides_follow_the_matrix_variables() {
         // Single test covering all cases so the env-var mutation never
         // races another assertion in this binary. The caller's values
-        // (a CI matrix cell's) are restored at the end.
+        // are restored at the end.
         const VARS: [&str; 2] = ["SWEEP_THREADS", "SITE_POLICY"];
         let saved: Vec<_> = VARS.iter().map(std::env::var_os).collect();
         unset(&VARS);

@@ -6,10 +6,12 @@
 use std::sync::Arc;
 
 use dangsan_suite::dangsan::{
-    current_thread_id, forensics, set_alloc_site, Config, DangSan, Detector, EventCode, TraceLevel,
+    current_thread_id, forensics, set_alloc_site, Config, DangSan, Detector, EventCode, HookedHeap,
+    TraceLevel,
 };
 use dangsan_suite::heap::Heap;
-use dangsan_suite::vmem::{AddressSpace, FaultKind, INVALID_BIT};
+use dangsan_suite::trace::{unpack_pages, unpack_walked};
+use dangsan_suite::vmem::{AddressSpace, FaultKind, INVALID_BIT, PAGE_SIZE};
 
 fn traced_env(level: TraceLevel) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
     let mem = Arc::new(AddressSpace::new());
@@ -107,6 +109,71 @@ fn uaf_trap_is_attributed_to_the_right_free() {
     let text = uaf.to_string();
     assert!(text.contains(&format!("id {}", uaf.object_id)), "{text}");
     assert!(text.contains("3 location(s)"), "{text}");
+}
+
+/// One free, one sweep: a deferred free of an object logged from 20
+/// holder pages records a single `FreeSweep` span covering the whole
+/// walk, so the free-size histogram, the span and a trap's report all
+/// describe the same sweep.
+#[test]
+fn deferred_free_of_a_wide_object_records_one_sweep_span() {
+    const PAGES: u64 = 20;
+    const PER_PAGE: u64 = 3;
+    let mem = Arc::new(AddressSpace::new());
+    let heap = Heap::new(Arc::clone(&mem));
+    let det = DangSan::new(
+        Arc::clone(&mem),
+        Config::default()
+            .with_trace_level(TraceLevel::Full)
+            .with_deferred_sweep(true)
+            .with_sweep_threads(0),
+    );
+    let tracer = Arc::clone(det.tracer().expect("tracer"));
+    heap.set_tracer(&tracer);
+    let hh = HookedHeap::new(heap, Arc::clone(&det));
+    let holders = hh.malloc(PAGES * PAGE_SIZE).expect("holders");
+    let obj = hh.malloc(128).expect("obj");
+    for p in 0..PAGES {
+        for s in 0..PER_PAGE {
+            let loc = holders.base + p * PAGE_SIZE + s * 8;
+            hh.store_ptr(loc, obj.base + s * 8).expect("store");
+        }
+    }
+    hh.free(obj.base).expect("free");
+    det.drain();
+
+    let events = tracer.events();
+    let obj_id = events
+        .iter()
+        .find(|e| e.code == EventCode::ObjectFree && e.a == obj.base)
+        .expect("free recorded")
+        .b;
+    let sweeps: Vec<_> = events
+        .iter()
+        .filter(|e| e.code == EventCode::FreeSweep)
+        .collect();
+    assert_eq!(sweeps.len(), 1, "one span for the one free: {sweeps:?}");
+    let sweep = sweeps[0];
+    assert_eq!(sweep.a, obj_id);
+    assert_eq!(unpack_walked(sweep.b), PAGES * PER_PAGE);
+    assert_eq!(unpack_pages(sweep.b), PAGES);
+
+    // The counters saw the same single free: 60 locations land in the
+    // 9-64 bucket, as trace_report's histogram check rebuilds it.
+    let stats = det.stats();
+    assert_eq!(stats.free_locs_hist, [0, 0, 1, 0, 0]);
+    assert_eq!(stats.free_locs_walked, unpack_walked(sweep.b));
+    assert_eq!(stats.free_pages_touched, unpack_pages(sweep.b));
+
+    // A trap through any masked holder reports the whole sweep.
+    let dangling = hh.load(holders.base + 7 * PAGE_SIZE + 8).expect("load");
+    assert_eq!(dangling, (obj.base + 8) | INVALID_BIT);
+    hh.load(dangling).expect_err("deref must trap");
+    let uaf = forensics::uaf_report(&tracer, dangling).expect("trap attributed");
+    assert_eq!(uaf.object_id, obj_id);
+    assert_eq!(uaf.invalidated, PAGES * PER_PAGE);
+    let (walked, pages, _) = uaf.sweep.expect("Full level captures the sweep span");
+    assert_eq!((walked, pages), (PAGES * PER_PAGE, PAGES));
 }
 
 /// Cross-thread attribution: the free happens on a worker thread, the
