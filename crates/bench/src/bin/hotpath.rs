@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dangsan::{set_alloc_site, Config, DangSan, Detector, TraceLevel};
+use dangsan::{Config, DangSan, Detector, TraceLevel};
 use dangsan_bench::report::Json;
 use dangsan_bench::{cores, Args, HOTPATH_BENCHES, HOTPATH_SCHEMA};
 use dangsan_heap::Heap;
@@ -502,68 +502,6 @@ fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
     }
 }
 
-/// `malloc_free_thin`: the adaptive router's fast path — a pointer-free
-/// malloc/free churn from a single allocation site, deferred sweep with
-/// zero helpers, the timer covering the periodic drains so the Standard
-/// arm pays its queue bookkeeping honestly. Off: `site_policy` disabled,
-/// every free of an empty-logged object still enqueues a sweep and the
-/// drain walks it. On: the site earns Thin during the untimed warm-up
-/// pass; from then on each free is an epoch retire + detached-null-chain
-/// check + immediate requeue — no sweep queued, nothing for the drain to
-/// do. The speedup is exactly what the router can reclaim on clean
-/// sites; the stats asserts prove both arms freed every object and the
-/// on arm really took the thin path. Ops are frees.
-fn bench_malloc_free_thin(rounds: u64, policy: bool) -> Measurement {
-    const OBJS: u64 = 8;
-    const DRAIN_EVERY: u64 = 64;
-    let mem = Arc::new(AddressSpace::new());
-    let heap = Heap::new(Arc::clone(&mem));
-    let det = DangSan::new(
-        Arc::clone(&mem),
-        Config::default()
-            .with_hot_path_caches(true)
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0)
-            .with_site_policy(policy)
-            .with_thin_min_frees(8),
-    );
-    det.bind_heap(&heap);
-    mem.set_tlb_enabled(true);
-    set_alloc_site(0x7317);
-    let mut live = Vec::with_capacity(OBJS as usize);
-    let mut elapsed = 0.0;
-    for _pass in 0..2 {
-        let start = Instant::now();
-        for r in 0..rounds {
-            for _ in 0..OBJS {
-                let obj = heap.malloc(64).expect("obj");
-                det.on_alloc(&obj);
-                live.push(obj.base);
-            }
-            for base in live.drain(..) {
-                free_one(&heap, &det, base);
-            }
-            if r % DRAIN_EVERY == DRAIN_EVERY - 1 {
-                det.drain();
-            }
-        }
-        det.drain();
-        elapsed = start.elapsed().as_secs_f64();
-    }
-    set_alloc_site(0);
-    let s = det.stats();
-    assert_eq!(s.objects_freed, 2 * rounds * OBJS, "every free accounted");
-    if policy {
-        assert!(s.frees_thin > 0, "the clean site never earned Thin");
-    } else {
-        assert_eq!(s.frees_thin, 0, "policy off must not route Thin");
-    }
-    Measurement {
-        ops_per_sec: (rounds * OBJS) as f64 / elapsed,
-        ops: rounds * OBJS,
-    }
-}
-
 fn main() {
     let args = Args::parse("hotpath [--quick] [--out BENCH_hotpath.json]", 0);
     let quick = args.has("--quick");
@@ -580,7 +518,6 @@ fn main() {
         (bench_free_many_objs, 2_000 * scale),
         (bench_free_while_registering, 5_000 * scale),
         (bench_sweep_total, 2_000 * scale),
-        (bench_malloc_free_thin, 2_000 * scale),
         (bench_trace_off, 20_000 * scale),
         (bench_metrics_off, 20_000 * scale),
     ];

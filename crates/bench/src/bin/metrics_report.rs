@@ -41,15 +41,13 @@ fn main() {
     let requests = if quick { 10_000u64 } else { 40_000u64 };
 
     // Every subsystem with a gauge switched on: metrics + deferred sweep
-    // (quarantine and shard-depth gauges) + site policy (tier census).
+    // (quarantine and shard-depth gauges).
     let cfg = Config::default()
         .with_metrics(true)
         .with_metrics_interval_ms(10)
         .with_deferred_sweep(true)
         .with_sweep_threads(2)
-        .with_quarantine_caps(256 << 10, 256)
-        .with_site_policy(true)
-        .with_thin_min_frees(8);
+        .with_quarantine_caps(256 << 10, 256);
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
     // A *concrete* `HookedHeap<DangSan>`: the hub lives on the detector,
@@ -90,7 +88,6 @@ fn main() {
     // the hub collects must equal the corresponding source of truth.
     let samples = hub.collect();
     let snap = det.stats();
-    let census = det.site_policy().expect("policy on").census();
     let shard_blocks = heap.central_shard_blocks();
     let mut expected: Vec<(String, u64)> = vec![
         ("objects_allocated".into(), snap.objects_allocated),
@@ -107,12 +104,6 @@ fn main() {
         ("metadata_bytes".into(), det.metadata_bytes()),
         ("quarantine_objects".into(), 0),
         ("quarantine_bytes".into(), 0),
-        ("sites_thin".into(), census.thin),
-        ("sites_standard".into(), census.standard),
-        ("sites_hardened".into(), census.hardened),
-        ("site_demotions".into(), census.demotions),
-        ("routed_thin".into(), snap.routed_thin),
-        ("frees_thin".into(), snap.frees_thin),
         ("heap_resident_bytes".into(), heap.resident_bytes()),
         ("heap_magazine_blocks".into(), heap.magazine_blocks()),
     ];

@@ -72,8 +72,8 @@ fn thread_counts() -> Vec<usize> {
 /// small fixed quarantine beats a per-thread budget at every thread
 /// count, because draining soon after the free walks log chains and
 /// shadow lines while they are still cache-hot — freshness is worth
-/// more than rarer backpressure trips. `SWEEP_THREADS` and
-/// `SITE_POLICY` override the sweep mode and routing.
+/// more than rarer backpressure trips. `SWEEP_THREADS` overrides the
+/// sweep mode.
 fn detector_config(_workers: usize) -> Config {
     matrix_env_overrides(
         Config::default()

@@ -33,7 +33,7 @@ use dangsan_workloads::{
 };
 
 /// The scaling bench's shipping configuration, with the
-/// `SWEEP_THREADS` / `SITE_POLICY` overrides applied as there.
+/// `SWEEP_THREADS` override applied as there.
 fn detector_config() -> Config {
     matrix_env_overrides(
         Config::default()

@@ -13,12 +13,9 @@
 //!   `cores` ≥ 1;
 //! - hotpath: every bench's same-run `speedup` present, and ≥ 1.0 for
 //!   the benches whose on/off pair exists to win — the core benches
-//!   (registerptr, ptr2obj, malloc_free, invalidate), the deferred-free
+//!   (registerptr, ptr2obj, malloc_free, invalidate) and the deferred-free
 //!   benches (free_many_objs, free_while_reg: the deferred sweep must
-//!   keep mutator-visible free cheaper than the inline walk) and the
-//!   routed bench (malloc_free_thin: adaptive routing must beat
-//!   forced-Standard on a clean-site churn, or it has no reason to
-//!   exist);
+//!   keep mutator-visible free cheaper than the inline walk);
 //! - scaling: the 4t/1t speedup at least the floor keyed on the file's
 //!   own `cores`, because a 1-core machine cannot honestly show a
 //!   4-thread speedup — 1.8 with 4+ cores (the paper-shape claim), 0.9
@@ -46,7 +43,6 @@
 //!   so machine noise largely cancels);
 //! - `trace_off` and `metrics_off` ≥ 0.98, unscaled: the flight
 //!   recorder's and the telemetry plane's Off modes must stay free;
-//! - `malloc_free_thin` ≥ 1.0 × t: the thin path must win;
 //! - scaling 4t/1t ≥ the cores-keyed floor × t, keyed on the current
 //!   run's `cores`, and cached/locked ≥ 0.95 × t;
 //! - the server capacity ratio now/base ≥ t, and the open-loop p50
@@ -140,7 +136,7 @@ const SCALING_4T: [f64; 3] = [1.8, 0.9, 0.7];
 /// The server dangsan/baseline capacity-ratio floors, keyed likewise.
 const SERVER_RPS: [f64; 3] = [0.12, 0.10, 0.08];
 
-/// The gate table: 55 lint gates, then 20 compare gates.
+/// The gate table: 53 lint gates, then 18 compare gates.
 #[rustfmt::skip]
 fn gates() -> Vec<Gate> {
     use {Bench::*, Kind::*, Mode::*};
@@ -179,7 +175,6 @@ fn gates() -> Vec<Gate> {
     for (b, _) in HOTPATH_BENCHES { add(Hotpath, Scaled, Ratio, speedup(b)); }
     add(Hotpath, Now, Floor(0.98), speedup("trace_off"));
     add(Hotpath, Now, Floor(0.98), speedup("metrics_off"));
-    add(Hotpath, Scaled, Floor(1.0), speedup("malloc_free_thin"));
     add(Scaling, Scaled, CoresFloor(SCALING_4T, 1.0), derived("dangsan_speedup_4t_over_1t"));
     add(Scaling, Scaled, Floor(0.95), derived("cached_over_locked_1t"));
     add(Server, Scaled, Ratio, derived("dangsan_over_baseline_rps"));
@@ -319,9 +314,9 @@ mod tests {
             .filter(|g| g.mode == Mode::Lint)
             .collect();
         let per_bench = Bench::ALL.map(|b| lint.iter().filter(|g| g.bench == b).count());
-        assert_eq!(per_bench, [20, 21, 14]);
+        assert_eq!(per_bench, [18, 21, 14]);
         let outcomes = check_all(&base, Some(&base), 20.0);
-        assert_eq!(outcomes.len(), 55 + 20);
+        assert_eq!(outcomes.len(), 53 + 18);
         for o in &outcomes {
             assert!(o.ok, "{}", o.line);
         }
@@ -511,8 +506,8 @@ mod tests {
             assert!(
                 now(Mode::Scaled, Kind::Ratio, t) && !now(Mode::Scaled, Kind::Ratio, t - 0.001)
             );
-            let thin = Kind::Floor(1.0);
-            assert!(now(Mode::Scaled, thin, t) && !now(Mode::Scaled, thin, t - 0.001));
+            let floor = Kind::Floor(1.0);
+            assert!(now(Mode::Scaled, floor, t) && !now(Mode::Scaled, floor, t - 0.001));
             let latency = |x| holds(Mode::Scaled, Kind::Latency, &file(1.0, x), &one, tol);
             assert!(latency(t2) && !latency(t2 - 0.001));
             // Unscaled floors (trace_off, metrics_off) ignore the tolerance.

@@ -41,15 +41,13 @@ pub const SERVER_SCHEMA: &str = "dangsan-server-v1";
 
 /// The hotpath benches, in the order `hotpath` runs and writes them, each
 /// with whether its on/off pair exists to win (the gates hold those
-/// speedups to ≥ 1.0): the core benches, the deferred-free benches
-/// (`free_many_objs`, `free_while_reg`) and the routed bench
-/// (`malloc_free_thin`).
+/// speedups to ≥ 1.0): the core benches and the deferred-free benches
+/// (`free_many_objs`, `free_while_reg`).
 #[rustfmt::skip]
-pub const HOTPATH_BENCHES: [(&str, bool); 11] = [
+pub const HOTPATH_BENCHES: [(&str, bool); 10] = [
     ("registerptr", true), ("ptr2obj", true), ("malloc_free", true), ("invalidate", true),
     ("free_many_ptrs", false), ("free_many_objs", true), ("free_while_reg", true),
-    ("sweep_total", false), ("malloc_free_thin", true), ("trace_off", false),
-    ("metrics_off", false),
+    ("sweep_total", false), ("trace_off", false), ("metrics_off", false),
 ];
 
 /// The pointer-tagging arms at their default widths and keys, in the

@@ -13,13 +13,6 @@ pub const EMBEDDED_ENTRIES: usize = 8;
 /// grow doubles it.
 pub(crate) const HASH_INITIAL_SLOTS: u32 = 64;
 
-/// Hardened-tier reuse delay: in deferred-sweep mode, up to this many
-/// swept Hardened blocks are pinned in a FIFO before being handed back
-/// to the allocator, so a dangling pointer to a reported site traps for
-/// longer. Synchronous mode pins nothing (Hardened then behaves like
-/// Standard).
-pub(crate) const HARDENED_PIN_CAP: u64 = 64;
-
 /// Detector tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
@@ -78,23 +71,11 @@ pub struct Config {
     /// shadow/heap events. [`crate::DangSan::new`] creates and attaches a
     /// tracer when this is not `Off` (see [`crate::DangSan::tracer`]).
     pub trace_level: TraceLevel,
-    /// Enable the per-alloc-site policy router (DESIGN.md §5h): a
-    /// lock-free site-profile table accumulates per-site evidence
-    /// (frees, inbound pointers, prior reports) and each malloc is
-    /// routed to a Thin / Standard / Hardened tracking tier. Off (the
-    /// default) routes everything Standard — exactly today's paths.
-    /// Routing only trades work, never detection: see `crate::policy`.
-    pub site_policy: bool,
-    /// Frees a site must witness — with zero inbound pointers and no
-    /// contradiction or UAF report ever — before its allocations route
-    /// Thin. Higher is more conservative (more warm-up, fewer
-    /// mispredicted frees that fall back to the full path).
-    pub thin_min_frees: u64,
     /// Enable the live telemetry plane (DESIGN.md §6): [`crate::DangSan::new`]
     /// creates a pull-based metrics hub, registers the detector's gauge
-    /// and counter sources (quarantine levels, sweep-shard depths, site
-    /// tier populations, cache hit rates) and starts a sampler thread
-    /// emitting a JSONL time series every [`Config::metrics_interval_ms`].
+    /// and counter sources (quarantine levels, sweep-shard depths, cache
+    /// hit rates) and starts a sampler thread emitting a JSONL time
+    /// series every [`Config::metrics_interval_ms`].
     /// Off (the default) creates nothing: the registry is pull-based, so
     /// the detector's malloc/store/free paths carry no metrics sites at
     /// all and a telemetry-aware call site pays at most one relaxed
@@ -119,8 +100,6 @@ impl Default for Config {
             quarantine_max_bytes: 64 << 20,
             quarantine_max_objects: 256 * 1024,
             trace_level: TraceLevel::Off,
-            site_policy: false,
-            thin_min_frees: 64,
             metrics: false,
             metrics_interval_ms: 100,
         }
@@ -194,18 +173,6 @@ impl Config {
         self
     }
 
-    /// Returns a copy with the per-alloc-site policy router toggled.
-    pub fn with_site_policy(mut self, on: bool) -> Self {
-        self.site_policy = on;
-        self
-    }
-
-    /// Returns a copy with a different Thin-eligibility free floor.
-    pub fn with_thin_min_frees(mut self, frees: u64) -> Self {
-        self.thin_min_frees = frees;
-        self
-    }
-
     /// Returns a copy with the live telemetry plane toggled.
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metrics = on;
@@ -233,7 +200,6 @@ mod tests {
         assert!(c.thread_cached_heap, "tcmalloc base caches per thread");
         assert_eq!(c.trace_level, TraceLevel::Off, "tracing is an opt-in");
         assert!(!c.deferred_sweep, "the paper sweeps synchronously at free");
-        assert!(!c.site_policy, "adaptive routing is an opt-in extension");
         assert!(!c.metrics, "the telemetry plane is an opt-in");
     }
 
@@ -244,15 +210,6 @@ mod tests {
             .with_metrics_interval_ms(25);
         assert!(c.metrics);
         assert_eq!(c.metrics_interval_ms, 25);
-    }
-
-    #[test]
-    fn site_policy_builders() {
-        let c = Config::default()
-            .with_site_policy(true)
-            .with_thin_min_frees(8);
-        assert!(c.site_policy);
-        assert_eq!(c.thin_min_frees, 8);
     }
 
     #[test]

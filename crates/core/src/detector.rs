@@ -15,10 +15,9 @@ use dangsan_trace::{
 use dangsan_vmem::{Addr, AddressSpace, FaultKind, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SIZE};
 
 use crate::api::{Detector, InvalidationReport};
-use crate::config::{Config, HARDENED_PIN_CAP};
+use crate::config::Config;
 use crate::log::ThreadLog;
 use crate::object::{fresh_epoch, ObjectMeta};
-use crate::policy::{SitePolicy, Tier};
 use crate::pool::Pool;
 use crate::stats::{Counter, Stats, StatsSnapshot};
 use crate::sweep::{FreedObject, LogChain, MetaRef, ObjectSweep, SweepQueue};
@@ -229,10 +228,6 @@ pub struct DangSan {
     /// The deferred-sweep quarantine queue; `Some` exactly when
     /// `Config::deferred_sweep` is on.
     sweep: Option<Arc<SweepQueue>>,
-    /// The per-alloc-site policy router; `Some` exactly when
-    /// `Config::site_policy` is on. With it off, every allocation takes
-    /// today's Standard paths untouched (see `crate::policy`).
-    policy: Option<Arc<SitePolicy>>,
     /// Sweep helper threads, joined when the detector drops.
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// The heap this detector is hooked in front of (set by
@@ -287,9 +282,6 @@ impl DangSan {
             id: fresh_detector_id(),
             trace,
             sweep: sweep.clone(),
-            policy: cfg
-                .site_policy
-                .then(|| Arc::new(SitePolicy::new(cfg.thin_min_frees))),
             workers: Mutex::new(Vec::new()),
             heap: Arc::new(Mutex::new(Weak::new())),
             metrics: cfg.metrics.then(MetricsHub::new),
@@ -335,21 +327,8 @@ impl DangSan {
     /// dereference of an invalidated pointer) to the free that produced
     /// it, using the recorded event history. `None` when tracing is off
     /// or no recorded free covers the address.
-    ///
-    /// With the site policy on, the attributed alloc site is fed back
-    /// into the profile table: its future allocations route Hardened
-    /// (full tracking + pinned reuse, see `crate::policy`).
     pub fn uaf_report(&self, fault_addr: u64) -> Option<forensics::UafReport> {
-        let report = forensics::uaf_report(self.trace.tracer()?, fault_addr)?;
-        if let (Some(policy), Some(site)) = (&self.policy, report.alloc_site) {
-            policy.note_uaf(site);
-        }
-        Some(report)
-    }
-
-    /// The site-profile table, when `Config::site_policy` is on.
-    pub fn site_policy(&self) -> Option<&SitePolicy> {
-        self.policy.as_deref()
+        forensics::uaf_report(self.trace.tracer()?, fault_addr)
     }
 
     /// The telemetry hub created by [`DangSan::new`], when
@@ -389,15 +368,6 @@ impl DangSan {
             for (i, peak) in snap.sweep_shard_peaks.iter().enumerate() {
                 c.gauge(&format!("sweep_shard_peak_{i}"), *peak);
             }
-        }
-        if let Some(policy) = &self.policy {
-            let census = policy.census();
-            c.gauge("sites_thin", census.thin);
-            c.gauge("sites_standard", census.standard);
-            c.gauge("sites_hardened", census.hardened);
-            c.counter("site_demotions", census.demotions);
-            c.counter("routed_thin", snap.routed_thin);
-            c.counter("frees_thin", snap.frees_thin);
         }
     }
 
@@ -481,56 +451,6 @@ impl DangSan {
         }
     }
 
-    /// The lazy Thin→Standard upgrade, called on every `register_ptr`
-    /// slow path: a registration against a Thin-routed object is the
-    /// contradiction of its site's profile, so the object is promoted
-    /// (full tracking from this store on — the registration that
-    /// triggered the promotion proceeds normally right after) and the
-    /// site demoted out of Thin routing. The CAS elects exactly one
-    /// promoting thread; with the policy off, or for Standard/Hardened
-    /// objects, this is one branch (plus one relaxed load).
-    ///
-    /// Cache-hit registration paths need no tier check: a log-cache or
-    /// memo hit proves a prior slow-path registration for this object
-    /// lifetime already ran — and promoted. The check therefore costs
-    /// the fast path nothing.
-    ///
-    /// The `meta` reference may be stale (a racing free recycling the
-    /// record for a new object — the same benign window the registration
-    /// itself has). A misdirected CAS then flips an unrelated new object
-    /// to... nothing: `Thin as u64` only matches if that object was
-    /// itself routed Thin, and demoting it early costs work, never
-    /// detection (Standard tracks strictly more).
-    #[inline]
-    fn maybe_promote(&self, meta: &ObjectMeta) {
-        let Some(policy) = &self.policy else { return };
-        if meta.tier.load(Ordering::Relaxed) != Tier::Thin as u64 {
-            return;
-        }
-        if meta
-            .tier
-            .compare_exchange(
-                Tier::Thin as u64,
-                Tier::Standard as u64,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            )
-            .is_ok()
-        {
-            let site = meta.site.load(Ordering::Relaxed);
-            policy.demote(site);
-            self.stats
-                .bump(&[Counter::ThinPromotions, Counter::SiteDemotions]);
-            self.trace.record(
-                TraceLevel::Full,
-                EventCode::SiteDemote,
-                site,
-                meta.epoch.load(Ordering::Relaxed),
-                0,
-            );
-        }
-    }
-
     /// The fully cached `register_ptr` path.
     ///
     /// Consults the per-thread registration memo first: a hit means this
@@ -609,10 +529,6 @@ impl DangSan {
             let Some(meta) = self.ptr2obj(value) else {
                 return;
             };
-            // A Thin-routed object getting its first registration:
-            // promote before the append so the free path sees the
-            // Standard tier no later than it can see the new log.
-            self.maybe_promote(meta);
             // Load the epoch before touching the log: if a free runs
             // concurrently, every slot filled below captures an
             // already retired epoch and can never validate —
@@ -805,13 +721,13 @@ impl DangSan {
         (report, pages)
     }
 
-    /// Retires one freed object — inline, deferred or Thin, every free
-    /// of a tracked object ends here: bulk-adds the walk's counters,
-    /// records the lifecycle event and the site evidence, tears down the
-    /// shadow mapping and recycles the metadata record, then runs the
-    /// quarantine tail ([`Self::release_quarantined`]). The teardown
-    /// must precede the requeue: a reallocation of this range must find
-    /// cleared shadow slots, not the dying record.
+    /// Retires one freed object — inline or deferred, every free of a
+    /// tracked object ends here: bulk-adds the walk's counters, records
+    /// the lifecycle event, tears down the shadow mapping and recycles
+    /// the metadata record, then runs the quarantine tail
+    /// ([`Self::release_quarantined`]). The teardown must precede the
+    /// requeue: a reallocation of this range must find cleared shadow
+    /// slots, not the dying record.
     fn retire(&self, obj: &FreedObject, shape: SweepShape, report: &InvalidationReport) {
         self.stats.add(&[
             (Counter::PtrsInvalidated, report.invalidated),
@@ -832,15 +748,9 @@ impl DangSan {
         // SAFETY: records are pool-owned type-stable memory, and from
         // detach to retire this free was the record's sole owner.
         let meta = unsafe { &*obj.meta.0 };
-        // Site/tier must be read before the recycle hands the record to
-        // the next allocation.
-        let tier = meta.tier.load(Ordering::Relaxed);
-        if let Some(policy) = &self.policy {
-            policy.note_free(meta.site.load(Ordering::Relaxed), shape.unique);
-        }
         self.map.clear_object(obj.base, obj.covered);
         self.meta_pool.recycle(meta);
-        self.release_quarantined(obj.base, tier == Tier::Hardened as u64, obj.charge);
+        self.release_quarantined(obj.base, obj.charge);
     }
 
     /// The quarantine tail of a deferred-mode free: hands the block the
@@ -852,25 +762,13 @@ impl DangSan {
     /// A no-op in synchronous mode: there the heap never quarantined the
     /// block — the caller frees it once `on_free` returns — so a requeue
     /// here would put a live block on two free lists.
-    fn release_quarantined(&self, base: Addr, hardened: bool, charge: Option<u64>) {
+    fn release_quarantined(&self, base: Addr, charge: Option<u64>) {
         let Some(queue) = &self.sweep else {
             return;
         };
         let heap = self.heap.lock().expect("not poisoned").upgrade();
         if let Some(heap) = heap {
-            // Hardened tier: the swept block takes a detour through the
-            // pin FIFO — already retired (its charge is released below,
-            // so drains never wait on it) but not yet allocatable, so a
-            // dangling pointer to a previously-reported site keeps
-            // trapping for longer. The FIFO evicts oldest-first at cap.
-            if hardened {
-                self.stats.bump(&[Counter::HardenedPins]);
-                if let Some(evicted) = queue.pin_block(base, HARDENED_PIN_CAP) {
-                    heap.requeue_batch(&[evicted]);
-                }
-            } else {
-                heap.requeue_batch(&[base]);
-            }
+            heap.requeue_batch(&[base]);
         }
         if let Some(bytes) = charge {
             queue.retire_object(bytes);
@@ -880,9 +778,8 @@ impl DangSan {
     /// Blocks until every deferred sweep enqueued so far has retired,
     /// helping to drain the queue from the calling thread (so `drain`
     /// works even with `Config::sweep_threads` at zero). After this
-    /// returns, all counters are exact and every quarantined block —
-    /// Hardened pins included, which the drain flushes — is allocatable
-    /// again. No-op in synchronous mode.
+    /// returns, all counters are exact and every quarantined block is
+    /// allocatable again. No-op in synchronous mode.
     pub fn drain(&self) {
         let Some(queue) = self.sweep.as_ref() else {
             return;
@@ -899,20 +796,6 @@ impl DangSan {
             // for a job to land back in the queue).
             queue.wait_for_retire_or_work();
         }
-        self.flush_pins(queue);
-    }
-
-    /// Requeues every Hardened-pinned block (the drain/teardown flush
-    /// that keeps "after drain, everything circulates" true with
-    /// pinning on).
-    fn flush_pins(&self, queue: &SweepQueue) {
-        let pins = queue.take_pins();
-        if pins.is_empty() {
-            return;
-        }
-        if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
-            heap.requeue_batch(&pins);
-        }
     }
 
     /// Host bytes used by per-thread logs and object metadata (excludes
@@ -922,9 +805,7 @@ impl DangSan {
     }
 }
 
-/// The shape counters of one finished walk (`Counter::Free*` bookkeeping; the
-/// site profile takes `unique` as the free's inbound-pointer count).
-#[derive(Default)]
+/// The shape counters of one finished walk (`Counter::Free*` bookkeeping).
 struct SweepShape {
     walked: u64,
     unique: u64,
@@ -1004,25 +885,6 @@ impl Detector for DangSan {
             .register_span(alloc.span_start, alloc.span_pages, alloc.shift);
         let meta = self.meta_pool.take();
         meta.init(alloc.base, alloc.requested, alloc.stride);
-        if let Some(policy) = &self.policy {
-            // Route before `set_object` publishes the record: no
-            // `register_ptr` can resolve to a half-routed object.
-            // (`init` reset the tier to Standard, so the policy-off
-            // path stores nothing here.)
-            let site = dangsan_trace::alloc_site();
-            meta.site.store(site, Ordering::Release);
-            match policy.route(site) {
-                Tier::Thin => {
-                    meta.tier.store(Tier::Thin as u64, Ordering::Release);
-                    self.stats.bump(&[Counter::RoutedThin]);
-                }
-                Tier::Hardened => {
-                    meta.tier.store(Tier::Hardened as u64, Ordering::Release);
-                    self.stats.bump(&[Counter::RoutedHardened]);
-                }
-                Tier::Standard => {}
-            }
-        }
         self.map
             .set_object(alloc.base, alloc.stride, meta.as_meta_value());
         self.stats.bump(&[Counter::ObjectsAllocated]);
@@ -1044,7 +906,7 @@ impl Detector for DangSan {
             // With deferred sweeping the heap quarantined the block before
             // calling in; an untracked base has no sweep to retire it, so
             // the block must re-enter circulation here or it would leak.
-            self.release_quarantined(base, false, None);
+            self.release_quarantined(base, None);
             return InvalidationReport::default();
         };
         // Retire this object's epoch before any of its logs are detached
@@ -1064,9 +926,7 @@ impl Detector for DangSan {
         );
         // Detach the log chain up front: the free owns it from here, and
         // a registration racing the detach is dropped — the
-        // §4.4-sanctioned race. Detaching first is what lets the Thin
-        // router decide off one observation: an empty chain proves no
-        // registration the walk could see exists.
+        // §4.4-sanctioned race.
         let chain = meta.head.swap(ptr::null_mut(), Ordering::AcqRel);
         let obj = FreedObject {
             base: meta.base.load(Ordering::Acquire),
@@ -1077,34 +937,6 @@ impl Detector for DangSan {
             charge: None,
         };
         debug_assert_eq!(obj.base, base, "frees resolve to the block base");
-        if self.policy.is_some() && meta.tier.load(Ordering::Acquire) == Tier::Thin as u64 {
-            if chain.is_null() {
-                // Thin tier: the site history said no pointer is ever
-                // registered, and the empty chain confirmed it. The
-                // epoch retire above — the detection-relevant step — is
-                // done, so the free retires at once with an empty walk,
-                // skipping the sweep (and in deferred mode the whole
-                // queue round trip). Counter effects are bit-exact with
-                // a Standard free that drained zero locations
-                // (`frees_thin` is a diagnostic `behavioural` zeroes).
-                self.stats
-                    .bump(&[Counter::ObjectsFreed, Counter::FreesThin]);
-                let report = InvalidationReport::default();
-                self.retire(&obj, SweepShape::default(), &report);
-                return report;
-            }
-            // The profile predicted an empty chain and was wrong (a
-            // registration raced its object's promotion CAS into this
-            // free): demote the site and run the untrimmed path below —
-            // the router trades work, never detection.
-            let site = meta.site.load(Ordering::Relaxed);
-            if let Some(policy) = &self.policy {
-                policy.demote(site);
-            }
-            self.stats.bump(&[Counter::SiteDemotions]);
-            self.trace
-                .record(TraceLevel::Full, EventCode::SiteDemote, site, obj_id, 1);
-        }
         let sweep = ObjectSweep {
             obj,
             logs: LogChain(chain),
@@ -1143,7 +975,6 @@ impl Detector for DangSan {
         let Some(meta) = self.ptr2obj(value) else {
             return;
         };
-        self.maybe_promote(meta);
         self.stats.bump(&[Counter::PtrsRegistered]);
         let log = self.find_or_create_log(meta);
         let epoch = meta.epoch.load(Ordering::Relaxed);

@@ -367,35 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn realloc_of_a_thin_routed_object_keeps_detection_exact() {
-        // A Thin-routed object that takes a registered pointer promotes
-        // on the spot; a subsequent realloc that moves the block must
-        // still invalidate the old pointer through the move's free.
-        let hh = setup_with(
-            Config::default()
-                .with_site_policy(true)
-                .with_thin_min_frees(1),
-        );
-        dangsan_trace::set_alloc_site(0x77);
-        let warm = hh.malloc(24).unwrap();
-        hh.free(warm.base).unwrap(); // clean free: the site earns Thin
-        let obj = hh.malloc(24).unwrap();
-        assert!(
-            hh.detector().stats().routed_thin >= 1,
-            "warm clean site never routed Thin"
-        );
-        let holder = hh.malloc(8).unwrap();
-        hh.store_ptr(holder.base, obj.base).unwrap();
-        let (new, report) = hh.realloc(obj.base, 5000).unwrap();
-        assert_ne!(new.base, obj.base, "5000 bytes cannot grow in place");
-        assert_eq!(report.invalidated, 1, "promotion lost the dangling ptr");
-        assert_eq!(hh.load(holder.base).unwrap(), obj.base | INVALID_BIT);
-        assert!(hh.detector().stats().thin_promotions >= 1);
-        hh.free(new.base).unwrap();
-        dangsan_trace::set_alloc_site(0);
-    }
-
-    #[test]
     fn grown_in_place_realloc_keeps_warm_caches_coherent() {
         // malloc(40) carves from the 48-byte class, so growing to
         // `usable` (47) stays in place and widens the object's inclusive
@@ -545,28 +516,18 @@ mod tests {
         // The same program must produce identical Table 1 counters
         // whether the free walk runs inline, deferred on the freeing
         // thread (zero helpers), or on helper threads — the sweep moves
-        // work in time and across threads, never changes it. Each arm
-        // runs with adaptive routing off and on.
-        for routed in [false, true] {
-            let route = |cfg: Config| {
-                if routed {
-                    cfg.with_site_policy(true).with_thin_min_frees(4)
-                } else {
-                    cfg
-                }
-            };
-            let inline = run_sequence(route(Config::default()));
-            for helpers in [0, 2] {
-                let deferred = run_sequence(route(
-                    Config::default()
-                        .with_deferred_sweep(true)
-                        .with_sweep_threads(helpers),
-                ));
-                assert_eq!(
-                    inline, deferred,
-                    "deferred sweep diverged: {helpers} helpers, routing {routed}"
-                );
-            }
+        // work in time and across threads, never changes it.
+        let inline = run_sequence(Config::default());
+        for helpers in [0, 2] {
+            let deferred = run_sequence(
+                Config::default()
+                    .with_deferred_sweep(true)
+                    .with_sweep_threads(helpers),
+            );
+            assert_eq!(
+                inline, deferred,
+                "deferred sweep diverged: {helpers} helpers"
+            );
         }
     }
 
@@ -710,32 +671,26 @@ mod tests {
         }
     }
 
-    /// A two-site mix for the routing tests: site `0xA1` churns
-    /// pointer-free allocations (eligible for Thin once warm) while site
-    /// `0xB2` allocates objects that always take an inbound pointer (and
-    /// so must stay fully tracked).
+    /// A churn mix: pointer-free allocations freed at once, interleaved
+    /// with objects that always take an inbound pointer before their free.
     ///
     /// Afterwards it mallocs twice as many blocks as it freed and checks
     /// every base is distinct: a free whose retire requeued a block the
     /// heap never quarantined (synchronous mode, where the heap frees
     /// the block itself after `on_free`) would put it on two free lists.
-    fn run_routed_sequence(cfg: Config) -> crate::stats::StatsSnapshot {
+    fn run_churn_sequence(cfg: Config) -> crate::stats::StatsSnapshot {
         let hh = setup_with(cfg);
-        dangsan_trace::set_alloc_site(0);
         let holders = hh.malloc(8 * 64).unwrap();
         for round in 0..40u64 {
-            dangsan_trace::set_alloc_site(0xA1);
             for _ in 0..3 {
                 let o = hh.malloc(24).unwrap();
                 hh.free(o.base).unwrap();
             }
-            dangsan_trace::set_alloc_site(0xB2);
             let obj = hh.malloc(16 + (round % 5) * 16).unwrap();
             let loc = holders.base + round * 8;
             hh.store_ptr(loc, obj.base).unwrap();
             hh.free(obj.base).unwrap();
         }
-        dangsan_trace::set_alloc_site(0);
         hh.detector().drain();
         let stats = hh.detector().stats().behavioural();
         let mut bases = std::collections::HashSet::from([holders.base]);
@@ -749,84 +704,20 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_routing_keeps_behavioural_counters_bit_exact() {
-        // Routing may only move work, never change what the program
-        // observes: the same two-site mix must produce identical Table 1
-        // counters with the policy off and with it on (thin_min_frees=1
-        // so the clean site actually goes Thin), inline and deferred.
-        for deferred in [false, true] {
-            let base = if deferred {
-                Config::default()
-                    .with_deferred_sweep(true)
-                    .with_sweep_threads(0)
-            } else {
-                Config::default()
-            };
-            let off = run_routed_sequence(base);
-            let on = run_routed_sequence(base.with_site_policy(true).with_thin_min_frees(1));
-            assert_eq!(
-                off, on,
-                "deferred={deferred}: routing changed observable counters"
-            );
-        }
-    }
-
-    #[test]
-    fn clean_site_earns_thin_and_contradiction_promotes() {
-        let hh = setup_with(
+    fn no_block_is_handed_out_twice_after_inline_or_deferred_frees() {
+        // The same churn mix must leave every block circulating exactly
+        // once and produce identical Table 1 counters whether its frees
+        // sweep inline or deferred (zero helpers, then a drain).
+        let inline = run_churn_sequence(Config::default());
+        let deferred = run_churn_sequence(
             Config::default()
-                .with_site_policy(true)
-                .with_thin_min_frees(2),
-        );
-        dangsan_trace::set_alloc_site(0x51);
-        for _ in 0..4 {
-            let o = hh.malloc(32).unwrap();
-            hh.free(o.base).unwrap();
-        }
-        let s = hh.detector().stats();
-        assert!(s.routed_thin >= 1, "warm clean site never routed Thin");
-        assert!(s.frees_thin >= 1, "Thin object took the full free path");
-        // Contradiction: a pointer is registered against a Thin-routed
-        // object. The registration must promote the object on the spot —
-        // the free still invalidates the dangling pointer.
-        let holder = hh.malloc(8).unwrap();
-        let obj = hh.malloc(32).unwrap();
-        hh.store_ptr(holder.base, obj.base).unwrap();
-        let report = hh.free(obj.base).unwrap();
-        assert_eq!(report.invalidated, 1, "promotion lost the dangling ptr");
-        let s = hh.detector().stats();
-        assert!(s.thin_promotions >= 1, "no promotion recorded");
-        assert!(s.site_demotions >= 1, "no site demotion recorded");
-        // The demotion is permanent: the site routes Standard from now on.
-        use crate::policy::Tier;
-        let policy = hh.detector().site_policy().unwrap();
-        assert_eq!(policy.route(0x51), Tier::Standard);
-        dangsan_trace::set_alloc_site(0);
-    }
-
-    #[test]
-    fn hardened_site_pins_swept_blocks_and_drain_flushes_them() {
-        let hh = setup_with(
-            Config::default()
-                .with_site_policy(true)
                 .with_deferred_sweep(true)
                 .with_sweep_threads(0),
         );
-        hh.heap().set_thread_cached(false);
-        dangsan_trace::set_alloc_site(0x91);
-        // Forensics hands prior UAF evidence to the profile table; every
-        // later allocation at the site routes Hardened.
-        hh.detector().site_policy().unwrap().note_uaf(0x91);
-        let obj = hh.malloc(48).unwrap();
-        hh.free(obj.base).unwrap();
-        hh.detector().drain();
-        let s = hh.detector().stats();
-        assert!(s.routed_hardened >= 1, "UAF history did not harden site");
-        assert!(s.hardened_pins >= 1, "swept block was never pinned");
-        // The drain flushed the pin FIFO: the block circulates again.
-        let reused = (0..10_000).any(|_| hh.malloc(48).unwrap().base == obj.base);
-        assert!(reused, "pinned block never returned after drain");
-        dangsan_trace::set_alloc_site(0);
+        assert_eq!(
+            inline, deferred,
+            "deferred frees changed observable counters"
+        );
     }
 
     #[test]

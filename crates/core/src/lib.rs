@@ -68,7 +68,6 @@ pub mod detector;
 pub mod hooked;
 pub mod log;
 pub mod object;
-pub mod policy;
 pub mod pool;
 pub mod stats;
 pub(crate) mod sweep;
@@ -77,7 +76,6 @@ pub use api::{Detector, InvalidationReport, NullDetector};
 pub use config::{Config, EMBEDDED_ENTRIES};
 pub use detector::{current_thread_id, DangSan};
 pub use hooked::{HookedHeap, HookedThread};
-pub use policy::{SitePolicy, Tier};
 pub use stats::{Counter, Stats, StatsSnapshot};
 
 // The flight recorder (`dangsan-trace`) re-exported at the top level:
@@ -91,7 +89,6 @@ pub use dangsan_trace::{
 // level: `Config::metrics` makes `DangSan::new` build a `MetricsHub`,
 // and workloads register their latency `Histogram`s on it.
 pub use dangsan_telemetry as telemetry;
-pub use policy::TierCensus;
 
 /// A shareable, thread-safe detector handle.
 pub type SharedDetector = std::sync::Arc<dyn Detector + Send + Sync>;

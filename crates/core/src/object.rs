@@ -47,15 +47,6 @@ pub struct ObjectMeta {
     /// a free is in flight holds the free's epoch, which `init` then
     /// retires before the record can be reused.
     pub epoch: AtomicU64,
-    /// The tracking tier assigned at malloc (`crate::policy::Tier` as
-    /// its `u64` discriminant). `init` resets it to Standard (0); the
-    /// router stores the routed tier before the object becomes
-    /// reachable through the metapagetable, and the `registerptr` slow
-    /// path CASes Thin→Standard to promote (lazy upgrade).
-    pub tier: AtomicU64,
-    /// The alloc-site id the object was born at (for free-time
-    /// evidence and demotion). Reset to 0 by `init`.
-    pub site: AtomicU64,
     pool_next: AtomicPtr<ObjectMeta>,
 }
 
@@ -67,8 +58,6 @@ impl Default for ObjectMeta {
             covered: AtomicU64::new(0),
             head: AtomicPtr::new(ptr::null_mut()),
             epoch: AtomicU64::new(0),
-            tier: AtomicU64::new(0),
-            site: AtomicU64::new(0),
             pool_next: AtomicPtr::new(ptr::null_mut()),
         }
     }
@@ -89,8 +78,6 @@ impl ObjectMeta {
         self.covered.store(covered, Ordering::Release);
         self.head.store(ptr::null_mut(), Ordering::Release);
         self.epoch.store(fresh_epoch(), Ordering::Release);
-        self.tier.store(0, Ordering::Release); // Tier::Standard
-        self.site.store(0, Ordering::Release);
     }
 
     /// Whether `value` points into the object (inclusive end, see `end`).

@@ -73,21 +73,6 @@ pub enum Counter {
     SweepsBackpressure,
     /// Deferred sweeps a helper thread stole from a non-home shard.
     SweepSteals,
-    /// Allocations routed to the Thin tier by the site policy.
-    RoutedThin,
-    /// Allocations routed to the Hardened tier by the site policy.
-    RoutedHardened,
-    /// Thin-routed frees that completed on the epoch-only fast path
-    /// (empty log chain, no sweep machinery).
-    FreesThin,
-    /// Thin objects promoted to Standard by a `registerptr` (the lazy
-    /// upgrade that keeps routing detection-safe).
-    ThinPromotions,
-    /// Sites demoted out of Thin routing (promotion or a non-empty
-    /// chain found at free).
-    SiteDemotions,
-    /// Swept Hardened blocks pinned before allocator reuse.
-    HardenedPins,
     /// Frees that drained no locations at all.
     FreeHistEmpty,
     /// Frees that drained 1–8 locations (embedded tier only).
@@ -213,8 +198,8 @@ thread_local! {
 }
 
 /// Monotonic counters maintained by a detector, one [`Counter`] per
-/// column of Table 1 ("Statistics for SPEC CPU2006") plus the sweep,
-/// routing and free-shape diagnostics.
+/// column of Table 1 ("Statistics for SPEC CPU2006") plus the sweep and
+/// free-shape diagnostics.
 #[derive(Debug, Default)]
 pub struct Stats {
     registry: Arc<SharedRegistry>,
@@ -271,24 +256,12 @@ pub struct StatsSnapshot {
     pub sweeps_backpressure: u64,
     /// See [`Counter::SweepSteals`].
     pub sweep_steals: u64,
-    /// See [`Counter::RoutedThin`].
-    pub routed_thin: u64,
-    /// See [`Counter::RoutedHardened`].
-    pub routed_hardened: u64,
-    /// See [`Counter::FreesThin`].
-    pub frees_thin: u64,
-    /// See [`Counter::ThinPromotions`].
-    pub thin_promotions: u64,
-    /// See [`Counter::SiteDemotions`].
-    pub site_demotions: u64,
-    /// See [`Counter::HardenedPins`].
-    pub hardened_pins: u64,
     /// Highest sweep-queue depth (jobs) each of the 4 shards ever saw
     /// (filled in by [`crate::DangSan::stats`]; zeros without a queue).
     pub sweep_shard_peaks: [u64; 4],
     /// Per-free histogram of locations drained: buckets 0, 1–8, 9–64,
     /// 65–512, >512 (see [`Counter::FreeHistEmpty`] and friends). Sums to
-    /// `objects_freed` for frees that went through the walk.
+    /// `objects_freed` once every deferred sweep has retired.
     pub free_locs_hist: [u64; 5],
 }
 
@@ -338,12 +311,6 @@ impl Stats {
             frees_deferred: n(Counter::FreesDeferred),
             sweeps_backpressure: n(Counter::SweepsBackpressure),
             sweep_steals: n(Counter::SweepSteals),
-            routed_thin: n(Counter::RoutedThin),
-            routed_hardened: n(Counter::RoutedHardened),
-            frees_thin: n(Counter::FreesThin),
-            thin_promotions: n(Counter::ThinPromotions),
-            site_demotions: n(Counter::SiteDemotions),
-            hardened_pins: n(Counter::HardenedPins),
             // The queue owner fills these in (see the field docs).
             sweep_shard_peaks: [0; 4],
             free_locs_hist: [
@@ -453,16 +420,6 @@ impl StatsSnapshot {
         self.frees_deferred = 0;
         self.sweeps_backpressure = 0;
         self.sweep_steals = 0;
-        // Routing is a work-placement choice too: Thin/Standard/Hardened
-        // change *how* a free is executed, never which pointers get
-        // invalidated. The differential property tests pin this by
-        // comparing behavioural snapshots across routing modes.
-        self.routed_thin = 0;
-        self.routed_hardened = 0;
-        self.frees_thin = 0;
-        self.thin_promotions = 0;
-        self.site_demotions = 0;
-        self.hardened_pins = 0;
         self.sweep_shard_peaks = [0; 4];
         self
     }

@@ -67,8 +67,7 @@ pub(crate) struct FreedObject {
     pub meta: MetaRef,
     /// Bytes charged to the queue's quarantine accounting by
     /// [`SweepQueue::push_object`], released when the sweep retires;
-    /// `None` for frees that never entered the queue (inline sweeps and
-    /// Thin frees).
+    /// `None` for inline sweeps, which never enter the queue.
     pub charge: Option<u64>,
 }
 
@@ -118,13 +117,6 @@ pub(crate) struct SweepQueue {
     /// Workers currently asleep; enqueue skips the notify syscall when
     /// nobody is listening (the common case in a free-heavy loop).
     sleepers: AtomicU64,
-    /// Hardened-tier reuse delay: swept blocks from Hardened-routed
-    /// objects wait here (FIFO, bounded by `config::HARDENED_PIN_CAP`)
-    /// before being handed back to the allocator. Pinned blocks are
-    /// *retired* — their sweep ran, their quarantine charge is released —
-    /// so they never block `drain`; `take_pins` flushes them at drain
-    /// and teardown so every block still circulates afterwards.
-    pins: Mutex<VecDeque<Addr>>,
 }
 
 impl SweepQueue {
@@ -139,7 +131,6 @@ impl SweepQueue {
             sync: Mutex::new(()),
             cv: Condvar::new(),
             sleepers: AtomicU64::new(0),
-            pins: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -319,26 +310,6 @@ impl SweepQueue {
         core::array::from_fn(|i| self.shard(i).peak)
     }
 
-    /// Pins one swept Hardened block, delaying its return to the
-    /// allocator. When the FIFO already holds `cap` blocks, the oldest
-    /// is evicted and returned — the caller requeues it.
-    pub(crate) fn pin_block(&self, base: Addr, cap: u64) -> Option<Addr> {
-        let mut pins = self.pins.lock().expect("not poisoned");
-        pins.push_back(base);
-        if pins.len() as u64 > cap {
-            pins.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// Takes every pinned block (drain/teardown flush: after this, every
-    /// swept block is circulating again).
-    pub(crate) fn take_pins(&self) -> Vec<Addr> {
-        let mut pins = self.pins.lock().expect("not poisoned");
-        pins.drain(..).collect()
-    }
-
     fn is_empty(&self) -> bool {
         (0..SWEEP_SHARDS).all(|i| self.shard(i).jobs.is_empty())
     }
@@ -410,16 +381,5 @@ mod tests {
         assert_eq!(out.len(), 3);
         q.push_object(job(), 8);
         assert_eq!(q.shard_peaks()[home], 3, "peak is a high-water mark");
-    }
-
-    #[test]
-    fn pin_fifo_bounds_and_flushes() {
-        let q = SweepQueue::new(1 << 20, 1024);
-        assert_eq!(q.pin_block(0x1000, 2), None);
-        assert_eq!(q.pin_block(0x2000, 2), None);
-        // Over cap: the oldest block is evicted for requeueing.
-        assert_eq!(q.pin_block(0x3000, 2), Some(0x1000));
-        assert_eq!(q.take_pins(), vec![0x2000, 0x3000]);
-        assert!(q.take_pins().is_empty());
     }
 }

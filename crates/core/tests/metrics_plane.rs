@@ -7,13 +7,12 @@
 //!   `StatsSnapshot` counters, across thread exit, scope exit and join.
 //! * **Inertness** — turning metrics on must not change detector
 //!   behaviour: the same deterministic workload produces bit-identical
-//!   behavioural counters with metrics on and off, across the sweep-mode
-//!   and site-policy matrix.
+//!   behavioural counters with metrics on and off, in both sweep modes.
 
 use std::sync::Arc;
 
 use dangsan::telemetry::Histogram;
-use dangsan::{set_alloc_site, Config, DangSan, Detector, HookedHeap};
+use dangsan::{Config, DangSan, Detector, HookedHeap};
 use dangsan_heap::Heap;
 use dangsan_vmem::AddressSpace;
 
@@ -25,26 +24,22 @@ fn metered_env(cfg: Config) -> HookedHeap<DangSan> {
     HookedHeap::new(heap, det)
 }
 
-/// A deterministic single-threaded lifecycle mix: two alloc sites, one
-/// churning pointer-free objects, one whose objects take an inbound
-/// pointer before being freed.
+/// A deterministic single-threaded lifecycle mix: pointer-free objects
+/// churned, interleaved with objects that take an inbound pointer before
+/// being freed.
 fn run_mixed_workload(hh: &HookedHeap<DangSan>) {
     let mut th = hh.thread_handle();
-    set_alloc_site(0);
     let holders = th.malloc(8 * 64).expect("holders");
     for round in 0..48u64 {
-        set_alloc_site(0xA1);
         for _ in 0..3 {
             let o = th.malloc(24).expect("churn");
             th.free(o.base).expect("churn free");
         }
-        set_alloc_site(0xB2);
         let obj = th.malloc(16 + (round % 5) * 16).expect("obj");
         th.store_ptr(holders.base + round * 8, obj.base)
             .expect("store");
         th.free(obj.base).expect("free");
     }
-    set_alloc_site(0);
     th.free(holders.base).expect("holders free");
 }
 
@@ -54,9 +49,7 @@ fn hub_counters_reconcile_with_stats_snapshot_across_threads() {
         .with_metrics(true)
         .with_metrics_interval_ms(5)
         .with_deferred_sweep(true)
-        .with_sweep_threads(2)
-        .with_site_policy(true)
-        .with_thin_min_frees(4);
+        .with_sweep_threads(2);
     let hh = metered_env(cfg);
     // Multithreaded traffic: per-thread stat slabs and histogram slabs
     // both retire on thread exit; the scope join orders the reader
@@ -132,27 +125,20 @@ fn histogram_count_matches_objects_freed_exactly() {
 fn metrics_on_is_behaviourally_inert_across_the_matrix() {
     // The ablation contract: metrics may observe, never perturb. The
     // same deterministic workload must leave bit-identical behavioural
-    // counters with the plane on and off, in every sweep × policy cell.
+    // counters with the plane on and off, in both sweep modes.
     for deferred in [false, true] {
-        for policy in [false, true] {
-            let base = Config::default()
-                .with_deferred_sweep(deferred)
-                .with_sweep_threads(0)
-                .with_site_policy(policy)
-                .with_thin_min_frees(4);
-            let run = |cfg: Config| {
-                let hh = metered_env(cfg);
-                run_mixed_workload(&hh);
-                hh.detector().drain();
-                hh.detector().stats().behavioural()
-            };
-            let off = run(base);
-            let on = run(base.with_metrics(true).with_metrics_interval_ms(1));
-            assert_eq!(
-                off, on,
-                "metrics changed behaviour at deferred={deferred} policy={policy}"
-            );
-        }
+        let base = Config::default()
+            .with_deferred_sweep(deferred)
+            .with_sweep_threads(0);
+        let run = |cfg: Config| {
+            let hh = metered_env(cfg);
+            run_mixed_workload(&hh);
+            hh.detector().drain();
+            hh.detector().stats().behavioural()
+        };
+        let off = run(base);
+        let on = run(base.with_metrics(true).with_metrics_interval_ms(1));
+        assert_eq!(off, on, "metrics changed behaviour at deferred={deferred}");
     }
 }
 

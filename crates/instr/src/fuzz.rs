@@ -4,18 +4,17 @@
 //! aliased pointer stores (with interior `gep` offsets), slot-to-slot
 //! pointer copies, realloc chains that grow in place / move / shrink to
 //! zero, double-free and use-after-realloc attempts through slots,
-//! Thin-tier bait sites that later register a pointer, churn loops that
-//! warm the site profiler, wild pointers fabricated by `gep` arithmetic,
-//! and (for a quarter of seeds) a two-phase cross-thread handoff where a
-//! writer thread populates the slots and the main thread consumes them.
+//! malloc/free churn loops (some whose last allocation escapes into a
+//! slot), wild pointers fabricated by `gep` arithmetic, and (for a
+//! quarter of seeds) a two-phase cross-thread handoff where a writer
+//! thread populates the slots and the main thread consumes them.
 //!
-//! Every program runs through every arm ([`ARM_NAMES`], fifteen in
-//! all): six DangSan configurations (inline, inline+site-policy,
-//! inline+metrics, deferred sweeps with zero helpers, deferred+
-//! site-policy, deferred with two helper threads), the locked ablation,
-//! DangNULL, FreeSentry, the quarantine defence, the three
-//! dereference-time tagging arms (xTag, implicit-ID, pa-mac), and the
-//! [`dangsan_baselines::ShadowOracle`] ground truth in both of its
+//! Every program runs through every arm ([`ARM_NAMES`], thirteen in
+//! all): four DangSan configurations (inline, inline+metrics, deferred
+//! sweeps with zero helpers, deferred with two helper threads), the
+//! locked ablation, DangNULL, FreeSentry, the quarantine defence, the
+//! three dereference-time tagging arms (xTag, implicit-ID, pa-mac), and
+//! the [`dangsan_baselines::ShadowOracle`] ground truth in both of its
 //! modes. The checker then diffs verdicts and final slab memory under
 //! the per-arm relation each arm's semantics justify (DESIGN.md
 //! "Differential fuzzing"):
@@ -26,11 +25,9 @@
 //!   and the quarantine arm against the lazy oracle (incl. post-drain
 //!   state for the deferred arm).
 //! * **Classes** — verdict classes (`Ok` payloads exact; traps compared
-//!   by kind) plus the slab's dead-bit pattern. For DangNULL (its fixed
-//!   poison loses the original bits — raw slab words are additionally
-//!   exact) and for deferred+site-policy (Thin frees hand their block
-//!   straight back to the allocator, so later escaping allocations may
-//!   be displaced — dead-bit pattern only).
+//!   by kind), the slab's dead-bit pattern and exact live slab words.
+//!   For DangNULL, whose fixed poison loses the original bits of the
+//!   words it invalidates.
 //! * **Envelope** — the deferred arm with live helper threads is
 //!   timing-nondeterministic by design; its verdict must land inside the
 //!   schedule envelope spanned by the two oracles (see
@@ -101,11 +98,12 @@ pub enum Stmt {
     /// `objs[obj] = realloc(objs[obj], size)`; may grow in place, move,
     /// or shrink (including to zero).
     ReallocObj { obj: usize, size: u64 },
-    /// Pointer-free malloc/free churn at one site (Thin warm-up).
+    /// Pointer-free malloc/free churn at one site.
     ChurnLoop { iters: i64 },
-    /// A churn site whose *last* allocation escapes into `slab[slot]`
-    /// instead of being freed — the Thin-then-promoted path.
-    ThinBait { iters: i64, slot: i64 },
+    /// A churn loop whose *last* allocation escapes into `slab[slot]`
+    /// instead of being freed: one pointer-taking object at the same
+    /// malloc site as the pointer-free ones freed before it.
+    ChurnEscape { iters: i64, slot: i64 },
     /// `gep` far past the canonical line and dereference: a wild pointer
     /// that must fault identically everywhere (and never count as a
     /// detection).
@@ -187,7 +185,7 @@ fn random_stmt(rng: &mut SmallRng, live: &mut [bool], sizes: &mut [u64], slot_on
             88..=93 => Some(Stmt::ChurnLoop {
                 iters: rng.gen_range(1i64..6),
             }),
-            94..=97 => Some(Stmt::ThinBait {
+            94..=97 => Some(Stmt::ChurnEscape {
                 iters: rng.gen_range(2i64..6),
                 slot: slot(rng),
             }),
@@ -324,11 +322,10 @@ fn compile_stmt(fb: &mut FunctionBuilder, slab: Reg, objs: &mut [Reg], s: &Stmt)
             fb.jump(header);
             fb.switch_to(exit);
         }
-        Stmt::ThinBait { iters, slot } => {
-            // One malloc site in the loop body: `iters - 1` clean frees
-            // earn the site its Thin route, then the last allocation
-            // escapes into the slab — registering a pointer against a
-            // Thin-routed object (the promotion path).
+        Stmt::ChurnEscape { iters, slot } => {
+            // One malloc in the loop body: `iters - 1` allocations are
+            // freed at once, then the last escapes into the slab — the
+            // first registered pointer to an object of this churn.
             let i = fb.iconst(0);
             let header = fb.new_block();
             let body = fb.new_block();
@@ -559,8 +556,6 @@ fn compare_classes(
     arm: &'static str,
     run: &ArmRun,
     reference: &ArmRun,
-    raw_slots_exact: bool,
-    compare_post: bool,
 ) {
     let classes: Vec<VerdictClass> = run.verdicts.iter().map(class_of).collect();
     let ref_classes: Vec<VerdictClass> = reference.verdicts.iter().map(class_of).collect();
@@ -581,33 +576,20 @@ fn compare_classes(
             ),
         );
     }
-    if raw_slots_exact {
-        let live_mismatch = run
-            .pre
-            .iter()
-            .zip(reference.pre.iter())
-            .any(|(a, b)| a & INVALID_BIT == 0 && b & INVALID_BIT == 0 && a != b);
-        if live_mismatch {
-            push(
-                divs,
-                arm,
-                format!(
-                    "live slots {:x?} != reference {:x?}",
-                    run.pre, reference.pre
-                ),
-            );
-        }
-    }
-    if compare_post {
-        if let (Some(p), Some(r)) = (&run.post, &reference.post) {
-            if dead_bits(p) != dead_bits(r) {
-                push(
-                    divs,
-                    arm,
-                    format!("post-drain dead-bit pattern {p:x?} != reference {r:x?}"),
-                );
-            }
-        }
+    let live_mismatch = run
+        .pre
+        .iter()
+        .zip(reference.pre.iter())
+        .any(|(a, b)| a & INVALID_BIT == 0 && b & INVALID_BIT == 0 && a != b);
+    if live_mismatch {
+        push(
+            divs,
+            arm,
+            format!(
+                "live slots {:x?} != reference {:x?}",
+                run.pre, reference.pre
+            ),
+        );
     }
 }
 
@@ -699,17 +681,15 @@ pub struct FullReport {
 
 /// Every arm [`check_program`] runs, in checker order. CI and the
 /// `fuzz_diff` summary print this list so a failure names the matrix.
-pub const ARM_NAMES: [&str; 15] = [
+pub const ARM_NAMES: [&str; 13] = [
     "oracle-eager",
     "oracle-lazy",
     "dangsan-inline",
-    "dangsan-site",
     "dangsan-metrics",
     "dangsan-locked",
     "freesentry",
     "dangnull",
     "dangsan-deferred",
-    "dangsan-deferred-site",
     "quarantine",
     "dangsan-deferred-mt",
     "xtag",
@@ -921,14 +901,8 @@ pub fn check_program_full(prog: &Program) -> FullReport {
     let mut divs = Vec::new();
 
     // --- sync-placement arms vs the eager oracle -----------------------
-    let sync_arms: [(&'static str, Config); 3] = [
+    let sync_arms: [(&'static str, Config); 2] = [
         ("dangsan-inline", Config::default()),
-        (
-            "dangsan-site",
-            Config::default()
-                .with_site_policy(true)
-                .with_thin_min_frees(1),
-        ),
         (
             "dangsan-metrics",
             Config::default()
@@ -958,7 +932,7 @@ pub fn check_program_full(prog: &Program) -> FullReport {
         let run = run_arm(prog, threaded, HookedHeap::new(heap, det), false);
         // DangNULL's poison loses the original bits: classes + dead-bit
         // pattern, with live slab words still exact.
-        compare_classes(&mut divs, "dangnull", &run, &eager, true, false);
+        compare_classes(&mut divs, "dangnull", &run, &eager);
     }
 
     // --- quarantine-placement arms vs the lazy oracle ------------------
@@ -972,22 +946,6 @@ pub fn check_program_full(prog: &Program) -> FullReport {
             true,
         );
         compare_strict(&mut divs, "dangsan-deferred", &run, &lazy, true);
-    }
-    {
-        let run = run_dangsan(
-            prog,
-            threaded,
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(0)
-                .with_site_policy(true)
-                .with_thin_min_frees(1),
-            true,
-        );
-        // Thin frees requeue their block immediately (no sweep job), so
-        // later escaping allocations may be displaced relative to the
-        // oracle: classes + dead-bit pattern, pre and post drain.
-        compare_classes(&mut divs, "dangsan-deferred-site", &run, &lazy, false, true);
     }
     {
         let (_, heap) = env();
@@ -1140,7 +1098,7 @@ pub fn minimize(scn: &Scenario, arm: &str) -> Scenario {
                         *iters -= 1;
                         true
                     }
-                    Stmt::ThinBait { iters, .. } if *iters > 2 => {
+                    Stmt::ChurnEscape { iters, .. } if *iters > 2 => {
                         *iters -= 1;
                         true
                     }
@@ -1426,7 +1384,7 @@ mod tests {
 
     #[test]
     fn arm_names_match_what_the_checker_runs() {
-        assert_eq!(ARM_NAMES.len(), 15);
+        assert_eq!(ARM_NAMES.len(), 13);
         for pair in ARM_NAMES.windows(2) {
             assert_ne!(pair[0], pair[1]);
         }

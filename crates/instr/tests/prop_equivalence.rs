@@ -5,7 +5,8 @@
 //! pointer store) and once with the optimized pass (hoisting + elision).
 //! Both runs must produce the same outcome (same trap or same return) and
 //! invalidate exactly the same number of pointers. Cases come from the
-//! in-repo seeded [`SmallRng`] (formerly proptest).
+//! in-repo seeded [`SmallRng`] (formerly proptest), plus the hand-written
+//! seeds in `corpus/`, which must trap under both passes.
 
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use dangsan_heap::Heap;
 use dangsan_instr::builder::FunctionBuilder;
 use dangsan_instr::interp::Trap;
 use dangsan_instr::ir::{BinOp, Operand, Program, Reg};
-use dangsan_instr::{instrument, Machine, PassOptions};
+use dangsan_instr::{instrument, parse_program, Machine, PassOptions};
 use dangsan_vmem::rng::SmallRng;
 use dangsan_vmem::AddressSpace;
 
@@ -156,6 +157,36 @@ fn optimized_pass_detects_exactly_what_naive_does() {
         // The optimizations only ever remove registrations.
         assert!(
             s_opt.ptrs_registered + s_opt.dup_ptrs <= s_naive.ptrs_registered + s_naive.dup_ptrs
+        );
+    }
+}
+
+#[test]
+fn corpus_seeds_trap_under_both_passes() {
+    let seeds = [
+        (
+            "churn_escape_uaf.ir",
+            include_str!("corpus/churn_escape_uaf.ir"),
+        ),
+        (
+            "realloc_move_uaf.ir",
+            include_str!("corpus/realloc_move_uaf.ir"),
+        ),
+    ];
+    for (name, src) in seeds {
+        let prog = parse_program(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        prog.validate().expect("corpus program valid");
+        let (r_naive, s_naive) = run(&prog, PassOptions::naive());
+        let (r_opt, s_opt) = run(&prog, PassOptions::optimized());
+        for r in [&r_naive, &r_opt] {
+            assert!(
+                matches!(r, Err(Trap::UseAfterFree(_))),
+                "{name}: expected a UAF trap, got {r:?}"
+            );
+        }
+        assert_eq!(
+            s_naive.ptrs_invalidated, s_opt.ptrs_invalidated,
+            "{name}: invalidation sets diverge"
         );
     }
 }

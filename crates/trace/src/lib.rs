@@ -123,11 +123,6 @@ pub enum EventCode {
     /// `a`=object id, `b`=jobs pending in the sweep queue after this
     /// enqueue, `c`=bytes quarantined after this enqueue.
     SweepEnqueue = 11,
-    /// A Thin-routed object was contradicted and its site demoted to
-    /// Standard routing. `a`=alloc-site id, `b`=object id (its epoch),
-    /// `c`=cause (0=`registerptr` against a Thin object, 1=non-empty
-    /// log chain found at free).
-    SiteDemote = 12,
 }
 
 impl EventCode {
@@ -145,7 +140,6 @@ impl EventCode {
             9 => EventCode::VmemFault,
             10 => EventCode::HeapCarve,
             11 => EventCode::SweepEnqueue,
-            12 => EventCode::SiteDemote,
             _ => return None,
         })
     }
@@ -164,7 +158,6 @@ impl EventCode {
             EventCode::VmemFault => "vmem_fault",
             EventCode::HeapCarve => "heap_carve",
             EventCode::SweepEnqueue => "sweep_enqueue",
-            EventCode::SiteDemote => "site_demote",
         }
     }
 

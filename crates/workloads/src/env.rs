@@ -56,12 +56,11 @@ impl DetectorKind {
     }
 }
 
-/// Environment-variable overrides for the sweep and routing axes:
-/// `SWEEP_THREADS=0` forces the synchronous free path, `SWEEP_THREADS=N`
-/// (N > 0) turns the deferred sweep on with N helper threads, and
-/// `SITE_POLICY=on|1` enables adaptive routing (`off|0` forces it off).
-/// Unset or unparsable variables leave `cfg` untouched, so local runs
-/// and committed baselines see exactly the config the caller built.
+/// Environment-variable override for the sweep axis: `SWEEP_THREADS=0`
+/// forces the synchronous free path, and `SWEEP_THREADS=N` (N > 0) turns
+/// the deferred sweep on with N helper threads. An unset or unparsable
+/// variable leaves `cfg` untouched, so local runs and committed
+/// baselines see exactly the config the caller built.
 ///
 /// Perf harnesses (the scaling and server benches) opt in by calling
 /// this on the configs they build; [`local_env`]/[`shared_env`]
@@ -75,11 +74,7 @@ pub fn matrix_env_overrides(mut cfg: Config) -> Config {
             cfg = cfg.with_sweep_threads(n).with_deferred_sweep(n > 0);
         }
     }
-    match std::env::var("SITE_POLICY").as_deref().map(str::trim) {
-        Ok("on" | "1") => cfg.with_site_policy(true),
-        Ok("off" | "0") => cfg.with_site_policy(false),
-        _ => cfg,
-    }
+    cfg
 }
 
 /// A fresh single-threaded environment (any detector kind).
@@ -196,27 +191,17 @@ mod tests {
         let _ = shared_env(DetectorKind::FreeSentry);
     }
 
-    /// Unsets `vars`, so an axis's baseline assert sees none of the
-    /// caller's matrix settings.
-    fn unset(vars: &[&str]) {
-        for v in vars {
-            std::env::remove_var(v);
-        }
-    }
-
     #[test]
     fn matrix_env_overrides_follow_the_matrix_variables() {
         // Single test covering all cases so the env-var mutation never
-        // races another assertion in this binary. The caller's values
-        // are restored at the end.
-        const VARS: [&str; 2] = ["SWEEP_THREADS", "SITE_POLICY"];
-        let saved: Vec<_> = VARS.iter().map(std::env::var_os).collect();
-        unset(&VARS);
+        // races another assertion in this binary. The caller's value is
+        // restored at the end.
+        let saved = std::env::var_os("SWEEP_THREADS");
+        std::env::remove_var("SWEEP_THREADS");
         let base = Config::default();
         let cfg = matrix_env_overrides(base);
         assert_eq!(cfg.deferred_sweep, base.deferred_sweep);
         assert_eq!(cfg.sweep_threads, base.sweep_threads);
-        assert_eq!(cfg.site_policy, base.site_policy);
 
         std::env::set_var("SWEEP_THREADS", "2");
         let cfg = matrix_env_overrides(Config::default());
@@ -228,26 +213,13 @@ mod tests {
         assert!(!cfg.deferred_sweep);
         assert_eq!(cfg.sweep_threads, 0);
 
+        std::env::set_var("SWEEP_THREADS", "banana");
+        let cfg = matrix_env_overrides(base);
+        assert_eq!(cfg, base, "unparsable values leave cfg untouched");
+
         std::env::remove_var("SWEEP_THREADS");
-
-        std::env::set_var("SITE_POLICY", "on");
-        let cfg = matrix_env_overrides(Config::default());
-        assert!(cfg.site_policy);
-
-        std::env::set_var("SITE_POLICY", "0");
-        let cfg = matrix_env_overrides(Config::default().with_site_policy(true));
-        assert!(!cfg.site_policy, "explicit off beats the built config");
-
-        std::env::set_var("SITE_POLICY", "banana");
-        let cfg = matrix_env_overrides(Config::default());
-        assert!(!cfg.site_policy, "unparsable values leave cfg untouched");
-
-        std::env::remove_var("SITE_POLICY");
-
-        for (var, value) in VARS.iter().zip(saved) {
-            if let Some(value) = value {
-                std::env::set_var(var, value);
-            }
+        if let Some(value) = saved {
+            std::env::set_var("SWEEP_THREADS", value);
         }
     }
 

@@ -82,8 +82,7 @@ pub struct ServerResult {
     /// Median per-request wall time in nanoseconds (ApacheBench's
     /// "50% served within" line).
     pub p50_ns: u64,
-    /// 99th-percentile per-request wall time in nanoseconds — the tail
-    /// a thin-routed fast path is supposed to shave.
+    /// 99th-percentile per-request wall time in nanoseconds.
     pub p99_ns: u64,
     /// 99.9th-percentile latency, the dashboard tail.
     pub p999_ns: u64,

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use dangsan_suite::dangsan::{
-    current_thread_id, forensics, set_alloc_site, Config, DangSan, Detector, EventCode, HookedHeap,
-    TraceLevel,
+    current_thread_id, forensics, set_alloc_site, Config, Counter, DangSan, Detector, EventCode,
+    HookedHeap, TraceLevel,
 };
 use dangsan_suite::heap::Heap;
 use dangsan_suite::trace::{unpack_pages, unpack_walked};
@@ -174,6 +174,65 @@ fn deferred_free_of_a_wide_object_records_one_sweep_span() {
     assert_eq!(uaf.invalidated, PAGES * PER_PAGE);
     let (walked, pages, _) = uaf.sweep.expect("Full level captures the sweep span");
     assert_eq!((walked, pages), (PAGES * PER_PAGE, PAGES));
+}
+
+/// One free, one sweep, in both sweep modes: pointer-free churn plus
+/// frees of objects holding 1 to 118 registered locations record exactly
+/// one `FreeSweep` span per freed object, and the free-size histogram
+/// rebuilt from the spans' walked counts equals the counters', bucket by
+/// bucket — the reconciliation `trace_report` runs.
+#[test]
+fn each_freed_object_records_one_sweep_span_in_both_sweep_modes() {
+    for deferred in [false, true] {
+        let mem = Arc::new(AddressSpace::new());
+        let heap = Heap::new(Arc::clone(&mem));
+        let det = DangSan::new(
+            Arc::clone(&mem),
+            Config::default()
+                .with_trace_level(TraceLevel::Full)
+                .with_deferred_sweep(deferred)
+                .with_sweep_threads(0),
+        );
+        let tracer = Arc::clone(det.tracer().expect("tracer"));
+        let hh = HookedHeap::new(heap, Arc::clone(&det));
+        let holders = hh.malloc(8 * 128).expect("holders");
+        for round in 0..40u64 {
+            for _ in 0..3 {
+                let churn = hh.malloc(24).expect("churn");
+                hh.free(churn.base).expect("churn free");
+            }
+            let obj = hh.malloc(16 + (round % 5) * 16).expect("obj");
+            for s in 0..1 + round * 3 {
+                hh.store_ptr(holders.base + s * 8, obj.base).expect("store");
+            }
+            hh.free(obj.base).expect("free");
+        }
+        hh.free(holders.base).expect("holders free");
+        det.drain();
+
+        assert!(
+            tracer.snapshot().iter().all(|r| r.dropped == 0),
+            "deferred={deferred}: rings must hold the whole run"
+        );
+        let mut event_hist = [0u64; 5];
+        let mut sweeps = 0u64;
+        for e in tracer.events() {
+            if e.code == EventCode::FreeSweep {
+                sweeps += 1;
+                let bucket = Counter::free_hist_bucket(unpack_walked(e.b));
+                event_hist[bucket as usize - Counter::FreeHistEmpty as usize] += 1;
+            }
+        }
+        let stats = det.stats();
+        assert_eq!(stats.objects_freed, 40 * 4 + 1, "deferred={deferred}");
+        assert_eq!(sweeps, stats.objects_freed, "deferred={deferred}");
+        assert_eq!(event_hist, stats.free_locs_hist, "deferred={deferred}");
+        assert!(
+            stats.free_locs_hist[..4].iter().all(|&n| n > 0),
+            "deferred={deferred}: walks span four buckets: {:?}",
+            stats.free_locs_hist
+        );
+    }
 }
 
 /// Cross-thread attribution: the free happens on a worker thread, the
