@@ -63,10 +63,10 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// Sweep configuration shared by both detector arms: deferred, zero
-/// helper threads, caps tight enough that backpressure drains run inside
+/// helper threads, caps tight enough that backpressure sweeps run inside
 /// the measured region and keep the block-recycling loop closed. Zero
-/// helpers because frees stay O(1) until the cap trips and the drain
-/// then runs in bounded batches on the freeing thread — the scalable
+/// helpers because frees stay O(1) until the cap trips and the tripping
+/// free then sweeps one bounded batch on the freeing thread — the scalable
 /// shape without handing a small machine's scheduler the bill. The caps
 /// are fixed (not scaled by worker count): measured head-to-head, a
 /// small fixed quarantine beats a per-thread budget at every thread

@@ -59,8 +59,8 @@ pub struct Config {
     /// quarantine tests use. Ignored when `deferred_sweep` is off.
     pub sweep_threads: usize,
     /// Quarantine byte cap: once the estimated bytes held by pending
-    /// sweep jobs exceed this, the freeing thread help-drains inline
-    /// (backpressure) so memory stays bounded.
+    /// sweep jobs exceed this, the freeing thread sweeps one batch of
+    /// jobs inline (backpressure) so memory stays bounded.
     pub quarantine_max_bytes: u64,
     /// Quarantine object-count cap, same backpressure trigger.
     pub quarantine_max_objects: u64,

@@ -31,9 +31,10 @@ use dangsan_telemetry::{Collector, MetricsHub, Sampler};
 /// recorder events and detector logs agree on thread identity.
 pub use dangsan_trace::current_thread_id;
 
-/// Jobs a backpressure drain pops per shard-lock acquisition (mirrors
+/// Jobs a free that trips a quarantine cap sweeps before it returns: one
+/// batch, popped with one lock per visited shard (mirrors
 /// `heap::magazine`'s refill `BATCH`: amortize the lock without holding
-/// it across the sweeps themselves).
+/// it across the sweeps themselves). This bounds a free's sweep work.
 const BACKPRESSURE_BATCH: usize = 32;
 
 /// Entries in the per-thread last-object → log cache (power of two).
@@ -595,30 +596,25 @@ impl DangSan {
             pending_bytes,
         );
         // Backpressure: past either quarantine cap the freeing thread
-        // help-drains — down to the low-water mark, not just below the
-        // cap, so the help is a batch of sweeps (amortising the queue
-        // round-trips) rather than a one-in-one-out lockstep. A mutator
-        // can never outrun the sweepers without paying for it. Pops are
-        // batched (one shard lock per batch, not per job), home shard
-        // first so a thread sweeps mostly its own objects, stealing only
-        // when its shard runs dry — without the steal a thread whose
-        // backlog lives in another shard would spin on `over_cap` while
-        // never draining anything.
+        // sweeps one batch of `BACKPRESSURE_BATCH` jobs and returns, so
+        // one free pays for at most one batch. Each push adds one job
+        // and each trip removes up to 32, so a mutator still cannot
+        // outrun the sweeps, and a trip stays a batch (amortising the
+        // queue round-trips) rather than a one-in-one-out lockstep. The
+        // batch comes from the home shard first, so a thread sweeps
+        // mostly its own objects, and steals only when that shard is
+        // short — without the steal a thread whose backlog lives in
+        // another shard would trip `over_cap` on every free while never
+        // draining anything.
         if queue.over_cap() {
             let mut batch = Vec::with_capacity(BACKPRESSURE_BATCH);
-            while queue.above_low_water() {
-                let stolen =
-                    queue.pop_batch(SweepQueue::home_shard(), BACKPRESSURE_BATCH, &mut batch);
-                if batch.is_empty() {
-                    break;
-                }
-                self.stats.add(&[
-                    (Counter::SweepsBackpressure, batch.len() as u64),
-                    (Counter::SweepSteals, stolen),
-                ]);
-                for job in batch.drain(..) {
-                    self.run_object_sweep(job, SWEEP_MODE_BACKPRESSURE);
-                }
+            let stolen = queue.pop_batch(SweepQueue::home_shard(), BACKPRESSURE_BATCH, &mut batch);
+            self.stats.add(&[
+                (Counter::SweepsBackpressure, batch.len() as u64),
+                (Counter::SweepSteals, stolen),
+            ]);
+            for job in batch {
+                self.run_object_sweep(job, SWEEP_MODE_BACKPRESSURE);
             }
         }
         // The walk has not run yet: the report is empty by contract, and
@@ -1586,6 +1582,48 @@ mod tests {
             stats_on.hashtables >= 1,
             "workload must exercise the hash tier: {stats_on:?}"
         );
+    }
+
+    #[test]
+    fn a_backpressure_trip_sweeps_one_batch() {
+        // No helpers: every sweep before `drain` runs on the freeing
+        // thread. A free that trips a cap must sweep exactly one batch,
+        // and must leave both caps respected when it returns. One arm
+        // trips the object cap, the other the byte cap.
+        const ROUNDS: usize = 2000;
+        for (max_bytes, max_objects, size) in [(u64::MAX, 256, 64), (256 << 10, u64::MAX, 1024)] {
+            let arm = format!("caps ({max_bytes}, {max_objects}), malloc({size})");
+            let cfg = Config::default()
+                .with_deferred_sweep(true)
+                .with_sweep_threads(0)
+                .with_quarantine_caps(max_bytes, max_objects);
+            let mem = Arc::new(AddressSpace::new());
+            let hh = crate::HookedHeap::new(Heap::new(Arc::clone(&mem)), DangSan::new(mem, cfg));
+            let queue = hh.detector().sweep.as_deref().expect("deferred mode");
+            let holder = hh.malloc(8).unwrap();
+            let (mut swept, mut largest, mut trips) = (0, 0, 0);
+            for _ in 0..ROUNDS {
+                let obj = hh.malloc(size).unwrap();
+                hh.store_ptr(holder.base, obj.base).unwrap();
+                hh.free(obj.base).unwrap();
+                let now = hh.detector().stats().sweeps_backpressure;
+                if now > swept {
+                    trips += 1;
+                    largest = largest.max(now - swept);
+                }
+                swept = now;
+                assert!(queue.pending() <= max_objects, "{arm}: {}", queue.pending());
+                assert!(
+                    queue.pending_bytes() <= max_bytes,
+                    "{arm}: {}",
+                    queue.pending_bytes()
+                );
+            }
+            assert_eq!(
+                largest, BACKPRESSURE_BATCH as u64,
+                "{arm}: largest per-free sweep count over {trips} trips"
+            );
+        }
     }
 
     #[test]

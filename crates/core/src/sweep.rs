@@ -106,7 +106,7 @@ pub(crate) struct SweepQueue {
     pending_bytes: AtomicU64,
     /// Shutdown flag for the workers; set before the final drain.
     stop: AtomicU64,
-    /// Byte/object caps beyond which freeing threads must help-drain.
+    /// Byte/object caps beyond which a freeing thread sweeps a batch.
     max_bytes: u64,
     max_objects: u64,
     /// Sleep/wake rendezvous: workers wait here for work, `drain` waits
@@ -182,16 +182,18 @@ impl SweepQueue {
 
     /// Pops up to `max` jobs, draining the calling thread's home shard
     /// first and stealing from the other shards only if the home shard
-    /// runs dry. The backpressure drain uses this: one lock acquisition
-    /// per visited shard (not per job), and the home-first order keeps a
-    /// freeing thread sweeping mostly its own objects — but it still
-    /// steals when its shard is empty, because with global caps a thread
-    /// that cannot steal would spin on `over_cap` while the backlog sits
-    /// untouched in someone else's shard. Takes from the *back* of each
-    /// shard — newest first, the objects whose log chains and shadow
-    /// lines the freeing thread just touched — while helpers and `drain`
-    /// pop the front, keeping the oldest jobs age-bounded. Returns the
-    /// number of jobs taken by stealing.
+    /// holds fewer than `max`. A free that trips a cap sweeps one such
+    /// batch: one lock acquisition per visited shard (not per job), and
+    /// the home-first order keeps a freeing thread sweeping mostly its
+    /// own objects — but it still steals when its shard is short,
+    /// because with global caps a thread that cannot steal would trip
+    /// `over_cap` on every free while the backlog sits untouched in
+    /// someone else's shard. Takes from the *back* of each shard —
+    /// newest first, the objects whose log chains and shadow lines the
+    /// freeing thread just touched — while helpers and `drain` pop the
+    /// front. With no helpers, nothing takes the oldest jobs before
+    /// `drain`; the caps still bound how many wait. Returns the number of
+    /// jobs taken by stealing.
     pub(crate) fn pop_batch(&self, home: usize, max: usize, out: &mut Vec<ObjectSweep>) -> u64 {
         let mut stolen = 0;
         for probe in 0..SWEEP_SHARDS {
@@ -249,21 +251,11 @@ impl SweepQueue {
         core::array::from_fn(|i| self.shard(i).jobs.len() as u64)
     }
 
-    /// Whether the quarantine exceeds either cap (freeing threads must
-    /// help-drain once it does).
+    /// Whether the quarantine exceeds either cap (a freeing thread that
+    /// finds it so sweeps one batch before it returns).
     pub(crate) fn over_cap(&self) -> bool {
         self.pending.load(Ordering::Acquire) > self.max_objects
             || self.pending_bytes.load(Ordering::Acquire) > self.max_bytes
-    }
-
-    /// Whether the quarantine is still above the backpressure low-water
-    /// mark (half of either cap). A mutator that trips [`Self::over_cap`]
-    /// drains down to here — the hysteresis keeps help-draining batchy:
-    /// draining exactly back to the cap would degenerate into one sweep
-    /// per subsequent free, an inline walk with queue overhead on top.
-    pub(crate) fn above_low_water(&self) -> bool {
-        self.pending.load(Ordering::Acquire) > self.max_objects / 2
-            || self.pending_bytes.load(Ordering::Acquire) > self.max_bytes / 2
     }
 
     /// Signals the workers to exit once the queue is empty.

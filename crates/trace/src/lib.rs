@@ -198,8 +198,8 @@ pub const SWEEP_MODE_INLINE: u64 = 0;
 pub const SWEEP_MODE_DEFERRED: u64 = 1;
 /// The sweep ran on a helper thread that stole it from another shard.
 pub const SWEEP_MODE_STOLEN: u64 = 2;
-/// The sweep ran inline on the freeing thread because the quarantine
-/// cap forced help-draining (backpressure).
+/// The sweep ran inline on the freeing thread, in the batch a free that
+/// exceeded a quarantine cap sweeps (backpressure).
 pub const SWEEP_MODE_BACKPRESSURE: u64 = 3;
 
 /// Packs an invalidation sweep's shape into one `b` payload (pages in the

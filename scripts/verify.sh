@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build/lint/tests, every workspace crate's
-# tests, a differential-fuzz slice, the e2ebench benchmark's own test,
-# the repo-hygiene guard, and the bench gates: `bench_gate` lints the
+# tests, a differential-fuzz slice, the e2ebench benchmark's own test
+# and 1-second smoke runs of its two deferred-sweep workloads, the
+# repo-hygiene guard, and the bench gates: `bench_gate` lints the
 # committed BENCH_*.json baselines and, in full mode, gates quick
 # hotpath/scaling/server runs against them. The gates, their floors and
 # what fails them are documented once, in crates/bench/src/gate.rs.
@@ -21,6 +22,7 @@
 # Fails if any stage fails: the tier-1 suite (build, clippy -D warnings,
 # tests), any workspace crate's tests (tier-1 `cargo test` runs only the
 # root package's), a fuzz divergence, the e2ebench build or test, a
+# failed correctness check in an e2ebench smoke run, a
 # tracked file matching .gitignore (stale artifacts must stay untracked
 # once ignored), or a bench gate.
 set -euo pipefail
@@ -71,6 +73,17 @@ fi
 # transparent on the churn workload's inline free path.
 echo "== benchmark test: e2ebench =="
 cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
+# The test above runs only `churn`, on the inline free path. These short
+# runs of the two deferred-sweep workloads, with the BENCHMARK.json
+# command, put their own checks on the backpressure path: every UAF
+# canary traps after `drain`, and the hooked call counts reconcile with
+# `StatsSnapshot`. The benchmark exits non-zero when a check fails.
+for workload in server shared-stores; do
+    echo "== benchmark smoke: e2ebench --workload $workload =="
+    cargo run --release --quiet --offline --manifest-path e2ebench/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 1 --trace 0
+done
 
 echo "== repo hygiene: no tracked-but-ignored files =="
 if tracked_ignored=$(git ls-files -ci --exclude-standard) && [[ -n "$tracked_ignored" ]]; then
