@@ -33,8 +33,7 @@
 //!   deferred-sweep arms); invalidation happens only at
 //!   [`dangsan::Detector::drain`], which then requeues the blocks.
 //!   Compare pre-drain state against the quarantine arm and the
-//!   no-helper deferred arms, post-drain state against their drained
-//!   state.
+//!   deferred arm, post-drain state against its drained state.
 //!
 //! Registration against an already-freed (pending) object is dropped in
 //! both modes, matching DangSan: the inline path has already cleared the

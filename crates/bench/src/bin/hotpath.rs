@@ -68,9 +68,9 @@ fn env(caches: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
 /// of the mutator-visible free benchmarks frees into the quarantine
 /// (`Heap::quarantine` + an O(1) `on_free`) and the walks run at the
 /// drain, outside the timed region — the throughput a mutator actually
-/// observes. Zero helper threads keep the timed loop free of scheduler
-/// noise on small machines; the drain does every walk the inline arm
-/// did, checked by the stats asserts.
+/// observes. The caps are unbounded, so no backpressure batch runs in
+/// the timed loop; the drain does every walk the inline arm did,
+/// checked by the stats asserts.
 fn deferred_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
@@ -79,7 +79,6 @@ fn deferred_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
         Config::default()
             .with_hot_path_caches(opt)
             .with_deferred_sweep(opt)
-            .with_sweep_threads(0)
             .with_quarantine_caps(u64::MAX, u64::MAX),
     );
     det.bind_heap(&heap);
@@ -312,8 +311,8 @@ fn bench_free_many_ptrs(rounds: u64, caches: bool) -> Measurement {
 /// runs every deferred walk and the stats asserts prove nothing was
 /// skipped. Pass 0 is an untimed warm-up ending in a drain: the timed
 /// pass runs at steady state — block supply and pool records hot, as
-/// they are in production where helper threads keep the recycle loop
-/// closed. Ops are frees.
+/// they are in a long-running mutator whose backpressure batches keep
+/// the recycle loop closed. Ops are frees.
 fn bench_free_many_objs(rounds: u64, opt: bool) -> Measurement {
     const OBJS: u64 = 8;
     let (mem, heap, det) = deferred_env(opt);
@@ -445,10 +444,7 @@ fn bench_free_while_registering(rounds: u64, opt: bool) -> Measurement {
 /// bookkeeping AND every walk it put off. This keeps the mutator-visible
 /// wins honest by publishing the total cost next to them: off sweeps
 /// inline at each free, on defers through the quarantine and drains
-/// every 64 rounds on the freeing thread (zero helpers: on a small
-/// machine a helper handoff only measures the scheduler, not the sweep;
-/// the sweep tests cover the helper-threaded configuration for
-/// correctness). Ops are frees.
+/// every 64 rounds on the freeing thread. Ops are frees.
 fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
     const OBJS: u64 = 8;
     const DRAIN_EVERY: u64 = 64;
@@ -458,8 +454,7 @@ fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
         Arc::clone(&mem),
         Config::default()
             .with_hot_path_caches(true)
-            .with_deferred_sweep(deferred)
-            .with_sweep_threads(0),
+            .with_deferred_sweep(deferred),
     );
     det.bind_heap(&heap);
     mem.set_tlb_enabled(true);

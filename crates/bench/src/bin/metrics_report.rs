@@ -46,7 +46,6 @@ fn main() {
         .with_metrics(true)
         .with_metrics_interval_ms(10)
         .with_deferred_sweep(true)
-        .with_sweep_threads(2)
         .with_quarantine_caps(256 << 10, 256);
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));

@@ -46,10 +46,9 @@
 //! cargo run --release -p dangsan-bench --bin scaling -- --table [FILE]
 //! ```
 
-use dangsan::Config;
 use dangsan_bench::report::Json;
-use dangsan_bench::{cores, defense_arms, Args, SCALING_SCHEMA};
-use dangsan_workloads::{matrix_env_overrides, run_server, DetectorKind, ServerProfile};
+use dangsan_bench::{cores, defense_arms, detector_config, Args, SCALING_SCHEMA};
+use dangsan_workloads::{run_server, DetectorKind, ServerProfile};
 
 /// Worker-count sweep: the paper's 1/2/4 plus the machine's full core
 /// count when it is larger.
@@ -62,37 +61,16 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Sweep configuration shared by both detector arms: deferred, zero
-/// helper threads, caps tight enough that backpressure sweeps run inside
-/// the measured region and keep the block-recycling loop closed. Zero
-/// helpers because frees stay O(1) until the cap trips and the tripping
-/// free then sweeps one bounded batch on the freeing thread — the scalable
-/// shape without handing a small machine's scheduler the bill. The caps
-/// are fixed (not scaled by worker count): measured head-to-head, a
-/// small fixed quarantine beats a per-thread budget at every thread
-/// count, because draining soon after the free walks log chains and
-/// shadow lines while they are still cache-hot — freshness is worth
-/// more than rarer backpressure trips. `SWEEP_THREADS` overrides the
-/// sweep mode.
-fn detector_config(_workers: usize) -> Config {
-    matrix_env_overrides(
-        Config::default()
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0)
-            .with_quarantine_caps(256 << 10, 256),
-    )
-}
-
 /// The three measured arms. The detector arms differ ONLY in the
 /// allocator (`thread_cached_heap`), so `cached_over_locked_1t` isolates
 /// the TLS magazines; the sweep knobs come from [`detector_config`] for
 /// both.
-type Arm = fn(usize) -> DetectorKind;
+type Arm = fn() -> DetectorKind;
 const ARMS: &[(&str, Arm)] = &[
-    ("baseline", |_| DetectorKind::Baseline),
-    ("dangsan", |w| DetectorKind::DangSan(detector_config(w))),
-    ("locked", |w| {
-        DetectorKind::DangSan(detector_config(w).with_thread_cached_heap(false))
+    ("baseline", || DetectorKind::Baseline),
+    ("dangsan", || DetectorKind::DangSan(detector_config())),
+    ("locked", || {
+        DetectorKind::DangSan(detector_config().with_thread_cached_heap(false))
     }),
 ];
 
@@ -212,7 +190,7 @@ fn main() {
         for rep in 0..reps {
             for (c, &workers) in counts.iter().enumerate() {
                 for (a, (_, kind)) in ARMS.iter().enumerate() {
-                    let r = run_once(kind(workers), workers, req_total, 0x5ca1e ^ rep as u64);
+                    let r = run_once(kind(), workers, req_total, 0x5ca1e ^ rep as u64);
                     if r.rps > best[a][c].rps {
                         best[a][c] = r;
                     }
@@ -268,7 +246,7 @@ fn main() {
     }
 
     // --- cross-defense comparison (single-threaded smoke cells) --------
-    let darms = defense_arms(detector_config(1));
+    let darms = defense_arms(detector_config());
     println!(
         "{:<12} {:>14} {:>9} {:>12}",
         "defense", "req/s", "overhead", "meta bytes"

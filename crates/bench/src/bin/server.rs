@@ -24,24 +24,11 @@
 //! cargo run --release -p dangsan-bench --bin server [-- --quick] [--out PATH]
 //! ```
 
-use dangsan::Config;
 use dangsan_bench::report::Json;
-use dangsan_bench::{cores, Args, SERVER_SCHEMA, TAGGING_SCHEMES};
+use dangsan_bench::{cores, detector_config, Args, SERVER_SCHEMA, TAGGING_SCHEMES};
 use dangsan_workloads::{
-    matrix_env_overrides, run_server, run_server_opts, DetectorKind, ServerOptions, ServerProfile,
-    ServerResult,
+    run_server, run_server_opts, DetectorKind, ServerOptions, ServerProfile, ServerResult,
 };
-
-/// The scaling bench's shipping configuration, with the
-/// `SWEEP_THREADS` override applied as there.
-fn detector_config() -> Config {
-    matrix_env_overrides(
-        Config::default()
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0)
-            .with_quarantine_caps(256 << 10, 256),
-    )
-}
 
 fn profile(workers: usize) -> ServerProfile {
     ServerProfile {

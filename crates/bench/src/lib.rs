@@ -25,7 +25,7 @@
 
 use dangsan::Config;
 use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
-use dangsan_workloads::DetectorKind;
+use dangsan_workloads::{matrix_env_overrides, DetectorKind};
 
 pub mod experiments;
 pub mod gate;
@@ -49,6 +49,25 @@ pub const HOTPATH_BENCHES: [(&str, bool); 10] = [
     ("free_many_ptrs", false), ("free_many_objs", true), ("free_while_reg", true),
     ("sweep_total", false), ("trace_off", false), ("metrics_off", false),
 ];
+
+/// The DangSan configuration the `scaling` and `server` harnesses
+/// measure: the deferred sweep, with caps tight enough that backpressure
+/// batches run inside the measured region and keep the block-recycling
+/// loop closed. Frees stay O(1) until a cap trips, and the tripping free
+/// then sweeps one bounded batch on the freeing thread. The caps are
+/// fixed, not scaled by worker count: measured head-to-head, a small
+/// fixed quarantine beats a per-thread budget at every thread count,
+/// because sweeping soon after the free walks log chains and shadow
+/// lines while they are still cache-hot — freshness is worth more than
+/// rarer backpressure trips. `SWEEP_THREADS=0` switches it to the
+/// synchronous sweep ([`matrix_env_overrides`]).
+pub fn detector_config() -> Config {
+    matrix_env_overrides(
+        Config::default()
+            .with_deferred_sweep(true)
+            .with_quarantine_caps(256 << 10, 256),
+    )
+}
 
 /// The pointer-tagging arms at their default widths and keys, in the
 /// order `server` writes their capacity rows (keyed by

@@ -45,19 +45,16 @@ pub struct Config {
     /// scaling benchmark compares against. Allocation placement differs
     /// between the two paths; detector behaviour does not.
     pub thread_cached_heap: bool,
-    /// Defer the free-time invalidation sweep off the freeing thread:
-    /// `on_free` retires the object's epoch, detaches its logs, and
-    /// enqueues a sweep job on the sharded quarantine queue, returning
-    /// after O(1) bookkeeping. The block stays quarantined in the heap
-    /// (unallocatable) until its sweep retires it. Off (the default)
-    /// keeps the synchronous sweep. Counters and reports are exact
-    /// after [`crate::DangSan::drain`] / detector drop either way.
+    /// Defer the free-time invalidation sweep: `on_free` retires the
+    /// object's epoch, detaches its logs, and enqueues a sweep job on the
+    /// sharded quarantine queue, returning after O(1) bookkeeping. No
+    /// thread sweeps in the background: a free that leaves a quarantine
+    /// cap exceeded sweeps one batch on the freeing thread, and
+    /// [`crate::DangSan::drain`] (or detector drop) sweeps the rest. The
+    /// block stays quarantined in the heap (unallocatable) until its
+    /// sweep retires it. Off (the default) keeps the synchronous sweep.
+    /// Counters and reports are exact after a drain either way.
     pub deferred_sweep: bool,
-    /// Helper threads draining the sweep queue when `deferred_sweep` is
-    /// on. `0` spawns none: jobs sit quarantined until backpressure or
-    /// an explicit drain runs them — the deterministic mode the
-    /// quarantine tests use. Ignored when `deferred_sweep` is off.
-    pub sweep_threads: usize,
     /// Quarantine byte cap: once the estimated bytes held by pending
     /// sweep jobs exceed this, the freeing thread sweeps one batch of
     /// jobs inline (backpressure) so memory stays bounded.
@@ -96,7 +93,6 @@ impl Default for Config {
             hot_path_caches: true,
             thread_cached_heap: true,
             deferred_sweep: false,
-            sweep_threads: 2,
             quarantine_max_bytes: 64 << 20,
             quarantine_max_objects: 256 * 1024,
             trace_level: TraceLevel::Off,
@@ -154,9 +150,17 @@ impl Config {
         self
     }
 
-    /// Returns a copy with a different sweep helper-thread count.
-    pub fn with_sweep_threads(mut self, n: usize) -> Self {
-        self.sweep_threads = n;
+    /// Accepts only `0` and returns the config unchanged: the deferred
+    /// sweep has no helper threads. It stays for the `e2ebench`
+    /// workloads' pinned configs, which still call it with `0`, and goes
+    /// with ROADMAP.md's benchmark follow-up, which drops that call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is not `0`, so no caller silently loses helpers it
+    /// asked for.
+    pub fn with_sweep_threads(self, n: usize) -> Self {
+        assert_eq!(n, 0, "the deferred sweep has no helper threads");
         self
     }
 

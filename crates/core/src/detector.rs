@@ -4,13 +4,12 @@ use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::{Arc, Mutex, Weak};
-use std::thread::JoinHandle;
 
 use dangsan_heap::{Allocation, Heap};
 use dangsan_shadow::MetaPageTable;
 use dangsan_trace::{
     forensics, pack_size_site, pack_sweep_mode, EventCode, Trace, TraceLevel, Tracer,
-    SWEEP_MODE_BACKPRESSURE, SWEEP_MODE_DEFERRED, SWEEP_MODE_INLINE, SWEEP_MODE_STOLEN,
+    SWEEP_MODE_BACKPRESSURE, SWEEP_MODE_INLINE,
 };
 use dangsan_vmem::{Addr, AddressSpace, FaultKind, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SIZE};
 
@@ -228,9 +227,7 @@ pub struct DangSan {
     trace: Trace,
     /// The deferred-sweep quarantine queue; `Some` exactly when
     /// `Config::deferred_sweep` is on.
-    sweep: Option<Arc<SweepQueue>>,
-    /// Sweep helper threads, joined when the detector drops.
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    sweep: Option<SweepQueue>,
     /// The heap this detector is hooked in front of (set by
     /// [`Detector::bind_heap`]); a retiring sweep requeues its
     /// quarantined block here. Shared (`Arc`) with the heap-gauge
@@ -242,9 +239,9 @@ pub struct DangSan {
     /// metrics sites at all.
     metrics: Option<Arc<MetricsHub>>,
     /// The sampler thread emitting the JSONL time series; stopped and
-    /// joined by its own `Drop`, which runs after the sweep shutdown in
-    /// [`Drop for DangSan`] (field order) — by then the hub's detector
-    /// source fails its `Weak` upgrade and samples only heap gauges.
+    /// joined by its own `Drop`, which runs after the final drain in
+    /// [`Drop for DangSan`] — by then the hub's detector source fails its
+    /// `Weak` upgrade and samples only heap gauges.
     sampler: Mutex<Option<Sampler>>,
     /// Whether [`Detector::bind_heap`] already registered the heap
     /// gauges, so re-binding cannot duplicate them.
@@ -266,12 +263,9 @@ impl DangSan {
             map.set_tracer(&tracer);
             mem.set_tracer(&tracer);
         }
-        let sweep = cfg.deferred_sweep.then(|| {
-            Arc::new(SweepQueue::new(
-                cfg.quarantine_max_bytes,
-                cfg.quarantine_max_objects,
-            ))
-        });
+        let sweep = cfg
+            .deferred_sweep
+            .then(|| SweepQueue::new(cfg.quarantine_max_bytes, cfg.quarantine_max_objects));
         let det = Arc::new(DangSan {
             mem,
             map,
@@ -282,8 +276,7 @@ impl DangSan {
             extra_bytes: AtomicU64::new(0),
             id: fresh_detector_id(),
             trace,
-            sweep: sweep.clone(),
-            workers: Mutex::new(Vec::new()),
+            sweep,
             heap: Arc::new(Mutex::new(Weak::new())),
             metrics: cfg.metrics.then(MetricsHub::new),
             sampler: Mutex::new(None),
@@ -301,17 +294,6 @@ impl DangSan {
             });
             let interval = std::time::Duration::from_millis(cfg.metrics_interval_ms.max(1));
             *det.sampler.lock().expect("not poisoned") = Some(hub.start_sampler(interval));
-        }
-        if let Some(queue) = sweep {
-            // Workers hold only a Weak: they cannot keep a dropped
-            // detector alive, and an upgrade failure is their signal that
-            // the final inline drain has taken over.
-            let mut workers = det.workers.lock().expect("not poisoned");
-            for _ in 0..cfg.sweep_threads {
-                let weak = Arc::downgrade(&det);
-                let queue = Arc::clone(&queue);
-                workers.push(std::thread::spawn(move || sweep_worker(weak, queue)));
-            }
         }
         det
     }
@@ -613,7 +595,7 @@ impl DangSan {
                 (Counter::SweepsBackpressure, batch.len() as u64),
                 (Counter::SweepSteals, stolen),
             ]);
-            for job in batch {
+            for job in queue.hold(batch) {
                 self.run_object_sweep(job, SWEEP_MODE_BACKPRESSURE);
             }
         }
@@ -746,50 +728,47 @@ impl DangSan {
         let meta = unsafe { &*obj.meta.0 };
         self.map.clear_object(obj.base, obj.covered);
         self.meta_pool.recycle(meta);
-        self.release_quarantined(obj.base, obj.charge);
+        self.release_quarantined(obj.base);
     }
 
     /// The quarantine tail of a deferred-mode free: hands the block the
-    /// heap quarantined back to it, then releases the block's sweep-queue
-    /// charge if it holds one. The requeue must precede the charge drop:
-    /// once `pending` hits zero a [`DangSan::drain`] may return, and its
-    /// contract is that every quarantined block circulates again.
+    /// heap quarantined back to it. A queued job's charge drops only
+    /// after this, when its sweep returns (`sweep::Held`): once `pending`
+    /// hits zero a [`DangSan::drain`] may return, and its contract is
+    /// that every quarantined block circulates again.
     ///
     /// A no-op in synchronous mode: there the heap never quarantined the
     /// block — the caller frees it once `on_free` returns — so a requeue
     /// here would put a live block on two free lists.
-    fn release_quarantined(&self, base: Addr, charge: Option<u64>) {
-        let Some(queue) = &self.sweep else {
+    fn release_quarantined(&self, base: Addr) {
+        if self.sweep.is_none() {
             return;
-        };
+        }
         let heap = self.heap.lock().expect("not poisoned").upgrade();
         if let Some(heap) = heap {
             heap.requeue_batch(&[base]);
         }
-        if let Some(bytes) = charge {
-            queue.retire_object(bytes);
-        }
     }
 
     /// Blocks until every deferred sweep enqueued so far has retired,
-    /// helping to drain the queue from the calling thread (so `drain`
-    /// works even with `Config::sweep_threads` at zero). After this
+    /// sweeping the queued jobs on the calling thread. After this
     /// returns, all counters are exact and every quarantined block is
     /// allocatable again. No-op in synchronous mode.
     pub fn drain(&self) {
-        let Some(queue) = self.sweep.as_ref() else {
+        let Some(queue) = &self.sweep else {
             return;
         };
         loop {
-            if let Some((job, _)) = queue.pop(SweepQueue::home_shard()) {
+            let mut held = queue.hold(queue.pop(SweepQueue::home_shard()));
+            if let Some(job) = held.next() {
                 self.run_object_sweep(job, SWEEP_MODE_INLINE);
                 continue;
             }
             if queue.pending() == 0 {
                 break;
             }
-            // Jobs are in flight on the helpers: wait for a retire (or
-            // for a job to land back in the queue).
+            // Another thread's backpressure batch is still in flight:
+            // wait for a retire (or for a job to be pushed).
             queue.wait_for_retire_or_work();
         }
     }
@@ -814,58 +793,9 @@ fn page_runs(locs: &[Addr]) -> impl Iterator<Item = &[Addr]> {
     locs.chunk_by(|a, b| a & !(PAGE_SIZE - 1) == b & !(PAGE_SIZE - 1))
 }
 
-/// A sweep helper thread: pops jobs — stealing from the other shards
-/// when its home shard is dry — and runs them against a weak detector
-/// reference. An upgrade failure means the detector is mid-drop and its
-/// final inline drain owns the queue: the job goes back and the worker
-/// exits.
-fn sweep_worker(det: Weak<DangSan>, queue: Arc<SweepQueue>) {
-    let home = SweepQueue::home_shard();
-    loop {
-        match queue.pop(home) {
-            Some((job, stolen)) => {
-                let Some(det) = det.upgrade() else {
-                    queue.push_back(job);
-                    return;
-                };
-                if stolen {
-                    det.stats.bump(&[Counter::SweepSteals]);
-                }
-                let mode = if stolen {
-                    SWEEP_MODE_STOLEN
-                } else {
-                    SWEEP_MODE_DEFERRED
-                };
-                det.run_object_sweep(job, mode);
-            }
-            None => {
-                if queue.stopping() {
-                    return;
-                }
-                queue.wait_for_work();
-            }
-        }
-    }
-}
-
 impl Drop for DangSan {
     fn drop(&mut self) {
-        let Some(queue) = &self.sweep else {
-            return;
-        };
-        // Stop the helpers, finish whatever is still quarantined inline,
-        // then join. A worker's transient upgrade can make it the thread
-        // running this drop — joining every handle but our own covers
-        // that case (the skipped worker exits right after).
-        queue.request_stop();
         self.drain();
-        let workers = std::mem::take(&mut *self.workers.lock().expect("not poisoned"));
-        let me = std::thread::current().id();
-        for handle in workers {
-            if handle.thread().id() != me {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -902,7 +832,7 @@ impl Detector for DangSan {
             // With deferred sweeping the heap quarantined the block before
             // calling in; an untracked base has no sweep to retire it, so
             // the block must re-enter circulation here or it would leak.
-            self.release_quarantined(base, None);
+            self.release_quarantined(base);
             return InvalidationReport::default();
         };
         // Retire this object's epoch before any of its logs are detached
@@ -1586,20 +1516,19 @@ mod tests {
 
     #[test]
     fn a_backpressure_trip_sweeps_one_batch() {
-        // No helpers: every sweep before `drain` runs on the freeing
-        // thread. A free that trips a cap must sweep exactly one batch,
-        // and must leave both caps respected when it returns. One arm
-        // trips the object cap, the other the byte cap.
+        // Every sweep before `drain` runs on the freeing thread. A free
+        // that trips a cap must sweep exactly one batch, and must leave
+        // both caps respected when it returns. One arm trips the object
+        // cap, the other the byte cap.
         const ROUNDS: usize = 2000;
         for (max_bytes, max_objects, size) in [(u64::MAX, 256, 64), (256 << 10, u64::MAX, 1024)] {
             let arm = format!("caps ({max_bytes}, {max_objects}), malloc({size})");
             let cfg = Config::default()
                 .with_deferred_sweep(true)
-                .with_sweep_threads(0)
                 .with_quarantine_caps(max_bytes, max_objects);
             let mem = Arc::new(AddressSpace::new());
             let hh = crate::HookedHeap::new(Heap::new(Arc::clone(&mem)), DangSan::new(mem, cfg));
-            let queue = hh.detector().sweep.as_deref().expect("deferred mode");
+            let queue = hh.detector().sweep.as_ref().expect("deferred mode");
             let holder = hh.malloc(8).unwrap();
             let (mut swept, mut largest, mut trips) = (0, 0, 0);
             for _ in 0..ROUNDS {
@@ -1623,6 +1552,66 @@ mod tests {
                 largest, BACKPRESSURE_BATCH as u64,
                 "{arm}: largest per-free sweep count over {trips} trips"
             );
+        }
+    }
+
+    #[test]
+    fn a_sweep_that_panics_leaves_drain_able_to_finish() {
+        // A panic inside a backpressure sweep must not leak the queue
+        // charges of its batch: the job that panicked releases its own,
+        // and the jobs it never started go back on the queue. Otherwise
+        // `pending` stays above zero and every later `drain` (the one in
+        // detector drop too) waits forever. The panic comes from the
+        // heap slot, poisoned here, which `release_quarantined` locks
+        // inside the sweep.
+        const OBJS: usize = 5;
+        let cfg = Config::default()
+            .with_deferred_sweep(true)
+            .with_quarantine_caps(u64::MAX, OBJS as u64 - 1);
+        let mem = Arc::new(AddressSpace::new());
+        let hh = crate::HookedHeap::new(Heap::new(Arc::clone(&mem)), DangSan::new(mem, cfg));
+        let det = Arc::clone(hh.detector());
+        // One holder slot per object, so each sweep has its own pointer
+        // to mask.
+        let holders = hh.malloc(8 * OBJS as u64).unwrap().base;
+        let objs: Vec<Addr> = (0..OBJS).map(|_| hh.malloc(48).unwrap().base).collect();
+        for (i, obj) in objs.iter().enumerate() {
+            hh.store_ptr(holders + i as u64 * 8, *obj).unwrap();
+        }
+        for obj in &objs[..OBJS - 1] {
+            hh.free(*obj).unwrap();
+        }
+        let slot = Arc::clone(&det.heap);
+        let poisoner = std::thread::spawn(move || {
+            let _held = slot.lock().unwrap();
+            panic!("poisons the heap slot");
+        });
+        assert!(poisoner.join().is_err());
+        // The last free trips the object cap, and the first sweep of its
+        // batch panics.
+        let last = objs[OBJS - 1];
+        let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hh.free(last)));
+        assert!(tripped.is_err(), "the sweep did not panic");
+        det.heap.clear_poison();
+        // Drain on another thread, so a hang fails the test instead of
+        // stalling the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        let drainer = {
+            let det = Arc::clone(&det);
+            std::thread::spawn(move || {
+                det.drain();
+                let _ = done.send(());
+            })
+        };
+        let pending = || det.sweep.as_ref().expect("deferred mode").pending();
+        finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("drain hung with {} jobs pending", pending()));
+        drainer.join().unwrap();
+        assert_eq!(pending(), 0);
+        for i in 0..OBJS as u64 {
+            let held = hh.load(holders + i * 8).unwrap();
+            assert_ne!(held & INVALID_BIT, 0, "holder {i} not masked: {held:#x}");
         }
     }
 

@@ -424,11 +424,9 @@ mod tests {
         // in full.
         const THREADS: u64 = 4;
         const ROUNDS: u64 = 400;
-        // No helpers, and caps small enough that the mutators run
-        // backpressure drains.
+        // Caps small enough that the mutators run backpressure batches.
         let deferred = Config::default()
             .with_deferred_sweep(true)
-            .with_sweep_threads(0)
             .with_quarantine_caps(4 << 10, 16);
         for (cfg, cached) in [
             (Config::default(), true),
@@ -486,13 +484,13 @@ mod tests {
     }
 
     /// A scripted malloc/store/free mix with size variety; returns the
-    /// drained behavioural counters so the deferred modes can be checked
+    /// drained behavioural counters so the deferred mode can be checked
     /// for bit-exactness against the inline walk.
     fn run_sequence(cfg: Config) -> crate::stats::StatsSnapshot {
         let hh = setup_with(cfg);
         // Every round logs *fresh* slots: classification then depends
         // only on the location set, not on when the walk runs, which is
-        // what makes the three modes comparable bit for bit. (A slot
+        // what makes the two modes comparable bit for bit. (A slot
         // overwritten mid-quarantine legitimately flips invalidated →
         // stale depending on sweep timing; that nondeterminism is the
         // documented deferred-mode semantics, not a counter bug.)
@@ -514,33 +512,19 @@ mod tests {
     #[test]
     fn deferred_sweep_counters_are_bit_exact_after_drain() {
         // The same program must produce identical Table 1 counters
-        // whether the free walk runs inline, deferred on the freeing
-        // thread (zero helpers), or on helper threads — the sweep moves
-        // work in time and across threads, never changes it.
+        // whether the free walk runs inline or deferred to the drain —
+        // the sweep moves work in time, never changes it.
         let inline = run_sequence(Config::default());
-        for helpers in [0, 2] {
-            let deferred = run_sequence(
-                Config::default()
-                    .with_deferred_sweep(true)
-                    .with_sweep_threads(helpers),
-            );
-            assert_eq!(
-                inline, deferred,
-                "deferred sweep diverged: {helpers} helpers"
-            );
-        }
+        let deferred = run_sequence(Config::default().with_deferred_sweep(true));
+        assert_eq!(inline, deferred, "deferred sweep diverged");
     }
 
     #[test]
     fn quarantined_block_is_not_recarved_before_its_sweep_runs() {
-        // The ABA guarantee: with zero helpers nothing sweeps until the
+        // The ABA guarantee: below the caps nothing sweeps until the
         // drain, so a freed block's address must not come back from
         // malloc while its sweep is pending — and must come back after.
-        let hh = setup_with(
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(0),
-        );
+        let hh = setup_with(Config::default().with_deferred_sweep(true));
         hh.heap().set_thread_cached(false);
         let holder = hh.malloc(8).unwrap();
         let obj = hh.malloc(48).unwrap();
@@ -568,68 +552,65 @@ mod tests {
 
     #[test]
     fn no_stale_pointer_escapes_the_quarantine_window() {
-        // Cross-thread stress: threads churn malloc/store/free with the
-        // sweep racing them on helpers, under caps small enough to trip
-        // backpressure. At every point after a free the slot may hold
-        // the raw or the masked pointer but never anything else (a sweep
-        // of one object must not clobber another's pointers), and after
-        // the final drain every last-stored pointer is masked.
+        // Cross-thread stress: threads churn malloc/store/free while
+        // their backpressure batches race each other across shards,
+        // under caps small enough to trip on most frees. At every point
+        // after a free the slot may hold the raw or the masked pointer
+        // but never anything else (a sweep of one object must not
+        // clobber another's pointers), and after the final drain every
+        // last-stored pointer is masked.
         const THREADS: u64 = 4;
         const ROUNDS: u64 = 300;
-        for helpers in [0, 2] {
-            let hh = setup_with(
-                Config::default()
-                    .with_deferred_sweep(true)
-                    .with_sweep_threads(helpers)
-                    .with_quarantine_caps(4 << 10, 16),
-            );
-            let slots = hh.malloc(8 * THREADS).unwrap();
-            let mut handles = Vec::new();
-            for t in 0..THREADS {
-                let hh = hh.clone();
-                let slot = slots.base + t * 8;
-                handles.push(std::thread::spawn(move || {
-                    let mut th = hh.thread_handle();
-                    let mut last = 0u64;
-                    for round in 0..ROUNDS {
-                        let obj = th.malloc(16 + (round % 4) * 16).unwrap();
-                        th.store_ptr(slot, obj.base).unwrap();
-                        th.free(obj.base).unwrap();
-                        let seen = hh.mem().read_word(slot).unwrap();
-                        assert_eq!(
-                            seen & !INVALID_BIT,
-                            obj.base,
-                            "slot holds neither the raw nor the masked pointer"
-                        );
-                        last = obj.base;
-                    }
-                    last
-                }));
-            }
-            let lasts: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            hh.detector().drain();
-            for (t, last) in lasts.iter().enumerate() {
-                assert_eq!(
-                    hh.mem().read_word(slots.base + t as u64 * 8).unwrap(),
-                    last | INVALID_BIT,
-                    "thread {t}, {helpers} helpers: final pointer escaped invalidation"
-                );
-            }
-            let s = hh.detector().stats();
-            assert_eq!(s.frees_deferred, THREADS * ROUNDS, "{helpers} helpers");
-            assert!(
-                s.sweeps_backpressure > 0,
-                "16-object cap never tripped over {} frees with {helpers} helpers",
-                THREADS * ROUNDS
+        let hh = setup_with(
+            Config::default()
+                .with_deferred_sweep(true)
+                .with_quarantine_caps(4 << 10, 16),
+        );
+        let slots = hh.malloc(8 * THREADS).unwrap();
+        let mut handles = Vec::new();
+        for t in 0..THREADS {
+            let hh = hh.clone();
+            let slot = slots.base + t * 8;
+            handles.push(std::thread::spawn(move || {
+                let mut th = hh.thread_handle();
+                let mut last = 0u64;
+                for round in 0..ROUNDS {
+                    let obj = th.malloc(16 + (round % 4) * 16).unwrap();
+                    th.store_ptr(slot, obj.base).unwrap();
+                    th.free(obj.base).unwrap();
+                    let seen = hh.mem().read_word(slot).unwrap();
+                    assert_eq!(
+                        seen & !INVALID_BIT,
+                        obj.base,
+                        "slot holds neither the raw nor the masked pointer"
+                    );
+                    last = obj.base;
+                }
+                last
+            }));
+        }
+        let lasts: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        hh.detector().drain();
+        for (t, last) in lasts.iter().enumerate() {
+            assert_eq!(
+                hh.mem().read_word(slots.base + t as u64 * 8).unwrap(),
+                last | INVALID_BIT,
+                "thread {t}: final pointer escaped invalidation"
             );
         }
+        let s = hh.detector().stats();
+        assert_eq!(s.frees_deferred, THREADS * ROUNDS);
+        assert!(
+            s.sweeps_backpressure > 0,
+            "16-object cap never tripped over {} frees",
+            THREADS * ROUNDS
+        );
     }
 
     #[test]
     fn giant_deferred_sweeps_stay_exact() {
         // One object with locations on 20 vmem pages: its deferred sweep,
-        // run by the draining thread or by a helper, must equal the
-        // inline walk.
+        // run by the draining thread, must equal the inline walk.
         const PAGES: u64 = 20;
         let run = |cfg: Config| {
             let hh = setup_with(cfg);
@@ -655,20 +636,12 @@ mod tests {
             hh.detector().stats()
         };
         let inline = run(Config::default());
-        for helpers in [0, 2] {
-            let deferred = run(Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(helpers));
-            assert_eq!(
-                inline.behavioural(),
-                deferred.behavioural(),
-                "{helpers} helpers"
-            );
-            assert!(
-                deferred.free_pages_touched >= PAGES,
-                "one page run per holder page: {deferred:?}"
-            );
-        }
+        let deferred = run(Config::default().with_deferred_sweep(true));
+        assert_eq!(inline.behavioural(), deferred.behavioural());
+        assert!(
+            deferred.free_pages_touched >= PAGES,
+            "one page run per holder page: {deferred:?}"
+        );
     }
 
     /// A churn mix: pointer-free allocations freed at once, interleaved
@@ -707,13 +680,9 @@ mod tests {
     fn no_block_is_handed_out_twice_after_inline_or_deferred_frees() {
         // The same churn mix must leave every block circulating exactly
         // once and produce identical Table 1 counters whether its frees
-        // sweep inline or deferred (zero helpers, then a drain).
+        // sweep inline or deferred (then a drain).
         let inline = run_churn_sequence(Config::default());
-        let deferred = run_churn_sequence(
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(0),
-        );
+        let deferred = run_churn_sequence(Config::default().with_deferred_sweep(true));
         assert_eq!(
             inline, deferred,
             "deferred frees changed observable counters"

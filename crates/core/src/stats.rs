@@ -71,7 +71,8 @@ pub enum Counter {
     /// Deferred sweeps executed inline by a freeing thread because the
     /// quarantine hit its byte/object cap (backpressure).
     SweepsBackpressure,
-    /// Deferred sweeps a helper thread stole from a non-home shard.
+    /// Backpressure-batch jobs a freeing thread took from a shard other
+    /// than its home shard (its own held fewer than a batch).
     SweepSteals,
     /// Frees that drained no locations at all.
     FreeHistEmpty,

@@ -2,18 +2,20 @@
 //!
 //! With `Config::deferred_sweep` on, `on_free` retires the object's epoch,
 //! detaches its pointer logs, and enqueues an [`ObjectSweep`] here instead
-//! of walking the logs on the freeing thread. Helper threads (or the
-//! freeing thread itself, under backpressure or an explicit drain) pop
-//! jobs and run the invalidation walk; the freed block stays quarantined
-//! in the heap — on no free list — until its sweep retires, so its
-//! address range can never be recarved while stale pointers to it are
-//! still being masked.
+//! of walking the logs at once. No thread sweeps in the background: a
+//! free that leaves a quarantine cap exceeded sweeps one batch on the
+//! freeing thread, and `drain` (or detector drop) sweeps the rest. The
+//! freed block stays quarantined in the heap — on no free list — until
+//! its sweep retires, so its address range can never be recarved while
+//! stale pointers to it are still being masked.
 //!
 //! The queue copies `heap::magazine`'s central-list discipline: four
 //! shards, each a mutex around a deque, with a home shard per thread and
-//! steal-before-sleep probing of the other shards. Each job is one whole
-//! object, and `pending` counts objects queued or in flight, which is what
-//! both the backpressure caps and `drain` wait on.
+//! stealing from the other shards when the home shard runs short. Each
+//! job is one whole object, and `pending` counts objects queued or in
+//! flight, which is what both the backpressure caps and `drain` wait on.
+//! Every popped job is [`Held`] until it settles, so a panic inside a
+//! sweep cannot leave `pending` above zero for good.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::VecDeque;
@@ -34,7 +36,7 @@ pub(crate) struct LogChain(pub *mut ThreadLog);
 
 // SAFETY: the chain is detached (unreachable from the metadata record)
 // and logs live in a type-stable pool owned by the detector, which
-// outlives the queue and its workers.
+// outlives the queue.
 unsafe impl Send for LogChain {}
 
 /// The metadata record of a freed object, carried to its retire.
@@ -66,8 +68,9 @@ pub(crate) struct FreedObject {
     /// The record to clear + recycle when the object retires.
     pub meta: MetaRef,
     /// Bytes charged to the queue's quarantine accounting by
-    /// [`SweepQueue::push_object`], released when the sweep retires;
-    /// `None` for inline sweeps, which never enter the queue.
+    /// [`SweepQueue::push_object`], released by the job's [`Held`] guard
+    /// once its sweep retires; `None` for inline sweeps, which never
+    /// enter the queue.
     pub charge: Option<u64>,
 }
 
@@ -104,17 +107,15 @@ pub(crate) struct SweepQueue {
     pending: AtomicU64,
     /// Bytes quarantined by those objects.
     pending_bytes: AtomicU64,
-    /// Shutdown flag for the workers; set before the final drain.
-    stop: AtomicU64,
     /// Byte/object caps beyond which a freeing thread sweeps a batch.
     max_bytes: u64,
     max_objects: u64,
-    /// Sleep/wake rendezvous: workers wait here for work, `drain` waits
-    /// here for in-flight jobs to retire. One condvar for both — every
-    /// waiter re-checks its own condition.
+    /// Sleep/wake rendezvous: a `drain` that finds the queue empty while
+    /// another thread's backpressure batch is still in flight waits here
+    /// for a retire or a push, and re-checks both on every wake.
     sync: Mutex<()>,
     cv: Condvar,
-    /// Workers currently asleep; enqueue skips the notify syscall when
+    /// Drains currently waiting; enqueue skips the notify syscall when
     /// nobody is listening (the common case in a free-heavy loop).
     sleepers: AtomicU64,
 }
@@ -125,7 +126,6 @@ impl SweepQueue {
             shards: Default::default(),
             pending: AtomicU64::new(0),
             pending_bytes: AtomicU64::new(0),
-            stop: AtomicU64::new(0),
             max_bytes,
             max_objects,
             sync: Mutex::new(()),
@@ -144,7 +144,8 @@ impl SweepQueue {
     }
 
     /// Enqueues a fresh object sweep, charging `bytes` to the quarantine
-    /// accounting (recorded in the job, released by its retire). Returns
+    /// accounting (recorded in the job, released by its [`Held`] guard
+    /// once the sweep has retired the object). Returns
     /// `(pending objects, pending bytes)` after the enqueue, for the
     /// trace event and the caller's backpressure check.
     pub(crate) fn push_object(&self, mut job: ObjectSweep, bytes: u64) -> (u64, u64) {
@@ -156,26 +157,21 @@ impl SweepQueue {
         (pending, pending_bytes)
     }
 
-    /// Returns a popped job to the queue (a worker losing its detector
-    /// reference mid-shutdown hands the job back for the final drain).
-    pub(crate) fn push_back(&self, job: ObjectSweep) {
-        self.shard(Self::home_shard()).jobs.push_back(job);
-        self.wake();
-    }
-
-    /// Wakes waiters after a push. The sleeper count lets the common
-    /// free-heavy case (workers busy, nobody asleep) skip the notify;
-    /// the SeqCst pairing with the waiters' increment-before-recheck
-    /// makes the skip safe: either this load sees the sleeper (and the
-    /// notify, serialized by `sync`, reaches its wait), or the sleeper's
-    /// recheck sees the push and never sleeps.
+    /// Wakes a waiting `drain` after a push. The sleeper count lets the
+    /// common free-heavy case (nobody draining) skip the notify; the
+    /// SeqCst pairing with the waiters' increment-before-recheck makes
+    /// the skip safe: either this load sees the sleeper (and the notify,
+    /// serialized by `sync`, reaches its wait), or the sleeper's recheck
+    /// sees the push and never sleeps. Without this wake, a drain that
+    /// waits on another thread's in-flight batch would miss a third
+    /// thread's push: `pending` would never return to zero and the drain
+    /// would sleep forever.
     fn wake(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.sync.lock().expect("not poisoned");
-            // One push, one waiter: every waiter on this condvar makes
-            // progress on a queued job (workers run it, a drain's wait
-            // loop pops and runs it itself), so notify_one suffices and
-            // skips the thundering herd a free-heavy loop would trigger.
+            // One push, one waiter: the woken drain pops and runs the job
+            // itself, so notify_one suffices and skips the thundering
+            // herd a free-heavy loop would trigger.
             self.cv.notify_one();
         }
     }
@@ -190,10 +186,9 @@ impl SweepQueue {
     /// `over_cap` on every free while the backlog sits untouched in
     /// someone else's shard. Takes from the *back* of each shard —
     /// newest first, the objects whose log chains and shadow lines the
-    /// freeing thread just touched — while helpers and `drain` pop the
-    /// front. With no helpers, nothing takes the oldest jobs before
-    /// `drain`; the caps still bound how many wait. Returns the number of
-    /// jobs taken by stealing.
+    /// freeing thread just touched — while `drain` pops the front.
+    /// Nothing takes the oldest jobs before `drain`; the caps still bound
+    /// how many wait. Returns the number of jobs taken by stealing.
     pub(crate) fn pop_batch(&self, home: usize, max: usize, out: &mut Vec<ObjectSweep>) -> u64 {
         let mut stolen = 0;
         for probe in 0..SWEEP_SHARDS {
@@ -212,21 +207,29 @@ impl SweepQueue {
         stolen
     }
 
-    /// Pops a job: the home shard first (FIFO), then steals from the
-    /// other shards. The flag reports whether the job was stolen.
-    pub(crate) fn pop(&self, home: usize) -> Option<(ObjectSweep, bool)> {
-        for probe in 0..SWEEP_SHARDS {
-            let job = self.shard((home + probe) % SWEEP_SHARDS).jobs.pop_front();
-            if let Some(job) = job {
-                return Some((job, probe != 0));
-            }
+    /// Pops a job for `drain`: the home shard first (FIFO), then the
+    /// other shards.
+    pub(crate) fn pop(&self, home: usize) -> Option<ObjectSweep> {
+        (0..SWEEP_SHARDS)
+            .find_map(|probe| self.shard((home + probe) % SWEEP_SHARDS).jobs.pop_front())
+    }
+
+    /// Holds popped jobs until they settle (see [`Held`]). Sweep them by
+    /// iterating the guard.
+    pub(crate) fn hold<I: IntoIterator<Item = ObjectSweep>>(
+        &self,
+        jobs: I,
+    ) -> Held<'_, I::IntoIter> {
+        Held {
+            queue: self,
+            jobs: jobs.into_iter(),
+            in_flight: None,
         }
-        None
     }
 
     /// Retires one object: releases its quarantine charge and wakes any
     /// `drain` waiting for the count to reach zero.
-    pub(crate) fn retire_object(&self, bytes: u64) {
+    fn retire_object(&self, bytes: u64) {
         self.pending_bytes.fetch_sub(bytes, Ordering::AcqRel);
         if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = self.sync.lock().expect("not poisoned");
@@ -258,35 +261,14 @@ impl SweepQueue {
             || self.pending_bytes.load(Ordering::Acquire) > self.max_bytes
     }
 
-    /// Signals the workers to exit once the queue is empty.
-    pub(crate) fn request_stop(&self) {
-        self.stop.store(1, Ordering::Release);
-        let _g = self.sync.lock().expect("not poisoned");
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire) != 0
-    }
-
-    /// Blocks until new work may be available or the queue is stopping.
-    /// Returns immediately if a job was pushed since the caller's last
-    /// empty `pop`: the sleeper count is raised (SeqCst) *before* the
+    /// Blocks until either a job is poppable or every pending object has
+    /// retired. Used by `drain` when the queue looks empty but jobs are
+    /// still in flight in another thread's backpressure batch. Returns
+    /// immediately if a job was pushed since the caller's last empty
+    /// `pop`: the sleeper count is raised (SeqCst) *before* the
     /// emptiness re-check, so any push racing with this wait either sees
     /// the sleeper in [`SweepQueue::wake`] or happened early enough for
     /// the re-check to see the job.
-    pub(crate) fn wait_for_work(&self) {
-        let g = self.sync.lock().expect("not poisoned");
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if !self.stopping() && self.is_empty() {
-            let _g = self.cv.wait(g).expect("not poisoned");
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Blocks until either a job is poppable or every pending object has
-    /// retired. Used by `drain` when the queue looks empty but jobs are
-    /// still in flight on the workers.
     pub(crate) fn wait_for_retire_or_work(&self) {
         let g = self.sync.lock().expect("not poisoned");
         self.sleepers.fetch_add(1, Ordering::SeqCst);
@@ -304,6 +286,59 @@ impl SweepQueue {
 
     fn is_empty(&self) -> bool {
         (0..SWEEP_SHARDS).all(|i| self.shard(i).jobs.is_empty())
+    }
+}
+
+/// Popped jobs that have not settled yet: the drop guard that keeps
+/// `pending` exact when a sweep panics.
+///
+/// Iterating hands out one job at a time; each call after the first
+/// releases the charge of the job before it, whose sweep has retired by
+/// then. Dropping the guard settles the rest, also while a panic in a
+/// sweep unwinds: jobs not yet started go back on the queue, with a wake,
+/// for a later `drain`, and the job in flight has its charge released.
+/// That job's block stays quarantined and is never recarved, because its
+/// pointers may still be unmasked. Without the guard the panic would
+/// leak the charges, and every later `drain` (the one in detector drop
+/// too) would wait forever. On the normal path the guard adds no atomic
+/// and no lock: it only moves each job's `retire_object` call.
+pub(crate) struct Held<'q, I: Iterator<Item = ObjectSweep>> {
+    queue: &'q SweepQueue,
+    /// Jobs not started yet.
+    jobs: I,
+    /// The charge of the job handed out last.
+    in_flight: Option<u64>,
+}
+
+impl<I: Iterator<Item = ObjectSweep>> Held<'_, I> {
+    fn settle_in_flight(&mut self) {
+        if let Some(bytes) = self.in_flight.take() {
+            self.queue.retire_object(bytes);
+        }
+    }
+}
+
+impl<I: Iterator<Item = ObjectSweep>> Iterator for Held<'_, I> {
+    type Item = ObjectSweep;
+
+    fn next(&mut self) -> Option<ObjectSweep> {
+        self.settle_in_flight();
+        let job = self.jobs.next()?;
+        self.in_flight = job.obj.charge;
+        Some(job)
+    }
+}
+
+impl<I: Iterator<Item = ObjectSweep>> Drop for Held<'_, I> {
+    fn drop(&mut self) {
+        let mut rest = self.jobs.by_ref().peekable();
+        if rest.peek().is_some() {
+            let mut shard = self.queue.shard(SweepQueue::home_shard());
+            rest.for_each(|job| shard.push(job));
+            drop(shard);
+            self.queue.wake();
+        }
+        self.settle_in_flight();
     }
 }
 
@@ -332,16 +367,34 @@ mod tests {
         assert_eq!(q.push_object(job(), 50), (2, 150));
         assert!(!q.over_cap());
         let home = SweepQueue::home_shard();
-        let (j, stolen) = q.pop(home).expect("job queued");
-        assert!(!stolen, "home shard serves its own pushes first");
-        assert_eq!(j.obj.charge, Some(100));
+        let mut held = q.hold(q.pop(home));
+        let j = held.next().expect("job queued");
+        assert_eq!(j.obj.charge, Some(100), "oldest job first");
         // Popping does not retire: the object is in flight, still pending.
         assert_eq!(q.pending(), 2);
-        q.retire_object(100);
-        assert_eq!(q.pending(), 1);
-        q.pop(home).expect("second job");
-        q.retire_object(50);
-        assert_eq!(q.pending(), 0);
+        drop(held);
+        assert_eq!((q.pending(), q.pending_bytes()), (1, 50));
+        assert_eq!(q.hold(q.pop(home)).count(), 1, "second job");
+        assert_eq!((q.pending(), q.pending_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_dropped_guard_requeues_unstarted_jobs() {
+        // The panic path of a batch: one job in flight, two not started.
+        let q = SweepQueue::new(1 << 20, 1024);
+        let home = SweepQueue::home_shard();
+        for bytes in [10, 20, 30] {
+            q.push_object(job(), bytes);
+        }
+        let mut out = Vec::new();
+        q.pop_batch(home, 3, &mut out);
+        let mut held = q.hold(out);
+        held.next().expect("first job");
+        drop(held);
+        assert_eq!((q.pending(), q.pending_bytes()), (2, 50));
+        assert_eq!(q.shard_depths()[home], 2, "unstarted jobs are queued again");
+        assert_eq!(q.hold(q.pop(home)).count() + q.hold(q.pop(home)).count(), 2);
+        assert_eq!((q.pending(), q.pending_bytes()), (0, 0));
     }
 
     #[test]
@@ -350,13 +403,12 @@ mod tests {
         q.push_object(job(), 100);
         // Pop from a different home shard: found by stealing.
         let other = (SweepQueue::home_shard() + 1) % SWEEP_SHARDS;
-        let (_, stolen) = q.pop(other).expect("stealable");
-        assert!(stolen);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_batch(other, 4, &mut out), 1, "one job stolen");
         assert!(!q.over_cap());
         q.push_object(job(), 100);
         assert!(q.over_cap(), "200 quarantined bytes exceed the 120 cap");
-        q.retire_object(100);
-        q.retire_object(100);
+        assert_eq!(q.hold(out).count() + q.hold(q.pop(other)).count(), 2);
         assert!(!q.over_cap());
     }
 

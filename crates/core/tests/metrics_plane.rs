@@ -48,8 +48,7 @@ fn hub_counters_reconcile_with_stats_snapshot_across_threads() {
     let cfg = Config::default()
         .with_metrics(true)
         .with_metrics_interval_ms(5)
-        .with_deferred_sweep(true)
-        .with_sweep_threads(2);
+        .with_deferred_sweep(true);
     let hh = metered_env(cfg);
     // Multithreaded traffic: per-thread stat slabs and histogram slabs
     // both retire on thread exit; the scope join orders the reader
@@ -127,9 +126,7 @@ fn metrics_on_is_behaviourally_inert_across_the_matrix() {
     // same deterministic workload must leave bit-identical behavioural
     // counters with the plane on and off, in both sweep modes.
     for deferred in [false, true] {
-        let base = Config::default()
-            .with_deferred_sweep(deferred)
-            .with_sweep_threads(0);
+        let base = Config::default().with_deferred_sweep(deferred);
         let run = |cfg: Config| {
             let hh = metered_env(cfg);
             run_mixed_workload(&hh);

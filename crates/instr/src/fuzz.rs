@@ -9,32 +9,25 @@
 //! quarter of seeds) a two-phase cross-thread handoff where a writer
 //! thread populates the slots and the main thread consumes them.
 //!
-//! Every program runs through every arm ([`ARM_NAMES`], thirteen in
-//! all): four DangSan configurations (inline, inline+metrics, deferred
-//! sweeps with zero helpers, deferred with two helper threads), the
-//! locked ablation, DangNULL, FreeSentry, the quarantine defence, the
-//! three dereference-time tagging arms (xTag, implicit-ID, pa-mac), and
-//! the [`dangsan_baselines::ShadowOracle`] ground truth in both of its
+//! Every program runs through every arm ([`ARM_NAMES`], twelve in
+//! all): three DangSan configurations (inline, inline+metrics, deferred
+//! sweeps drained at the end), the locked ablation, DangNULL,
+//! FreeSentry, the quarantine defence, the three dereference-time
+//! tagging arms (xTag, implicit-ID, pa-mac), and the
+//! [`dangsan_baselines::ShadowOracle`] ground truth in both of its
 //! modes. The checker then diffs verdicts and final slab memory under
 //! the per-arm relation each arm's semantics justify (DESIGN.md
 //! "Differential fuzzing"):
 //!
 //! * **Strict** — bit-identical verdicts *and* slab words. Sound for arms
 //!   sharing the oracle's allocation placement and invalidation timing:
-//!   the sync arms against the eager oracle, the helperless deferred arm
-//!   and the quarantine arm against the lazy oracle (incl. post-drain
-//!   state for the deferred arm).
+//!   the sync arms against the eager oracle, the deferred arm and the
+//!   quarantine arm against the lazy oracle (incl. post-drain state for
+//!   the deferred arm).
 //! * **Classes** — verdict classes (`Ok` payloads exact; traps compared
 //!   by kind), the slab's dead-bit pattern and exact live slab words.
 //!   For DangNULL, whose fixed poison loses the original bits of the
 //!   words it invalidates.
-//! * **Envelope** — the deferred arm with live helper threads is
-//!   timing-nondeterministic by design; its verdict must land inside the
-//!   schedule envelope spanned by the two oracles (see
-//!   [`check_program`]). A masked use-after-free trap is accepted only
-//!   when the eager oracle proves the program dereferences something
-//!   dangling under sync semantics — a trap on a provably clean program
-//!   is a divergence, never triaged away.
 //! * **Tagged** — the three tagging arms detect at *dereference* instead
 //!   of free, so their relation (see [`compare_tagged`]) forgives
 //!   exactly the disagreements the tag encoding causes — and turns a
@@ -593,46 +586,6 @@ fn compare_classes(
     }
 }
 
-/// The schedule envelope for the helper-threaded deferred arm. Each
-/// phase's verdict must either match the deterministic no-helper
-/// schedule (the lazy oracle), or be an outcome a legal sweep
-/// interleaving produces: a masked use-after-free trap when the eager
-/// oracle proves dangling exposure, an allocator rejection where the
-/// deterministic schedule also rejects (the exact error kind may shift
-/// from DoubleFree to InvalidPointer once the sweep masks the slot), or
-/// a clean completion where the deterministic schedule hit a DoubleFree
-/// (the sweep retired and the allocator recycled the block first).
-/// A phase that legally deviated makes every later phase incomparable.
-fn check_envelope(
-    divs: &mut Vec<Divergence>,
-    arm: &'static str,
-    run: &ArmRun,
-    lazy: &ArmRun,
-    exposure: bool,
-) {
-    for (i, (got, want)) in run.verdicts.iter().zip(lazy.verdicts.iter()).enumerate() {
-        if got == want {
-            continue;
-        }
-        let accepted = match (got, want) {
-            (Err(Trap::UseAfterFree(a)), _) => a & INVALID_BIT != 0 && exposure,
-            (Err(Trap::Alloc(_)), Err(Trap::Alloc(_))) => true,
-            (Ok(_), Err(Trap::Alloc(AllocError::DoubleFree(_)))) => true,
-            _ => false,
-        };
-        if !accepted {
-            push(
-                divs,
-                arm,
-                format!(
-                    "phase {i}: verdict {got:?} outside envelope of {want:?} (exposure={exposure})"
-                ),
-            );
-        }
-        return; // later phases are incomparable either way
-    }
-}
-
 /// A disagreement a tagging arm's *analytic guarantee* forgives: the
 /// truncated tag width made the arm run clean where the oracle trapped.
 /// Classified and counted, never silently accepted — an unclassifiable
@@ -681,7 +634,7 @@ pub struct FullReport {
 
 /// Every arm [`check_program`] runs, in checker order. CI and the
 /// `fuzz_diff` summary print this list so a failure names the matrix.
-pub const ARM_NAMES: [&str; 13] = [
+pub const ARM_NAMES: [&str; 12] = [
     "oracle-eager",
     "oracle-lazy",
     "dangsan-inline",
@@ -691,7 +644,6 @@ pub const ARM_NAMES: [&str; 13] = [
     "dangnull",
     "dangsan-deferred",
     "quarantine",
-    "dangsan-deferred-mt",
     "xtag",
     "implicit-id",
     "pa-mac",
@@ -894,9 +846,6 @@ pub fn check_program_full(prog: &Program) -> FullReport {
 
     let (eager, eager_det) = run_oracle(prog, threaded, OracleMode::Eager);
     let (lazy, _) = run_oracle(prog, threaded, OracleMode::Lazy);
-    // Any trap under sync semantics proves the program touches something
-    // dangling; the envelope check leans on this.
-    let exposure = eager.verdicts.iter().any(|v| v.is_err());
 
     let mut divs = Vec::new();
 
@@ -940,9 +889,7 @@ pub fn check_program_full(prog: &Program) -> FullReport {
         let run = run_dangsan(
             prog,
             threaded,
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(0),
+            Config::default().with_deferred_sweep(true),
             true,
         );
         compare_strict(&mut divs, "dangsan-deferred", &run, &lazy, true);
@@ -952,17 +899,6 @@ pub fn check_program_full(prog: &Program) -> FullReport {
         let det = QuarantineDetector::new();
         let run = run_arm(prog, threaded, HookedHeap::new(heap, det), false);
         compare_strict(&mut divs, "quarantine", &run, &lazy, false);
-    }
-    {
-        let run = run_dangsan(
-            prog,
-            threaded,
-            Config::default()
-                .with_deferred_sweep(true)
-                .with_sweep_threads(2),
-            true,
-        );
-        check_envelope(&mut divs, "dangsan-deferred-mt", &run, &lazy, exposure);
     }
 
     // --- dereference-time tagging arms vs the eager oracle -------------
@@ -1384,7 +1320,7 @@ mod tests {
 
     #[test]
     fn arm_names_match_what_the_checker_runs() {
-        assert_eq!(ARM_NAMES.len(), 13);
+        assert_eq!(ARM_NAMES.len(), 12);
         for pair in ARM_NAMES.windows(2) {
             assert_ne!(pair[0], pair[1]);
         }

@@ -192,14 +192,11 @@ pub fn unpack_site(c: u64) -> u64 {
 
 /// How a free's invalidation sweep was executed, recorded in the top
 /// bits of the [`EventCode::FreeSweep`] `b` payload (see
-/// [`pack_sweep_mode`]).
+/// [`pack_sweep_mode`]): inline at the free, or in a `drain`.
 pub const SWEEP_MODE_INLINE: u64 = 0;
-/// The sweep ran on a helper thread, pulled from its home shard.
-pub const SWEEP_MODE_DEFERRED: u64 = 1;
-/// The sweep ran on a helper thread that stole it from another shard.
-pub const SWEEP_MODE_STOLEN: u64 = 2;
 /// The sweep ran inline on the freeing thread, in the batch a free that
-/// exceeded a quarantine cap sweeps (backpressure).
+/// exceeded a quarantine cap sweeps (backpressure). Values 1 and 2 are
+/// unused.
 pub const SWEEP_MODE_BACKPRESSURE: u64 = 3;
 
 /// Packs an invalidation sweep's shape into one `b` payload (pages in the
@@ -657,12 +654,7 @@ mod tests {
         assert_eq!(unpack_walked(b), 100_000);
         assert_eq!(unpack_pages(b), 42);
         assert_eq!(unpack_sweep_mode(b), SWEEP_MODE_INLINE);
-        for mode in [
-            SWEEP_MODE_INLINE,
-            SWEEP_MODE_DEFERRED,
-            SWEEP_MODE_STOLEN,
-            SWEEP_MODE_BACKPRESSURE,
-        ] {
+        for mode in [SWEEP_MODE_INLINE, SWEEP_MODE_BACKPRESSURE] {
             let b = pack_sweep_mode(100_000, 42, mode);
             assert_eq!(unpack_walked(b), 100_000);
             assert_eq!(unpack_pages(b), 42);

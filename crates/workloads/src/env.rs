@@ -56,11 +56,11 @@ impl DetectorKind {
     }
 }
 
-/// Environment-variable override for the sweep axis: `SWEEP_THREADS=0`
-/// forces the synchronous free path, and `SWEEP_THREADS=N` (N > 0) turns
-/// the deferred sweep on with N helper threads. An unset or unparsable
-/// variable leaves `cfg` untouched, so local runs and committed
-/// baselines see exactly the config the caller built.
+/// Environment-variable override for the free path: `SWEEP_THREADS=0`
+/// forces the synchronous sweep, and any positive value selects the
+/// deferred sweep (despite the name, no value spawns threads). An unset
+/// or unparsable variable leaves `cfg` untouched, so local runs and
+/// committed baselines see exactly the config the caller built.
 ///
 /// Perf harnesses (the scaling and server benches) opt in by calling
 /// this on the configs they build; [`local_env`]/[`shared_env`]
@@ -71,7 +71,7 @@ impl DetectorKind {
 pub fn matrix_env_overrides(mut cfg: Config) -> Config {
     if let Ok(v) = std::env::var("SWEEP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
-            cfg = cfg.with_sweep_threads(n).with_deferred_sweep(n > 0);
+            cfg = cfg.with_deferred_sweep(n > 0);
         }
     }
     cfg
@@ -201,17 +201,14 @@ mod tests {
         let base = Config::default();
         let cfg = matrix_env_overrides(base);
         assert_eq!(cfg.deferred_sweep, base.deferred_sweep);
-        assert_eq!(cfg.sweep_threads, base.sweep_threads);
 
         std::env::set_var("SWEEP_THREADS", "2");
         let cfg = matrix_env_overrides(Config::default());
         assert!(cfg.deferred_sweep);
-        assert_eq!(cfg.sweep_threads, 2);
 
         std::env::set_var("SWEEP_THREADS", "0");
-        let cfg = matrix_env_overrides(Config::default());
+        let cfg = matrix_env_overrides(Config::default().with_deferred_sweep(true));
         assert!(!cfg.deferred_sweep);
-        assert_eq!(cfg.sweep_threads, 0);
 
         std::env::set_var("SWEEP_THREADS", "banana");
         let cfg = matrix_env_overrides(base);

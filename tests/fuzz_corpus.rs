@@ -43,16 +43,14 @@ fn parse(name: &str, text: &str) -> Program {
     prog
 }
 
-/// Runs a one-function corpus program under a deferred no-helper DangSan,
-/// drains, and returns the final slab words.
+/// Runs a one-function corpus program under a deferred DangSan, drains,
+/// and returns the final slab words.
 fn run_deferred(prog: &Program) -> Vec<u64> {
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
     let det = DangSan::new(
         Arc::clone(&mem),
-        Config::default()
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0),
+        Config::default().with_deferred_sweep(true),
     );
     let hh = HookedHeap::new(heap, Arc::clone(&det));
     let slab = hh.malloc((SLOTS * 8) as u64).unwrap().base;

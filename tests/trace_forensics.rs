@@ -125,8 +125,7 @@ fn deferred_free_of_a_wide_object_records_one_sweep_span() {
         Arc::clone(&mem),
         Config::default()
             .with_trace_level(TraceLevel::Full)
-            .with_deferred_sweep(true)
-            .with_sweep_threads(0),
+            .with_deferred_sweep(true),
     );
     let tracer = Arc::clone(det.tracer().expect("tracer"));
     heap.set_tracer(&tracer);
@@ -190,8 +189,7 @@ fn each_freed_object_records_one_sweep_span_in_both_sweep_modes() {
             Arc::clone(&mem),
             Config::default()
                 .with_trace_level(TraceLevel::Full)
-                .with_deferred_sweep(deferred)
-                .with_sweep_threads(0),
+                .with_deferred_sweep(deferred),
         );
         let tracer = Arc::clone(det.tracer().expect("tracer"));
         let hh = HookedHeap::new(heap, Arc::clone(&det));
