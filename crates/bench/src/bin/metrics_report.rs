@@ -2,9 +2,10 @@
 //! on a metrics-enabled detector, dumps the sampler's JSONL time series
 //! and a Prometheus-style exposition, and — the actual gate — verifies
 //! that every exported counter and gauge reconciles exactly against the
-//! detector's own `StatsSnapshot` and direct accessors. The telemetry
-//! plane is only worth shipping if a dashboard reading it sees the same
-//! numbers the test suite does.
+//! detector's own `StatsSnapshot` and direct accessors, and that the
+//! exported metadata ledger's parts sum exactly to the exported
+//! `metadata_bytes`. The telemetry plane is only worth shipping if a
+//! dashboard reading it sees the same numbers the test suite does.
 //!
 //! Usage:
 //!
@@ -14,7 +15,7 @@
 //! ```
 //!
 //! Exits non-zero if any exported sample disagrees with its source of
-//! truth.
+//! truth, or the ledger's parts do not sum to the total.
 
 use std::sync::Arc;
 
@@ -106,6 +107,10 @@ fn main() {
         ("heap_resident_bytes".into(), heap.resident_bytes()),
         ("heap_magazine_blocks".into(), heap.magazine_blocks()),
     ];
+    let ledger = det.metadata_ledger();
+    for (name, bytes) in ledger.parts() {
+        expected.push((name.into(), bytes));
+    }
     for (i, peak) in snap.sweep_shard_peaks.iter().enumerate() {
         expected.push((format!("sweep_shard_peak_{i}"), *peak));
     }
@@ -153,6 +158,18 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
+    // The ledger must account for every metadata byte a dashboard sees.
+    let exported = |name: &str| find(name).map_or(0, |s| s.value);
+    let parts: u64 = ledger.parts().iter().map(|&(name, _)| exported(name)).sum();
+    let total = exported("metadata_bytes");
+    let balanced = parts == total;
+    if !balanced {
+        failures += 1;
+    }
+    println!(
+        "ledger: parts sum to {parts} B, metadata_bytes {total} B ({})",
+        if balanced { "balanced" } else { "MISMATCH" }
+    );
     println!(
         "reconciled {} metrics, {} mismatches ({} series lines, {:.0} req/s)",
         expected.len(),

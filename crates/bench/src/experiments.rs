@@ -396,7 +396,7 @@ pub fn table1() -> String {
         table.row(vec![
             p.name.to_string(),
             format!("{} ({})", up(s.objects_allocated), human(p.objs)),
-            format!("{} ({})", up(s.hashtables), human(p.hashtables)),
+            format!("{} ({})", up(s.hash_promotions), human(p.hashtables)),
             format!("{} ({})", up(s.ptrs_registered), human(p.ptrs)),
             format!("{} ({})", up(s.ptrs_invalidated), human(p.inval)),
             format!("{} ({})", up(s.stale_ptrs), human(p.stale)),

@@ -15,10 +15,10 @@ use dangsan_vmem::{Addr, AddressSpace, FaultKind, HEAP_BASE, HEAP_SIZE, INVALID_
 
 use crate::api::{Detector, InvalidationReport};
 use crate::config::Config;
-use crate::log::ThreadLog;
+use crate::log::{Overflow, ThreadLog};
 use crate::object::{fresh_epoch, ObjectMeta};
 use crate::pool::Pool;
-use crate::stats::{Counter, Stats, StatsSnapshot};
+use crate::stats::{Counter, MetadataLedger, Stats, StatsSnapshot};
 use crate::sweep::{FreedObject, LogChain, MetaRef, ObjectSweep, SweepQueue};
 use dangsan_telemetry::{Collector, MetricsHub, Sampler};
 
@@ -213,8 +213,8 @@ pub struct DangSan {
     stats: Stats,
     meta_pool: Pool<ObjectMeta>,
     log_pool: Pool<ThreadLog>,
-    /// Host bytes of indirect blocks and hash tables.
-    extra_bytes: AtomicU64,
+    /// The logs' indirect-block bytes and hash-table pools.
+    overflow: Overflow,
     /// This detector's never-reused id, burned into registration-memo
     /// slots so a slot is only ever interpreted against the pool that
     /// filled it (see [`RegCacheSlot`]). Cache *validity* is per object
@@ -273,7 +273,7 @@ impl DangSan {
             stats: Stats::default(),
             meta_pool: Pool::new(),
             log_pool: Pool::new(),
-            extra_bytes: AtomicU64::new(0),
+            overflow: Overflow::default(),
             id: fresh_detector_id(),
             trace,
             sweep,
@@ -341,7 +341,11 @@ impl DangSan {
         c.counter("frees_deferred", snap.frees_deferred);
         c.counter("sweeps_backpressure", snap.sweeps_backpressure);
         c.counter("sweep_steals", snap.sweep_steals);
-        c.gauge("metadata_bytes", Detector::metadata_bytes(self));
+        let ledger = self.metadata_ledger();
+        c.gauge("metadata_bytes", ledger.total());
+        for (name, bytes) in ledger.parts() {
+            c.gauge(name, bytes);
+        }
         if let Some(queue) = &self.sweep {
             c.gauge("quarantine_objects", queue.pending());
             c.gauge("quarantine_bytes", queue.pending_bytes());
@@ -426,7 +430,7 @@ impl DangSan {
                 Err(winner) => {
                     // Another thread appended first; give the log back and
                     // keep walking from the new node.
-                    fresh.reset();
+                    fresh.reset(&self.overflow);
                     self.log_pool.recycle(fresh);
                     cur = winner;
                 }
@@ -533,7 +537,7 @@ impl DangSan {
             loc,
             &self.cfg,
             &self.stats,
-            &self.extra_bytes,
+            &self.overflow,
             &self.trace,
             epoch,
         );
@@ -622,7 +626,7 @@ impl DangSan {
             let log = unsafe { &*cur };
             log.for_each_location(|loc| locs.push(loc));
             let next = log.next.load(Ordering::Acquire);
-            log.reset();
+            log.reset(&self.overflow);
             self.log_pool.recycle(log);
             cur = next;
         }
@@ -773,10 +777,17 @@ impl DangSan {
         }
     }
 
-    /// Host bytes used by per-thread logs and object metadata (excludes
-    /// the shadow tables; see [`Detector::metadata_bytes`]).
-    fn pool_bytes(&self) -> u64 {
-        self.meta_pool.bytes() + self.log_pool.bytes() + self.extra_bytes.load(Ordering::Relaxed)
+    /// The detector's metadata bytes, part by part; their sum is
+    /// [`Detector::metadata_bytes`]. Read from counters the allocation
+    /// paths already keep.
+    pub fn metadata_ledger(&self) -> MetadataLedger {
+        MetadataLedger {
+            records: self.meta_pool.bytes(),
+            logs: self.log_pool.bytes(),
+            indirect_blocks: self.overflow.indirect_bytes(),
+            hash_tables: self.overflow.table_bytes(),
+            shadow: self.map.shadow_bytes(),
+        }
     }
 }
 
@@ -908,7 +919,7 @@ impl Detector for DangSan {
             loc,
             &self.cfg,
             &self.stats,
-            &self.extra_bytes,
+            &self.overflow,
             &self.trace,
             epoch,
         );
@@ -1007,7 +1018,7 @@ impl Detector for DangSan {
     }
 
     fn metadata_bytes(&self) -> u64 {
-        self.pool_bytes() + self.map.shadow_bytes()
+        self.metadata_ledger().total()
     }
 }
 
@@ -1161,6 +1172,52 @@ mod tests {
         // Pool recycling keeps allocation counts tiny despite 200 objects.
         assert!(det.meta_pool.allocated() <= 4);
         assert!(det.log_pool.allocated() <= 4);
+    }
+
+    #[test]
+    fn promotions_reuse_tables_that_other_logs_returned() {
+        // A: 64 objects reach the hash tier together, then die. B: 64
+        // one-pointer objects take their 64 recycled logs. C: 64 more
+        // objects reach the hash tier on fresh logs, and must find A's
+        // tables in the pools rather than allocate new ones.
+        const OBJS: u64 = 64;
+        const LOCS: u64 = 100;
+        let (mem, heap, det) = setup();
+        // Locations 256 bytes apart never compress, so 100 of them fill
+        // the embedded and indirect tiers.
+        let holder = alloc(&heap, &det, &mem, LOCS * 256);
+        let store = |loc: Addr, obj: Addr| {
+            mem.write_word(loc, obj).unwrap();
+            det.register_ptr(loc, obj);
+        };
+        let promote = || -> Vec<Addr> {
+            let objs: Vec<Addr> = (0..OBJS)
+                .map(|_| alloc(&heap, &det, &mem, 48).base)
+                .collect();
+            for &obj in &objs {
+                for i in 0..LOCS {
+                    store(holder.base + i * 256, obj);
+                }
+            }
+            objs
+        };
+        for obj in promote() {
+            det.on_free(obj);
+            heap.free(obj).unwrap();
+        }
+        let small: Vec<Addr> = (0..OBJS)
+            .map(|_| alloc(&heap, &det, &mem, 48).base)
+            .collect();
+        for (i, &obj) in small.iter().enumerate() {
+            store(holder.base + i as u64 * 256, obj);
+        }
+        assert_eq!(det.stats().hashtables, OBJS);
+        let table_bytes = det.metadata_ledger().hash_tables;
+        promote();
+        let after = det.stats();
+        assert_eq!(after.hash_promotions, 2 * OBJS);
+        assert_eq!(after.hashtables, OBJS, "C allocated tables");
+        assert_eq!(det.metadata_ledger().hash_tables, table_bytes);
     }
 
     #[test]
@@ -1506,8 +1563,8 @@ mod tests {
         assert_eq!(rep_on, rep_off, "invalidation reports diverge");
         assert_eq!(stats_on, stats_off, "Table 1 counters diverge");
         assert_eq!(rep_on[3].1.invalidated, 3, "{rep_on:?}");
-        // One allocation serves all rounds: the table stays with the
-        // pool-recycled log (parked on reset, never freed).
+        // One allocation serves all rounds: reset returns the table to
+        // the detector's table pools, and the next promotion takes it.
         assert!(
             stats_on.hashtables >= 1,
             "workload must exercise the hash tier: {stats_on:?}"

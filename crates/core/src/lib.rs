@@ -76,7 +76,7 @@ pub use api::{Detector, InvalidationReport, NullDetector};
 pub use config::{Config, EMBEDDED_ENTRIES};
 pub use detector::{current_thread_id, DangSan};
 pub use hooked::{HookedHeap, HookedThread};
-pub use stats::{Counter, Stats, StatsSnapshot};
+pub use stats::{Counter, MetadataLedger, Stats, StatsSnapshot};
 
 // The flight recorder (`dangsan-trace`) re-exported at the top level:
 // `Config::trace_level` takes a `TraceLevel`, `DangSan::tracer` hands back

@@ -19,20 +19,27 @@
 //!
 //! The paper accepts that a pointer propagated concurrently with `free`
 //! may be missed (§7): our reader takes an acquire snapshot of each tier
-//! length, so late appends are simply not walked. Indirect blocks and hash
-//! tables are never freed while the detector lives — they stay attached to
-//! the (pool-recycled) log and are reused — so a late append can land in a
-//! log that now belongs to a different object. The free-time value check
-//! filters such entries out as stale.
+//! length, so late appends are simply not walked. Nothing a log uses is
+//! freed while the detector lives: indirect blocks stay attached to the
+//! (pool-recycled) log, and hash tables go back to the detector's
+//! [`TablePools`], which hand them to whichever log promotes next. So a
+//! late append can land in a log that now belongs to a different object,
+//! and a late append or late grow can land in a table that another log
+//! took from a pool. The free-time value check filters such entries out
+//! as stale, exactly as it does for recycled logs.
 //!
 //! ## Tiers are per lifetime
 //!
 //! A recycled log starts in the embedded tier whatever its last object
-//! reached. [`ThreadLog::reset`] zeroes an active hash table and parks it
-//! as the log's *spare*; only a lifetime that fills its indirect block
-//! takes the spare back. A table never leaves its log, and a grow
-//! publishes only over the table it copied, so a late append racing
-//! `reset` loses its copy instead of re-activating a parked table.
+//! reached. [`ThreadLog::reset`] zeroes the log's whole active chain of
+//! hash tables (the table and every smaller one it grew from) and returns
+//! each to its capacity class in the [`TablePools`]. A lifetime that fills
+//! its indirect block takes the *largest* free table, so a hot lifetime
+//! starts where an earlier one finished growing instead of regrowing and
+//! recopying from the smallest class; a grow takes a free table of twice
+//! the size. Only an empty pool allocates. A grow publishes only over the
+//! table it copied, so a late grow racing `reset` returns its copy to the
+//! pool instead of publishing it.
 
 use core::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::ptr;
@@ -42,14 +49,14 @@ use dangsan_vmem::Addr;
 
 use crate::compress::{self, Fold};
 use crate::config::{Config, EMBEDDED_ENTRIES, HASH_INITIAL_SLOTS};
-use crate::pool::PoolItem;
+use crate::pool::{Pool, PoolItem};
 use crate::stats::{Counter, Stats};
 
 /// `b` payload of a [`EventCode::TierPromote`] event: a fresh indirect
 /// block replaced the embedded array (tier 1 → 2).
 pub const TIER_INDIRECT: u64 = 1;
-/// Tier promotion payload: a hash table (fresh, or the log's parked
-/// spare) took over from the indirect block (tier 2 → 3).
+/// Tier promotion payload: a hash table (fresh, or the largest pooled
+/// one) took over from the indirect block (tier 2 → 3).
 pub const TIER_HASH: u64 = 2;
 /// Tier promotion payload: the no-hash ablation chained a doubled
 /// indirect block instead.
@@ -96,24 +103,36 @@ impl IndirectBlock {
 pub struct LogHashTable {
     cap: u32,
     count: AtomicU32,
-    /// Retired smaller table, kept alive for concurrently walking readers.
+    /// The smaller table this one was grown from. It stays in the log's
+    /// active chain until [`ThreadLog::reset`] returns the whole chain.
     prev: AtomicPtr<LogHashTable>,
+    /// The free-stack link while the table sits in its [`TablePools`]
+    /// class. Separate from `prev`, so a late grow into a pooled table
+    /// cannot corrupt a free stack.
+    pool_next: AtomicPtr<LogHashTable>,
     slots: Box<[AtomicU64]>,
 }
 
+impl PoolItem for LogHashTable {
+    fn pool_next(&self) -> &AtomicPtr<LogHashTable> {
+        &self.pool_next
+    }
+
+    fn host_bytes(&self) -> u64 {
+        core::mem::size_of::<LogHashTable>() as u64 + self.cap as u64 * 8
+    }
+}
+
 impl LogHashTable {
-    fn new(cap: u32) -> Box<LogHashTable> {
+    fn new(cap: u32) -> LogHashTable {
         debug_assert!(cap.is_power_of_two());
-        Box::new(LogHashTable {
+        LogHashTable {
             cap,
             count: AtomicU32::new(0),
             prev: AtomicPtr::new(ptr::null_mut()),
+            pool_next: AtomicPtr::new(ptr::null_mut()),
             slots: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-        })
-    }
-
-    fn bytes(&self) -> u64 {
-        core::mem::size_of::<LogHashTable>() as u64 + self.cap as u64 * 8
+        }
     }
 
     fn hash(loc: Addr) -> u64 {
@@ -144,6 +163,92 @@ impl LogHashTable {
     }
 }
 
+/// Capacity classes of [`TablePools`]: class `i` holds tables of
+/// `HASH_INITIAL_SLOTS << i` slots, up to the largest power of two a
+/// `u32` capacity can hold.
+const TABLE_CLASSES: usize = (u32::BITS - HASH_INITIAL_SLOTS.trailing_zeros()) as usize;
+
+/// One detector's hash tables, in one [`Pool`] per capacity class shared
+/// by all its logs (the paper's §7 reuse of per-object metadata). The
+/// pools own every table ever allocated and free them only when the
+/// detector drops, so tables are type-stable exactly like logs and
+/// records. They are touched only at a promotion, a grow, or the reset of
+/// a log that holds a table, never on a plain append.
+pub struct TablePools {
+    classes: [Pool<LogHashTable>; TABLE_CLASSES],
+}
+
+impl Default for TablePools {
+    fn default() -> Self {
+        TablePools {
+            classes: std::array::from_fn(|_| Pool::new()),
+        }
+    }
+}
+
+impl TablePools {
+    fn class(&self, cap: u32) -> &Pool<LogHashTable> {
+        &self.classes[(cap.trailing_zeros() - HASH_INITIAL_SLOTS.trailing_zeros()) as usize]
+    }
+
+    /// The largest free table, for a promotion, and whether it had to be
+    /// host-allocated (every class was empty).
+    fn take_largest(&self) -> (&LogHashTable, bool) {
+        match self.classes.iter().rev().find_map(Pool::try_take) {
+            Some(table) => (table, false),
+            None => (
+                self.classes[0].adopt(LogHashTable::new(HASH_INITIAL_SLOTS)),
+                true,
+            ),
+        }
+    }
+
+    /// A free table of `cap` slots, for a grow.
+    fn take(&self, cap: u32) -> &LogHashTable {
+        let class = self.class(cap);
+        class
+            .try_take()
+            .unwrap_or_else(|| class.adopt(LogHashTable::new(cap)))
+    }
+
+    /// Zeroes `table` and returns it to its class. The caller must own it
+    /// and must not use it afterwards (a late racy write is lost).
+    fn give_back(&self, table: &LogHashTable) {
+        for s in table.slots.iter() {
+            s.store(0, Ordering::Release);
+        }
+        table.count.store(0, Ordering::Release);
+        table.prev.store(ptr::null_mut(), Ordering::Release);
+        self.class(table.cap).recycle(table);
+    }
+
+    /// Host bytes of every table ever allocated, attached to a log or free.
+    pub fn bytes(&self) -> u64 {
+        self.classes.iter().map(Pool::bytes).sum()
+    }
+}
+
+/// The storage behind one detector's overflow tiers, shared by all its
+/// logs and passed to every [`ThreadLog::append`].
+#[derive(Default)]
+pub struct Overflow {
+    /// Host bytes of indirect blocks, which stay attached to their logs.
+    indirect_bytes: AtomicU64,
+    tables: TablePools,
+}
+
+impl Overflow {
+    /// Host bytes of indirect blocks.
+    pub fn indirect_bytes(&self) -> u64 {
+        self.indirect_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Host bytes of hash tables, attached to a log or free in a pool.
+    pub fn table_bytes(&self) -> u64 {
+        self.tables.bytes()
+    }
+}
+
 /// A per-(object, thread) pointer log.
 ///
 /// Created through [`crate::pool::Pool`]; never freed while the detector
@@ -158,11 +263,6 @@ pub struct ThreadLog {
     embedded: [AtomicU64; EMBEDDED_ENTRIES],
     indirect: AtomicPtr<IndirectBlock>,
     hash: AtomicPtr<LogHashTable>,
-    /// A previous lifetime's table, zeroed and parked by [`Self::reset`];
-    /// null whenever `hash` is set by this lifetime. `reset`'s `Release`
-    /// store pairs with the promoting `swap`'s `Acquire`, so the lifetime
-    /// that takes the table back sees it zeroed.
-    spare: AtomicPtr<LogHashTable>,
 }
 
 impl Default for ThreadLog {
@@ -175,7 +275,6 @@ impl Default for ThreadLog {
             embedded: Default::default(),
             indirect: AtomicPtr::new(ptr::null_mut()),
             hash: AtomicPtr::new(ptr::null_mut()),
-            spare: AtomicPtr::new(ptr::null_mut()),
         }
     }
 }
@@ -190,8 +289,8 @@ impl ThreadLog {
     /// Appends `loc`, applying lookback, compression and the overflow
     /// policy from `cfg`. Must only be called by the owning thread.
     ///
-    /// `extra_bytes` is credited with any host allocation performed
-    /// (indirect blocks, hash tables). `trace`/`obj_id` let tier
+    /// `overflow` supplies indirect blocks (crediting their host bytes)
+    /// and hash tables. `trace`/`obj_id` let tier
     /// promotions land in the flight recorder; at `TraceLevel::Off` both
     /// are dead weight the promotion (cold) paths never touch.
     pub fn append(
@@ -199,7 +298,7 @@ impl ThreadLog {
         loc: Addr,
         cfg: &Config,
         stats: &Stats,
-        extra_bytes: &AtomicU64,
+        overflow: &Overflow,
         trace: &Trace,
         obj_id: u64,
     ) -> Appended {
@@ -207,7 +306,7 @@ impl ThreadLog {
         let hash = self.hash.load(Ordering::Acquire);
         if !hash.is_null() {
             // SAFETY: hash tables are never freed while the detector lives.
-            return self.hash_insert(unsafe { &*hash }, loc, stats, extra_bytes, trace, obj_id);
+            return self.hash_insert(unsafe { &*hash }, loc, stats, overflow, trace, obj_id);
         }
 
         // Lookback (§4.4): scan the most recent entries for this location.
@@ -234,16 +333,16 @@ impl ThreadLog {
             }
         }
 
-        self.push_plain(loc, cfg, stats, extra_bytes, trace, obj_id);
+        self.push_plain(loc, cfg, stats, overflow, trace, obj_id);
         Appended::Stored
     }
 
-    fn hash_insert(
+    fn hash_insert<'a>(
         &self,
-        mut table: &LogHashTable,
+        mut table: &'a LogHashTable,
         loc: Addr,
         stats: &Stats,
-        extra_bytes: &AtomicU64,
+        overflow: &'a Overflow,
         trace: &Trace,
         obj_id: u64,
     ) -> Appended {
@@ -255,9 +354,9 @@ impl ThreadLog {
                     return Appended::Duplicate;
                 }
                 Err(()) => {
-                    // Grow: copy into a table twice the size, keep the old
-                    // one alive behind `prev` for concurrent readers.
-                    let bigger = LogHashTable::new(table.cap * 2);
+                    // Grow: copy into a free table twice the size; the old
+                    // one stays behind `prev` in the active chain.
+                    let bigger = overflow.tables.take(table.cap * 2);
                     for s in table.slots.iter() {
                         let v = s.load(Ordering::Acquire);
                         if v != 0 {
@@ -266,21 +365,21 @@ impl ThreadLog {
                     }
                     let old = ptr::from_ref(table).cast_mut();
                     bigger.prev.store(old, Ordering::Release);
-                    let raw = Box::into_raw(bigger);
+                    let raw = ptr::from_ref(bigger).cast_mut();
                     if self
                         .hash
                         .compare_exchange(old, raw, Ordering::AcqRel, Ordering::Acquire)
                         .is_err()
                     {
-                        // A late append: `reset` parked `table` meanwhile.
-                        // SAFETY: `raw` was never published; dropping a
-                        // table frees only itself, not its `prev`.
-                        drop(unsafe { Box::from_raw(raw) });
+                        // A late append: `reset` returned `table` to its
+                        // pool meanwhile. The copy was never published, so
+                        // it goes back too. It is never freed: it may have
+                        // come from a pool, where a late appender may
+                        // still hold it.
+                        overflow.tables.give_back(bigger);
                         return Appended::Stored;
                     }
-                    // SAFETY: `raw` is live for the detector's lifetime.
-                    table = unsafe { &*raw };
-                    extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
+                    table = bigger;
                     trace.record(
                         TraceLevel::Full,
                         EventCode::TierPromote,
@@ -348,7 +447,7 @@ impl ThreadLog {
         loc: Addr,
         cfg: &Config,
         stats: &Stats,
-        extra_bytes: &AtomicU64,
+        overflow: &Overflow,
         trace: &Trace,
         obj_id: u64,
     ) {
@@ -363,7 +462,9 @@ impl ThreadLog {
         let mut ind_ptr = self.indirect.load(Ordering::Acquire);
         if ind_ptr.is_null() {
             let block = IndirectBlock::new(cfg.indirect_capacity as u32);
-            extra_bytes.fetch_add(block.bytes(), Ordering::Relaxed);
+            overflow
+                .indirect_bytes
+                .fetch_add(block.bytes(), Ordering::Relaxed);
             stats.bump(&[Counter::IndirectBlocks]);
             trace.record(
                 TraceLevel::Full,
@@ -384,16 +485,12 @@ impl ThreadLog {
             return;
         }
         if cfg.hash_fallback {
-            // Tier 3: switch to the hash table, the parked spare if any.
-            let mut raw = self.spare.swap(ptr::null_mut(), Ordering::AcqRel);
-            if raw.is_null() {
-                let table = LogHashTable::new(HASH_INITIAL_SLOTS);
-                extra_bytes.fetch_add(table.bytes(), Ordering::Relaxed);
-                stats.bump(&[Counter::Hashtables]);
-                raw = Box::into_raw(table);
-            }
-            // SAFETY: hash tables live as long as the detector.
-            let table = unsafe { &*raw };
+            // Tier 3: switch to the largest free hash table.
+            let (table, fresh) = overflow.tables.take_largest();
+            stats.add(&[
+                (Counter::HashPromotions, 1),
+                (Counter::Hashtables, u64::from(fresh)),
+            ]);
             trace.record(
                 TraceLevel::Full,
                 EventCode::TierPromote,
@@ -402,12 +499,15 @@ impl ThreadLog {
                 u64::from(table.cap),
             );
             let _ = table.insert(loc);
-            self.hash.store(raw, Ordering::Release);
+            self.hash
+                .store(ptr::from_ref(table).cast_mut(), Ordering::Release);
         } else {
             // Ablation: keep chaining ever larger blocks (the unbounded
             // log the paper warns about).
             let block = IndirectBlock::new(ind.cap * 2);
-            extra_bytes.fetch_add(block.bytes(), Ordering::Relaxed);
+            overflow
+                .indirect_bytes
+                .fetch_add(block.bytes(), Ordering::Relaxed);
             stats.bump(&[Counter::IndirectBlocks]);
             trace.record(
                 TraceLevel::Full,
@@ -425,8 +525,8 @@ impl ThreadLog {
 
     /// Whether the hash-table tier is active in this lifetime.
     ///
-    /// Only a lifetime that filled its indirect block activates it (a
-    /// table parked by [`Self::reset`] does not count). Once active, every
+    /// Only a lifetime that filled its indirect block activates it
+    /// ([`Self::reset`] leaves the log without a table). Once active, every
     /// location appended from then on is a member of the hash set, and
     /// members are never removed while the log belongs to its current
     /// object — membership only grows until the object is freed. The
@@ -474,10 +574,10 @@ impl ThreadLog {
     /// Clears the log for reuse by a new (object, thread) pair, which
     /// starts in the embedded tier.
     ///
-    /// Indirect blocks and hash tables stay attached (zeroed) so that a
-    /// racing late append never touches freed memory; see module docs. An
-    /// active hash table is zeroed once and parked as the spare.
-    pub fn reset(&self) {
+    /// Indirect blocks stay attached (zeroed), and the active chain of hash
+    /// tables goes back to `overflow`'s pools, zeroed: a racing late append
+    /// never touches freed memory; see module docs.
+    pub fn reset(&self, overflow: &Overflow) {
         self.thread_id.store(u64::MAX, Ordering::Release);
         self.next.store(ptr::null_mut(), Ordering::Release);
         self.embedded_len.store(0, Ordering::Release);
@@ -488,15 +588,13 @@ impl ThreadLog {
             ind.len.store(0, Ordering::Release);
             ind_ptr = ind.prev.load(Ordering::Acquire);
         }
-        let hash_ptr = self.hash.swap(ptr::null_mut(), Ordering::AcqRel);
-        if !hash_ptr.is_null() {
-            // SAFETY: as above.
-            let hash = unsafe { &*hash_ptr };
-            for s in hash.slots.iter() {
-                s.store(0, Ordering::Release);
-            }
-            hash.count.store(0, Ordering::Release);
-            self.spare.store(hash_ptr, Ordering::Release);
+        let mut hash_ptr = self.hash.swap(ptr::null_mut(), Ordering::AcqRel);
+        while !hash_ptr.is_null() {
+            // SAFETY: tables are pool-owned and type-stable, and the swap
+            // made this reset the chain's sole owner.
+            let table = unsafe { &*hash_ptr };
+            hash_ptr = table.prev.load(Ordering::Acquire);
+            overflow.tables.give_back(table);
         }
     }
 }
@@ -509,13 +607,6 @@ impl Drop for ThreadLog {
             // `Box::into_raw` and are freed exactly once here.
             let block = unsafe { Box::from_raw(ind_ptr) };
             ind_ptr = block.prev.load(Ordering::Relaxed);
-        }
-        for mut hash_ptr in [*self.hash.get_mut(), *self.spare.get_mut()] {
-            while !hash_ptr.is_null() {
-                // SAFETY: as above; the two chains are disjoint.
-                let table = unsafe { Box::from_raw(hash_ptr) };
-                hash_ptr = table.prev.load(Ordering::Relaxed);
-            }
         }
     }
 }
@@ -533,19 +624,19 @@ mod tests {
         v
     }
 
-    fn setup() -> (Config, Stats, AtomicU64) {
-        (Config::default(), Stats::default(), AtomicU64::new(0))
+    fn setup() -> (Config, Stats, Overflow) {
+        (Config::default(), Stats::default(), Overflow::default())
     }
 
     #[test]
     fn embedded_appends_roundtrip() {
-        let (cfg, stats, bytes) = setup();
+        let (cfg, stats, ovf) = setup();
         let log = ThreadLog::default();
         // Use widely spaced locations so compression does not kick in.
         let locs: Vec<Addr> = (0..5).map(|i| HEAP_BASE + i * 0x1000).collect();
         for &l in &locs {
             assert_eq!(
-                log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1),
+                log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1),
                 Appended::Stored
             );
         }
@@ -554,16 +645,16 @@ mod tests {
 
     #[test]
     fn lookback_suppresses_recent_duplicates() {
-        let (cfg, stats, bytes) = setup();
+        let (cfg, stats, ovf) = setup();
         let log = ThreadLog::default();
         let l = HEAP_BASE + 0x2000;
         assert_eq!(
-            log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1),
+            log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1),
             Appended::Stored
         );
         for _ in 0..10 {
             assert_eq!(
-                log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1),
+                log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1),
                 Appended::Duplicate
             );
         }
@@ -573,17 +664,17 @@ mod tests {
 
     #[test]
     fn lookback_window_is_bounded() {
-        let (cfg, stats, bytes) = setup();
+        let (cfg, stats, ovf) = setup();
         let cfg = cfg.with_lookback(2).with_compression(false);
         let log = ThreadLog::default();
         let a = HEAP_BASE + 0x1000;
-        log.append(a, &cfg, &stats, &bytes, &Trace::new(), 1);
+        log.append(a, &cfg, &stats, &ovf, &Trace::new(), 1);
         // Push `a` out of the 2-entry window.
-        log.append(HEAP_BASE + 0x2000, &cfg, &stats, &bytes, &Trace::new(), 1);
-        log.append(HEAP_BASE + 0x3000, &cfg, &stats, &bytes, &Trace::new(), 1);
+        log.append(HEAP_BASE + 0x2000, &cfg, &stats, &ovf, &Trace::new(), 1);
+        log.append(HEAP_BASE + 0x3000, &cfg, &stats, &ovf, &Trace::new(), 1);
         // `a` is re-logged because the window no longer covers it.
         assert_eq!(
-            log.append(a, &cfg, &stats, &bytes, &Trace::new(), 1),
+            log.append(a, &cfg, &stats, &ovf, &Trace::new(), 1),
             Appended::Stored
         );
         assert_eq!(
@@ -594,19 +685,19 @@ mod tests {
 
     #[test]
     fn compression_packs_neighbours() {
-        let (cfg, stats, bytes) = setup();
+        let (cfg, stats, ovf) = setup();
         let log = ThreadLog::default();
         let a = HEAP_BASE + 0x100;
         assert_eq!(
-            log.append(a, &cfg, &stats, &bytes, &Trace::new(), 1),
+            log.append(a, &cfg, &stats, &ovf, &Trace::new(), 1),
             Appended::Stored
         );
         assert_eq!(
-            log.append(a + 8, &cfg, &stats, &bytes, &Trace::new(), 1),
+            log.append(a + 8, &cfg, &stats, &ovf, &Trace::new(), 1),
             Appended::Compressed
         );
         assert_eq!(
-            log.append(a + 16, &cfg, &stats, &bytes, &Trace::new(), 1),
+            log.append(a + 16, &cfg, &stats, &ovf, &Trace::new(), 1),
             Appended::Compressed
         );
         assert_eq!(log.embedded_len.load(Ordering::Relaxed), 1, "one slot");
@@ -615,7 +706,7 @@ mod tests {
 
     #[test]
     fn overflow_into_indirect_block() {
-        let (cfg, stats, bytes) = setup();
+        let (cfg, stats, ovf) = setup();
         let cfg = Config {
             compression: false,
             lookback: 0,
@@ -625,16 +716,16 @@ mod tests {
         let n = EMBEDDED_ENTRIES + 20;
         let locs: Vec<Addr> = (0..n as u64).map(|i| HEAP_BASE + i * 0x1000).collect();
         for &l in &locs {
-            log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1);
+            log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
         assert_eq!(collect(&log), locs);
         assert_eq!(stats.snapshot().indirect_blocks, 1);
-        assert!(bytes.load(Ordering::Relaxed) > 0);
+        assert!(ovf.indirect_bytes() > 0);
     }
 
     #[test]
     fn overflow_into_hash_table_dedups() {
-        let (_, stats, bytes) = setup();
+        let (_, stats, ovf) = setup();
         let cfg = Config {
             compression: false,
             lookback: 0,
@@ -645,20 +736,20 @@ mod tests {
         let n = (EMBEDDED_ENTRIES + 8 + 50) as u64;
         let locs: Vec<Addr> = (0..n).map(|i| HEAP_BASE + i * 0x1000).collect();
         for &l in &locs {
-            log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1);
+            log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
         assert_eq!(stats.snapshot().hashtables, 1);
         // Re-appending hash-resident locations is deduplicated.
         let dups_before = stats.snapshot().dup_ptrs;
         let last = *locs.last().unwrap();
-        log.append(last, &cfg, &stats, &bytes, &Trace::new(), 1);
+        log.append(last, &cfg, &stats, &ovf, &Trace::new(), 1);
         assert_eq!(stats.snapshot().dup_ptrs, dups_before + 1);
         assert_eq!(collect(&log), locs);
     }
 
     #[test]
     fn hash_table_grows_without_losing_entries() {
-        let (_, stats, bytes) = setup();
+        let (_, stats, ovf) = setup();
         let cfg = Config {
             compression: false,
             lookback: 0,
@@ -669,14 +760,14 @@ mod tests {
         let n = 2_000u64;
         let locs: Vec<Addr> = (0..n).map(|i| HEAP_BASE + i * 0x1000).collect();
         for &l in &locs {
-            log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1);
+            log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
         assert_eq!(collect(&log), locs);
     }
 
     #[test]
     fn no_hash_fallback_chains_blocks() {
-        let (_, stats, bytes) = setup();
+        let (_, stats, ovf) = setup();
         let cfg = Config {
             compression: false,
             lookback: 0,
@@ -688,7 +779,7 @@ mod tests {
         let n = 200u64;
         let locs: Vec<Addr> = (0..n).map(|i| HEAP_BASE + i * 0x1000).collect();
         for &l in &locs {
-            log.append(l, &cfg, &stats, &bytes, &Trace::new(), 1);
+            log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
         assert_eq!(collect(&log), locs);
         assert!(stats.snapshot().indirect_blocks >= 3, "blocks chained");
@@ -697,7 +788,7 @@ mod tests {
 
     #[test]
     fn reset_empties_all_tiers_and_keeps_capacity() {
-        let (_, stats, bytes) = setup();
+        let (_, stats, ovf) = setup();
         let cfg = Config {
             compression: false,
             lookback: 0,
@@ -705,41 +796,40 @@ mod tests {
             ..Config::default()
         };
         let log = ThreadLog::default();
+        // 84 entries reach the hash tier and grow its table 64 → 128.
         for i in 0..100u64 {
-            log.append(
-                HEAP_BASE + i * 0x1000,
-                &cfg,
-                &stats,
-                &bytes,
-                &Trace::new(),
-                1,
-            );
+            log.append(HEAP_BASE + i * 0x1000, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
-        let bytes_before = bytes.load(Ordering::Relaxed);
-        log.reset();
+        let bytes = |o: &Overflow| o.indirect_bytes() + o.table_bytes();
+        let bytes_before = bytes(&ovf);
+        log.reset(&ovf);
         assert!(collect(&log).is_empty());
-        // The next lifetime starts in the embedded tier, not the table.
-        assert!(!log.hash_active(), "reset parks the hash table");
+        // The next lifetime starts in the embedded tier, without a table.
+        assert!(!log.hash_active(), "reset returns the hash tables");
         let first = HEAP_BASE + 0x800_0000;
-        log.append(first, &cfg, &stats, &bytes, &Trace::new(), 1);
+        log.append(first, &cfg, &stats, &ovf, &Trace::new(), 1);
         assert!(!log.hash_active());
         assert_eq!(log.embedded_len.load(Ordering::Relaxed), 1);
         assert_eq!(collect(&log), vec![first]);
-        // Refilling past the indirect block takes the parked spare back,
-        // and reuse allocates nothing new (60 entries fit the already-grown
-        // hash table without another resize).
+        // Refilling past the indirect block takes the largest pooled
+        // table, and reuse allocates nothing new (60 entries fit the
+        // 128-slot table without another grow).
         for i in 1..60u64 {
-            log.append(first + i * 0x1000, &cfg, &stats, &bytes, &Trace::new(), 1);
+            log.append(first + i * 0x1000, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
         assert!(log.hash_active(), "the lifetime filled its indirect block");
+        // SAFETY: the table lives as long as `ovf`.
+        let table = unsafe { &*log.hash.load(Ordering::Acquire) };
+        assert_eq!(table.cap, 128, "largest free table first");
         assert_eq!(collect(&log).len(), 60);
-        assert_eq!(bytes.load(Ordering::Relaxed), bytes_before);
-        assert_eq!(stats.snapshot().hashtables, 1, "the spare was reused");
+        assert_eq!(bytes(&ovf), bytes_before);
+        let s = stats.snapshot();
+        assert_eq!((s.hashtables, s.hash_promotions), (1, 2), "{s:?}");
     }
 
     #[test]
     fn late_grow_never_reactivates_a_parked_table() {
-        let (_, stats, bytes) = setup();
+        let (_, stats, ovf) = setup();
         let cfg = Config {
             compression: false,
             lookback: 0,
@@ -748,29 +838,25 @@ mod tests {
         };
         let log = ThreadLog::default();
         for i in 0..20u64 {
-            log.append(
-                HEAP_BASE + i * 0x1000,
-                &cfg,
-                &stats,
-                &bytes,
-                &Trace::new(),
-                1,
-            );
+            log.append(HEAP_BASE + i * 0x1000, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
-        // SAFETY: the table lives as long as the log.
+        // SAFETY: the table lives as long as `ovf`.
         let table = unsafe { &*log.hash.load(Ordering::Acquire) };
-        log.reset();
+        log.reset(&ovf);
         // The previous lifetime's owner saw the table full just before
-        // `reset` parked it, and now grows it.
+        // `reset` returned it, and now grows it.
         table.count.store(table.cap, Ordering::Relaxed);
-        let late = log.hash_insert(table, HEAP_BASE, &stats, &bytes, &Trace::new(), 1);
+        let late = log.hash_insert(table, HEAP_BASE, &stats, &ovf, &Trace::new(), 1);
         assert_eq!(late, Appended::Stored);
         assert!(!log.hash_active(), "the grown copy must not be published");
-        assert_eq!(
-            log.spare.load(Ordering::Relaxed),
-            ptr::from_ref(table).cast_mut()
-        );
-        // Dropping the log frees the parked table exactly once.
+        // The copy went back to its pool, zeroed, and the original is
+        // still in its own.
+        let copy = ovf.tables.class(128).try_take().expect("copy pooled");
+        assert_eq!(copy.count.load(Ordering::Relaxed), 0);
+        assert!(copy.prev.load(Ordering::Relaxed).is_null());
+        assert!(copy.slots.iter().all(|s| s.load(Ordering::Relaxed) == 0));
+        let original = ovf.tables.class(64).try_take().expect("table pooled");
+        assert!(ptr::eq(original, table));
     }
 
     #[test]
@@ -791,17 +877,10 @@ mod tests {
                     ..Config::default()
                 };
                 let stats = Stats::default();
-                let bytes = AtomicU64::new(0);
+                let ovf = Overflow::default();
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    log.append(
-                        HEAP_BASE + i * 0x1000,
-                        &cfg,
-                        &stats,
-                        &bytes,
-                        &Trace::new(),
-                        1,
-                    );
+                    log.append(HEAP_BASE + i * 0x1000, &cfg, &stats, &ovf, &Trace::new(), 1);
                     i += 1;
                 }
                 i

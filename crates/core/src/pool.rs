@@ -11,9 +11,11 @@
 //! *recycled* record — a benign race the free-time value check filters out,
 //! exactly as in the paper — but never into freed memory.
 //!
-//! Only the records themselves are pooled. A log's indirect blocks and
-//! hash tables travel with the log (see [`crate::log`]), and the sweep's
-//! location buffer is per thread, so no free takes a lock here.
+//! Object records, per-thread logs and the logs' hash tables are pooled
+//! (tables in one pool per capacity class, shared by all of a detector's
+//! logs; see [`crate::log::TablePools`]). A log's indirect blocks travel
+//! with the log, and the sweep's location buffer is per thread. Only a
+//! fresh allocation takes the pool's lock, never a take or a recycle.
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::ptr;
@@ -21,9 +23,15 @@ use std::ptr;
 use std::sync::Mutex;
 
 /// Implemented by records that can live in a [`Pool`].
-pub trait PoolItem: Default {
+pub trait PoolItem: Sized {
     /// The intrusive link used while the item sits in the free stack.
     fn pool_next(&self) -> &AtomicPtr<Self>;
+
+    /// Host bytes the record holds, counted by [`Pool::bytes`] when the
+    /// pool adopts it: the record itself plus any storage it owns.
+    fn host_bytes(&self) -> u64 {
+        core::mem::size_of::<Self>() as u64
+    }
 }
 
 /// Bit position of the free-stack head's generation tag: user-space
@@ -84,12 +92,21 @@ impl<T: PoolItem> Pool<T> {
     ///
     /// The returned reference stays valid until the pool is dropped, even
     /// if the record is recycled in the meantime (type-stability).
-    pub fn take(&self) -> &T {
+    pub fn take(&self) -> &T
+    where
+        T: Default,
+    {
+        self.try_take().unwrap_or_else(|| self.adopt(T::default()))
+    }
+
+    /// Takes a recycled record, or `None` when the free stack is empty.
+    /// Never allocates.
+    pub fn try_take(&self) -> Option<&T> {
         let mut head = self.head.load(Ordering::Acquire);
         loop {
             let cur = untag(head);
             if cur.is_null() {
-                break;
+                return None;
             }
             // SAFETY: non-null stack entries are live pool-owned records
             // (a stale read of a since-popped one is still type-stable
@@ -102,18 +119,23 @@ impl<T: PoolItem> Pool<T> {
                 Ordering::Acquire,
             ) {
                 // SAFETY: we won the pop; the record is ours to hand out.
-                Ok(_) => return unsafe { &*cur },
+                Ok(_) => return Some(unsafe { &*cur }),
                 Err(actual) => head = actual,
             }
         }
-        let fresh = Box::into_raw(Box::<T>::default());
+    }
+
+    /// Moves a freshly built record into the pool, which owns it from
+    /// now on, and hands it out as if taken. [`Self::bytes`] grows by its
+    /// [`PoolItem::host_bytes`].
+    pub fn adopt(&self, item: T) -> &T {
+        self.bytes.fetch_add(item.host_bytes(), Ordering::Relaxed);
+        let fresh = Box::into_raw(Box::new(item));
         assert_eq!(
             fresh.addr() & !ADDR_MASK,
             0,
             "record address overlaps the free stack's generation tag"
         );
-        self.bytes
-            .fetch_add(core::mem::size_of::<T>() as u64, Ordering::Relaxed);
         self.all.lock().expect("not poisoned").push(fresh);
         // SAFETY: freshly allocated, owned by the pool, never freed until
         // the pool drops.
@@ -140,7 +162,7 @@ impl<T: PoolItem> Pool<T> {
         }
     }
 
-    /// Host bytes backing all records ever allocated from this pool.
+    /// Host bytes backing all records this pool ever adopted.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
@@ -155,7 +177,7 @@ impl<T: PoolItem> Drop for Pool<T> {
     fn drop(&mut self) {
         for raw in self.all.get_mut().expect("not poisoned").drain(..) {
             // SAFETY: every record was created by `Box::into_raw` in
-            // `take`, appears in `all` exactly once, and no references
+            // `adopt`, appears in `all` exactly once, and no references
             // outlive the pool (callers' lifetimes are tied to the
             // detector that owns the pool).
             unsafe { drop(Box::from_raw(raw)) };
@@ -204,6 +226,48 @@ mod tests {
         assert_eq!(pool.bytes(), 2 * core::mem::size_of::<Rec>() as u64);
     }
 
+    /// A record owning storage beyond its own size.
+    #[derive(Default)]
+    struct Buf {
+        data: Vec<u8>,
+        next: AtomicPtr<Buf>,
+    }
+
+    impl PoolItem for Buf {
+        fn pool_next(&self) -> &AtomicPtr<Buf> {
+            &self.next
+        }
+
+        fn host_bytes(&self) -> u64 {
+            core::mem::size_of::<Buf>() as u64 + self.data.len() as u64
+        }
+    }
+
+    #[test]
+    fn try_take_never_allocates_and_adopt_counts_host_bytes() {
+        let pool: Pool<Buf> = Pool::new();
+        assert!(pool.try_take().is_none(), "empty pool");
+        assert_eq!((pool.allocated(), pool.bytes()), (0, 0));
+        let a = pool.adopt(Buf {
+            data: vec![7; 100],
+            ..Buf::default()
+        });
+        assert_eq!(a.data.len(), 100, "handed out as built");
+        let one = core::mem::size_of::<Buf>() as u64;
+        assert_eq!((pool.allocated(), pool.bytes()), (1, one + 100));
+        let a_ptr = a as *const Buf;
+        pool.recycle(a);
+        let b = pool.try_take().expect("the recycled record");
+        assert_eq!(b as *const Buf, a_ptr);
+        assert!(pool.try_take().is_none(), "reuse allocated nothing");
+        assert_eq!((pool.allocated(), pool.bytes()), (1, one + 100));
+        pool.recycle(b);
+        // `take` prefers the free stack, then adopts a default record.
+        assert_eq!(pool.take() as *const Buf, a_ptr);
+        pool.take();
+        assert_eq!((pool.allocated(), pool.bytes()), (2, 2 * one + 100));
+    }
+
     #[test]
     fn concurrent_take_recycle_is_linearizable() {
         use std::sync::Arc;
@@ -214,11 +278,19 @@ mod tests {
         for _ in 0..THREADS {
             let pool = Arc::clone(&pool);
             handles.push(std::thread::spawn(move || {
-                for _ in 0..ROUNDS {
+                for round in 0..ROUNDS {
                     // Two records out at once: another thread's pop that
                     // stalls across this pop, pop, push of the same head
                     // is exactly the ABA window the generation tag closes.
-                    let pair = [pool.take(), pool.take()];
+                    // Every 64th round adopts a fresh record, so adoption
+                    // races the pops and pushes too.
+                    let second = match round % 64 {
+                        0 => pool.adopt(Rec::default()),
+                        _ => pool
+                            .try_take()
+                            .unwrap_or_else(|| pool.adopt(Rec::default())),
+                    };
+                    let pair = [pool.take(), second];
                     for r in pair {
                         let was_owned = r.owned.swap(true, Ordering::AcqRel);
                         assert!(!was_owned, "one record handed to two owners");

@@ -31,10 +31,13 @@ pub enum Counter {
     ObjectsAllocated,
     /// Objects freed (and their pointers invalidated).
     ObjectsFreed,
-    /// `# hashtable` — hash tables allocated as log fallback. Counts
-    /// allocations, like `IndirectBlocks`: a lifetime that takes its
-    /// log's parked spare table back is not counted again.
+    /// Hash tables host-allocated by a promotion to the hash tier, which
+    /// happens only when every table pool is empty: a promotion that
+    /// takes a pooled table is not counted again. Grows are not counted.
     Hashtables,
+    /// `# hashtable` — promotions of a log lifetime to the hash tier
+    /// (its indirect block filled), whether the table is fresh or pooled.
+    HashPromotions,
     /// `# ptrs` — pointer registrations that resolved to a tracked object.
     PtrsRegistered,
     /// `# inval` — pointers actually rewritten at free time.
@@ -215,6 +218,8 @@ pub struct StatsSnapshot {
     pub objects_freed: u64,
     /// See [`Counter::Hashtables`].
     pub hashtables: u64,
+    /// See [`Counter::HashPromotions`].
+    pub hash_promotions: u64,
     /// See [`Counter::PtrsRegistered`].
     pub ptrs_registered: u64,
     /// See [`Counter::PtrsInvalidated`].
@@ -290,6 +295,7 @@ impl Stats {
             objects_allocated: n(Counter::ObjectsAllocated),
             objects_freed: n(Counter::ObjectsFreed),
             hashtables: n(Counter::Hashtables),
+            hash_promotions: n(Counter::HashPromotions),
             ptrs_registered: n(Counter::PtrsRegistered),
             ptrs_invalidated: n(Counter::PtrsInvalidated),
             stale_ptrs: n(Counter::StalePtrs),
@@ -396,6 +402,42 @@ impl Stats {
         t.slab.set(Arc::as_ptr(&slab));
         *t.hold.borrow_mut() = Some((Arc::downgrade(&self.registry), slab));
         t.owner.set(Arc::as_ptr(&self.registry));
+    }
+}
+
+/// Where a detector's metadata bytes sit: every byte
+/// [`crate::Detector::metadata_bytes`] reports belongs to exactly one
+/// part, so the parts sum to it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetadataLedger {
+    /// Object metadata records, live or pooled.
+    pub records: u64,
+    /// Per-thread log records, live or pooled.
+    pub logs: u64,
+    /// Indirect log blocks, attached to their logs.
+    pub indirect_blocks: u64,
+    /// Hash tables, attached to a log or free in a table pool.
+    pub hash_tables: u64,
+    /// Shadow (metapagetable) memory.
+    pub shadow: u64,
+}
+
+impl MetadataLedger {
+    /// The parts with the names the detector's metrics source exports
+    /// them under, in bytes.
+    pub fn parts(&self) -> [(&'static str, u64); 5] {
+        [
+            ("metadata_records_bytes", self.records),
+            ("metadata_logs_bytes", self.logs),
+            ("metadata_indirect_bytes", self.indirect_blocks),
+            ("metadata_tables_bytes", self.hash_tables),
+            ("metadata_shadow_bytes", self.shadow),
+        ]
+    }
+
+    /// The detector's metadata bytes: the parts' sum.
+    pub fn total(&self) -> u64 {
+        self.parts().iter().map(|&(_, bytes)| bytes).sum()
     }
 }
 

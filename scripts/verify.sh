@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build/lint/tests, every workspace crate's
-# tests, a differential-fuzz slice, the e2ebench benchmark's own test
-# and 1-second smoke runs of its two deferred-sweep workloads, the
-# repo-hygiene guard, and the bench gates: `bench_gate` lints the
-# committed BENCH_*.json baselines and, in full mode, gates quick
-# hotpath/scaling/server runs against them. The gates, their floors and
-# what fails them are documented once, in crates/bench/src/gate.rs.
+# Repo verification: tier-1 build/lint/tests, the e2ebench benchmark
+# package's lint, every workspace crate's tests, a differential-fuzz
+# slice, the e2ebench benchmark's own test and 1-second smoke runs of
+# its two deferred-sweep workloads, the repo-hygiene guard, and the
+# bench gates: `bench_gate` lints the committed BENCH_*.json baselines
+# and, in full mode, gates quick hotpath/scaling/server runs against
+# them. The gates, their floors and what fails them are documented
+# once, in crates/bench/src/gate.rs.
 #
 # Usage:
 #   scripts/verify.sh           # full: everything, plus the three quick
@@ -20,8 +21,9 @@
 #   VERIFY_FUZZ_PROGRAMS  Programs in the fuzz slice, default 150; 0 skips.
 #
 # Fails if any stage fails: the tier-1 suite (build, clippy -D warnings,
-# tests), any workspace crate's tests (tier-1 `cargo test` runs only the
-# root package's), a fuzz divergence, the e2ebench build or test, a
+# tests), the e2ebench package's rustfmt check or clippy -D warnings, any
+# workspace crate's tests (tier-1 `cargo test` runs only the root
+# package's), a fuzz divergence, the e2ebench build or test, a
 # failed correctness check in an e2ebench smoke run, a
 # tracked file matching .gitignore (stale artifacts must stay untracked
 # once ignored), or a bench gate.
@@ -37,6 +39,12 @@ cargo build --release
 
 echo "== tier-1: cargo clippy -D warnings =="
 cargo clippy -q --all-targets -- -D warnings
+
+# The benchmark package is its own workspace, so neither the clippy
+# above nor `cargo fmt --all` ever sees it.
+echo "== benchmark lint: e2ebench rustfmt + clippy -D warnings =="
+cargo fmt --manifest-path e2ebench/Cargo.toml --check
+cargo clippy -q --offline --all-targets --manifest-path e2ebench/Cargo.toml -- -D warnings
 
 echo "== tier-1: cargo test -q =="
 cargo test -q

@@ -127,30 +127,46 @@ fn disjoint_graphs_have_exact_counts() {
     assert_eq!(hh.detector().stats().ptrs_invalidated, total);
 }
 
-/// The metadata pools recycle under contention without ever handing the
-/// same record to two owners (validated indirectly: counts stay exact and
-/// nothing corrupts).
+/// The metadata pools (records, logs and the logs' hash tables) recycle
+/// under contention without ever handing the same record to two owners
+/// (validated indirectly: counts stay exact and nothing corrupts).
 #[test]
 fn pool_recycling_under_contention() {
+    // Every 15th round also drives an object into the hash tier: 256
+    // bytes apart its 100 locations never compress, so they fill the
+    // embedded and indirect tiers, and its table comes from the pools
+    // the other threads return theirs to.
+    const LOCS: u64 = 100;
+    const HASH_ROUNDS: u64 = 3_000 / 15;
     let (_, hh) = setup();
     std::thread::scope(|scope| {
         for _ in 0..8 {
             let hh = hh.clone();
             scope.spawn(move || {
                 let mut th = hh.thread_handle();
+                let holders = th.malloc(LOCS * 256).unwrap();
                 for i in 0..3_000u64 {
                     let obj = th.malloc(16 + i % 64).unwrap();
                     let holder = th.malloc(8).unwrap();
                     th.store_ptr(holder.base, obj.base).unwrap();
                     assert_eq!(th.free(obj.base).unwrap().invalidated, 1);
                     th.free(holder.base).unwrap();
+                    if i % 15 == 0 {
+                        let obj = th.malloc(16 + i % 64).unwrap();
+                        for l in 0..LOCS {
+                            th.store_ptr(holders.base + l * 256, obj.base).unwrap();
+                        }
+                        assert_eq!(th.free(obj.base).unwrap().invalidated, LOCS);
+                    }
                 }
+                th.free(holders.base).unwrap();
             });
         }
     });
     let s = hh.detector().stats();
-    assert_eq!(s.ptrs_invalidated, 8 * 3_000);
-    assert_eq!(s.objects_freed, 2 * 8 * 3_000);
+    assert_eq!(s.ptrs_invalidated, 8 * (3_000 + HASH_ROUNDS * LOCS));
+    assert_eq!(s.objects_freed, 8 * (2 * 3_000 + HASH_ROUNDS + 1));
+    assert_eq!(s.hash_promotions, 8 * HASH_ROUNDS);
 }
 
 /// DangNULL's global lock also survives the storm (correctness parity),
