@@ -1,6 +1,6 @@
 //! The DangSan detector: pointer tracker + pointer logger + invalidation.
 
-use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use core::sync::atomic::{AtomicBool, Ordering};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::{Arc, Mutex, Weak};
@@ -169,15 +169,6 @@ thread_local! {
     static SWEEP_SCRATCH: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
 }
 
-/// Detector ids are handed out once and never reused, so a stale
-/// registration-memo slot from a dropped detector can never pass the
-/// `det_id` guard of a live one.
-static NEXT_DETECTOR_ID: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_detector_id() -> u64 {
-    NEXT_DETECTOR_ID.fetch_add(1, Ordering::Relaxed)
-}
-
 /// The DangSan use-after-free detector (the paper's contribution).
 ///
 /// Construct with [`DangSan::new`], share via `Arc`, and drive through the
@@ -274,7 +265,7 @@ impl DangSan {
             meta_pool: Pool::new(),
             log_pool: Pool::new(),
             overflow: Overflow::default(),
-            id: fresh_detector_id(),
+            id: dangsan_trace::fresh_id(),
             trace,
             sweep,
             heap: Arc::new(Mutex::new(Weak::new())),

@@ -196,19 +196,18 @@ impl TablePools {
     fn take_largest(&self) -> (&LogHashTable, bool) {
         match self.classes.iter().rev().find_map(Pool::try_take) {
             Some(table) => (table, false),
-            None => (
-                self.classes[0].adopt(LogHashTable::new(HASH_INITIAL_SLOTS)),
-                true,
-            ),
+            None => self.take(HASH_INITIAL_SLOTS),
         }
     }
 
-    /// A free table of `cap` slots, for a grow.
-    fn take(&self, cap: u32) -> &LogHashTable {
+    /// A free table of `cap` slots, for a grow, and whether it had to be
+    /// host-allocated (its class was empty).
+    fn take(&self, cap: u32) -> (&LogHashTable, bool) {
         let class = self.class(cap);
-        class
-            .try_take()
-            .unwrap_or_else(|| class.adopt(LogHashTable::new(cap)))
+        match class.try_take() {
+            Some(table) => (table, false),
+            None => (class.adopt(LogHashTable::new(cap)), true),
+        }
     }
 
     /// Zeroes `table` and returns it to its class. The caller must own it
@@ -356,7 +355,10 @@ impl ThreadLog {
                 Err(()) => {
                     // Grow: copy into a free table twice the size; the old
                     // one stays behind `prev` in the active chain.
-                    let bigger = overflow.tables.take(table.cap * 2);
+                    let (bigger, fresh) = overflow.tables.take(table.cap * 2);
+                    if fresh {
+                        stats.bump(&[Counter::Hashtables]);
+                    }
                     for s in table.slots.iter() {
                         let v = s.load(Ordering::Acquire);
                         if v != 0 {
@@ -738,7 +740,8 @@ mod tests {
         for &l in &locs {
             log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
-        assert_eq!(stats.snapshot().hashtables, 1);
+        // The promotion's table and the 64 → 128 grow's.
+        assert_eq!(stats.snapshot().hashtables, 2);
         // Re-appending hash-resident locations is deduplicated.
         let dups_before = stats.snapshot().dup_ptrs;
         let last = *locs.last().unwrap();
@@ -763,6 +766,32 @@ mod tests {
             log.append(l, &cfg, &stats, &ovf, &Trace::new(), 1);
         }
         assert_eq!(collect(&log), locs);
+    }
+
+    #[test]
+    fn every_host_allocated_table_is_counted() {
+        // One lifetime from empty pools: the promotion allocates a
+        // 64-slot table, and each of `k` grows allocates the next class.
+        let (_, stats, ovf) = setup();
+        let cfg = Config {
+            compression: false,
+            lookback: 0,
+            indirect_capacity: 8,
+            ..Config::default()
+        };
+        let log = ThreadLog::default();
+        let k = 4;
+        // A table grows once it is 3/4 full: 64 << k slots hold
+        // 48 << k entries, one more forces the k-th grow.
+        let n = (EMBEDDED_ENTRIES + 8) as u64 + (48 << (k - 1)) + 1;
+        for i in 0..n {
+            log.append(HEAP_BASE + i * 0x1000, &cfg, &stats, &ovf, &Trace::new(), 1);
+        }
+        // SAFETY: the table lives as long as `ovf`.
+        let table = unsafe { &*log.hash.load(Ordering::Acquire) };
+        assert_eq!(table.cap, 64 << k);
+        let s = stats.snapshot();
+        assert_eq!((s.hashtables, s.hash_promotions), (k as u64 + 1, 1));
     }
 
     #[test]
@@ -824,7 +853,7 @@ mod tests {
         assert_eq!(collect(&log).len(), 60);
         assert_eq!(bytes(&ovf), bytes_before);
         let s = stats.snapshot();
-        assert_eq!((s.hashtables, s.hash_promotions), (1, 2), "{s:?}");
+        assert_eq!((s.hashtables, s.hash_promotions), (2, 2), "{s:?}");
     }
 
     #[test]

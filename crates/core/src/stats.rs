@@ -6,23 +6,22 @@
 //! combined, and a malloc or free that bumps one stops scaling. So each
 //! thread counts into a private slab of single-writer atomics (plain
 //! load + store, never an RMW), one slab per `Stats` instance it counts
-//! for. Slabs register with their instance, and `snapshot()` sums the
-//! retired totals plus every live slab under the registry lock. Totals
-//! are therefore exact for the counting thread itself and for any reader
-//! ordered after the counting (a `join` or the end of a
-//! `thread::scope`).
+//! for, bound to it through the stack's one per-thread binding
+//! ([`dangsan_trace::binding`]). `snapshot()` sums the retired totals plus
+//! every registered slab under the registry lock. Totals are therefore
+//! exact for the counting thread itself and for any reader ordered after
+//! the counting (a `join` or the end of a `thread::scope`).
 //!
-//! Nothing depends on TLS-destructor timing: a scoped thread's
-//! destructors can run *after* `scope` returns, so a flush-on-exit scheme
-//! would race with the post-join reader. The destructor only retires the
-//! slab, folding its counts into the registry's totals to bound memory.
-//! Retiring is the one place counts move under a lock: at thread exit,
-//! when a thread starts counting for another instance, and for a count
-//! made after this thread's slab was already torn down.
+//! A slab retires — folds its counts into the retired totals, under the
+//! registry lock — when its thread starts counting for another instance
+//! and at thread exit; a count made after the thread's slab was torn down
+//! (from a later TLS destructor) goes through a slab of its own that
+//! retires at once.
 
 use core::sync::atomic::{AtomicU64, Ordering};
-use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
+
+use dangsan_trace::{Binding, Owner, Registry};
 
 /// One counter in the per-thread slab.
 #[derive(Debug, Clone, Copy)]
@@ -31,9 +30,9 @@ pub enum Counter {
     ObjectsAllocated,
     /// Objects freed (and their pointers invalidated).
     ObjectsFreed,
-    /// Hash tables host-allocated by a promotion to the hash tier, which
-    /// happens only when every table pool is empty: a promotion that
-    /// takes a pooled table is not counted again. Grows are not counted.
+    /// Hash tables host-allocated for the hash tier: by a promotion when
+    /// every table pool is empty, or by a grow when the pool of twice the
+    /// size is. A table taken from a pool is not counted again.
     Hashtables,
     /// `# hashtable` — promotions of a log lifetime to the hash tier
     /// (its indirect block filled), whether the table is fresh or pooled.
@@ -122,83 +121,36 @@ impl Slab {
     }
 }
 
-/// A `Stats` instance's retired totals and live slabs.
+/// A `Stats` instance's slabs and the totals retired slabs handed over.
 #[derive(Debug, Default)]
-struct Registry {
-    /// Totals handed over by retired slabs.
-    retired: [u64; COUNTERS],
-    /// Live per-thread slabs; `snapshot()` sums these.
-    live: Vec<Arc<Slab>>,
+struct Counts {
+    registry: Registry<Slab>,
+    /// Added to only under the registry lock, by retiring slabs (off the
+    /// count path, so these RMWs cost the counting threads nothing).
+    retired: [AtomicU64; COUNTERS],
 }
 
-/// The registry behind the lock that `snapshot()` and every retire
-/// take. `Stats` holds it in an `Arc`, so a thread can hold a `Weak` to
-/// it and retire its slab on thread exit without keeping a dropped
-/// detector's stats alive.
-type SharedRegistry = Mutex<Registry>;
+impl Owner for Counts {
+    type State = Slab;
+    type Local = ();
 
-impl Registry {
-    fn absorb(&mut self, slab: &Slab) {
-        for (total, n) in self.retired.iter_mut().zip(&slab.counts) {
-            *total += n.load(Ordering::Relaxed);
+    fn registry(&self) -> &Registry<Slab> {
+        &self.registry
+    }
+
+    fn new_state(&self) -> Slab {
+        Slab::default()
+    }
+
+    fn retire(&self, slab: &Slab, _: &mut ()) {
+        for (total, n) in self.retired.iter().zip(&slab.counts) {
+            total.fetch_add(n.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-    }
-}
-
-/// The calling thread's current slab: which registry it counts for and
-/// the slab it counts into.
-struct ThreadSlab {
-    /// `Arc::as_ptr` of the registry the slab belongs to; null = none.
-    /// The `Weak` in `hold` keeps that allocation alive, so while this is
-    /// set no other `Stats` can live at the same address: the pointer is
-    /// a never-reused identity without a global id counter.
-    owner: Cell<*const SharedRegistry>,
-    /// The registered slab, kept alive by the `Arc`; the raw pointer is a
-    /// borrow of it so the count path skips the `RefCell` flag dance.
-    slab: Cell<*const Slab>,
-    hold: RefCell<Option<(Weak<SharedRegistry>, Arc<Slab>)>>,
-}
-
-impl ThreadSlab {
-    /// Hands the slab's counts over to its registry (if still alive) and
-    /// deregisters it. Holding the registry lock across the handover
-    /// keeps a concurrent `snapshot()` from seeing the counts 0 or 2
-    /// times — it sees the slab in `live` or its totals in `retired`.
-    /// Runs in `Drop`, so a poisoned registry is skipped, not a panic.
-    fn retire(&self) {
-        self.owner.set(core::ptr::null());
-        self.slab.set(core::ptr::null());
-        let Some((registry, slab)) = self.hold.borrow_mut().take() else {
-            return;
-        };
-        let Some(registry) = registry.upgrade() else {
-            return;
-        };
-        let Ok(mut reg) = registry.lock() else {
-            return;
-        };
-        reg.live.retain(|s| !Arc::ptr_eq(s, &slab));
-        reg.absorb(&slab);
-    }
-}
-
-impl Drop for ThreadSlab {
-    fn drop(&mut self) {
-        // Thread exit: retire the slab so the registry doesn't grow with
-        // thread churn. Exactness never depends on this running at any
-        // particular time — the counts stay readable while registered.
-        self.retire();
     }
 }
 
 thread_local! {
-    static THREAD_SLAB: ThreadSlab = const {
-        ThreadSlab {
-            owner: Cell::new(core::ptr::null()),
-            slab: Cell::new(core::ptr::null()),
-            hold: RefCell::new(None),
-        }
-    };
+    static SLABS: Binding<Counts> = const { Binding::new() };
 }
 
 /// Monotonic counters maintained by a detector, one [`Counter`] per
@@ -206,7 +158,7 @@ thread_local! {
 /// free-shape diagnostics.
 #[derive(Debug, Default)]
 pub struct Stats {
-    registry: Arc<SharedRegistry>,
+    counts: Arc<Counts>,
 }
 
 /// A plain-old-data copy of [`Stats`], cheap to store and compare.
@@ -280,16 +232,19 @@ impl Stats {
     /// orders the spawned closures before the scope's return even though
     /// the threads' TLS destructors may still be pending).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let c = {
-            let reg = self.registry.lock().expect("not poisoned");
-            let mut c = reg.retired;
-            for slab in &reg.live {
+        let c = self.counts.registry.read(|slabs| {
+            let mut c = self
+                .counts
+                .retired
+                .each_ref()
+                .map(|n| n.load(Ordering::Relaxed));
+            for slab in slabs {
                 for (total, n) in c.iter_mut().zip(&slab.counts) {
                     *total += n.load(Ordering::Relaxed);
                 }
             }
             c
-        };
+        });
         let n = |which: Counter| c[which as usize];
         StatsSnapshot {
             objects_allocated: n(Counter::ObjectsAllocated),
@@ -337,7 +292,7 @@ impl Stats {
     /// between every counting thread.
     #[inline]
     pub fn bump(&self, counters: &[Counter]) {
-        self.with_slab(move |s| {
+        Binding::with(&SLABS, &self.counts, |s, _| {
             for &which in counters {
                 s.add(which, 1);
             }
@@ -350,58 +305,13 @@ impl Stats {
     /// one call. Zero deltas are skipped.
     #[inline]
     pub fn add(&self, deltas: &[(Counter, u64)]) {
-        self.with_slab(move |s| {
+        Binding::with(&SLABS, &self.counts, |s, _| {
             for &(which, n) in deltas {
                 if n > 0 {
                     s.add(which, n);
                 }
             }
         });
-    }
-
-    /// Runs `count` on the calling thread's slab for this instance,
-    /// registering one (and retiring any previous target's) first.
-    #[inline]
-    fn with_slab(&self, count: impl Fn(&Slab)) {
-        let owner = Arc::as_ptr(&self.registry);
-        let counted = THREAD_SLAB.try_with(|t| {
-            if t.owner.get() != owner {
-                self.register(t);
-            }
-            // SAFETY: `owner` matches, so `slab` points into the Arc in
-            // `hold` (the two are only ever set/cleared together), which
-            // pins the slab for the duration of the call.
-            count(unsafe { &*t.slab.get() });
-        });
-        if counted.is_err() {
-            self.count_late(count);
-        }
-    }
-
-    /// A count after this thread's slab was torn down (from a later TLS
-    /// destructor at thread exit): count into a scratch slab and retire
-    /// it at once.
-    #[cold]
-    fn count_late(&self, count: impl Fn(&Slab)) {
-        let slab = Slab::default();
-        count(&slab);
-        self.registry.lock().expect("not poisoned").absorb(&slab);
-    }
-
-    /// First count on this thread for this instance: hand the previous
-    /// instance its counts back, then register a fresh slab here.
-    #[cold]
-    fn register(&self, t: &ThreadSlab) {
-        t.retire();
-        let slab = Arc::new(Slab::default());
-        self.registry
-            .lock()
-            .expect("not poisoned")
-            .live
-            .push(Arc::clone(&slab));
-        t.slab.set(Arc::as_ptr(&slab));
-        *t.hold.borrow_mut() = Some((Arc::downgrade(&self.registry), slab));
-        t.owner.set(Arc::as_ptr(&self.registry));
     }
 }
 
@@ -471,6 +381,7 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn snapshot_reflects_counters() {

@@ -3,13 +3,13 @@
 
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use dangsan_trace::{EventCode, Trace, TraceLevel, Tracer};
+use dangsan_trace::{EventCode, Registry, Trace, TraceLevel, Tracer};
 use dangsan_vmem::{Addr, AddressSpace, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SIZE};
 use std::sync::Mutex;
 
-use crate::magazine::{self, MagCounter};
+use crate::magazine;
 use crate::size_classes::{class_for_size, classes, SizeClass};
 use crate::span::{SpanInfo, SpanRegistry};
 use crate::{AllocError, Allocation, FreeInfo};
@@ -22,9 +22,6 @@ pub(crate) const BATCH: usize = 32;
 /// the rare spill/refill batches from different threads usually take
 /// different locks even within one size class.
 pub const CENTRAL_SHARDS: usize = 4;
-
-/// Never-reused heap identity for the TLS magazine bindings.
-static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Outcome of `realloc`, mirroring the three cases of paper §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,28 +72,40 @@ pub struct Heap {
     /// Reusable dedicated spans for large allocations, keyed by page
     /// count. Large allocations are rare; a plain lock is fine here.
     large_pool: Mutex<BTreeMap<u64, Vec<Addr>>>,
-    /// Central free lists: `central[class][shard]`.
-    central: Vec<Vec<Mutex<Vec<Addr>>>>,
+    /// The central free lists, which the TLS magazines bind to.
+    pub(crate) central: Arc<Central>,
     heap_pages: AtomicU64,
     /// Whether malloc/free go through the TLS magazines (default on).
     thread_cached: AtomicBool,
-    /// Block counters of live TLS magazine bindings (one per thread that
-    /// currently caches for this heap); see [`Heap::magazine_blocks`].
-    mag_registry: Mutex<Vec<Arc<MagCounter>>>,
-    /// Never-reused identity for the TLS magazine bindings.
-    id: u64,
-    /// Weak self-reference handed to TLS bindings so they can drain back
-    /// into the central lists on rebind or thread exit.
-    self_weak: Weak<Heap>,
     /// Flight-recorder attach point; span carving is recorded here. The
     /// cached malloc/free fast paths never touch it.
     trace: Trace,
 }
 
+/// A heap's central free lists, `lists[class][shard]`, and the registry
+/// of the TLS magazines that drain into them (see [`crate::magazine`]).
+pub(crate) struct Central {
+    pub(crate) lists: Vec<Vec<Mutex<Vec<Addr>>>>,
+    /// Each bound thread's count of the blocks parked in its magazines.
+    pub(crate) magazines: Registry<AtomicU64>,
+}
+
+impl Central {
+    /// Returns `objs[keep..]` of `class_id` to the calling thread's home
+    /// shard.
+    pub(crate) fn push(&self, class_id: u32, objs: &mut Vec<Addr>, keep: usize) {
+        let shard = magazine::shard_index();
+        let mut list = self.lists[class_id as usize][shard]
+            .lock()
+            .expect("not poisoned");
+        list.extend(objs.drain(keep..));
+    }
+}
+
 impl Heap {
     /// Creates a heap managing the simulated heap segment of `mem`.
     pub fn new(mem: Arc<AddressSpace>) -> Arc<Heap> {
-        let central = classes()
+        let lists = classes()
             .iter()
             .map(|_| {
                 (0..CENTRAL_SHARDS)
@@ -104,29 +113,19 @@ impl Heap {
                     .collect()
             })
             .collect();
-        Arc::new_cyclic(|self_weak| Heap {
+        Arc::new(Heap {
             mem,
             registry: SpanRegistry::new(),
             next_page: AtomicU64::new(0),
             large_pool: Mutex::new(BTreeMap::new()),
-            central,
+            central: Arc::new(Central {
+                lists,
+                magazines: Registry::default(),
+            }),
             heap_pages: AtomicU64::new(0),
             thread_cached: AtomicBool::new(true),
-            mag_registry: Mutex::new(Vec::new()),
-            id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
-            self_weak: self_weak.clone(),
             trace: Trace::new(),
         })
-    }
-
-    /// This heap's never-reused identity (TLS magazine binding key).
-    pub(crate) fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// A weak self-reference for the TLS magazine bindings.
-    pub(crate) fn weak(&self) -> Weak<Heap> {
-        self.self_weak.clone()
     }
 
     /// Toggles the TLS-magazine fast path (on by default). Turning it off
@@ -159,8 +158,9 @@ impl Heap {
     /// after the caching threads (a `join`); zero once all threads have
     /// flushed or exited.
     pub fn magazine_blocks(&self) -> u64 {
-        let reg = self.mag_registry.lock().expect("not poisoned");
-        reg.iter().map(|c| c.blocks()).sum()
+        self.central
+            .magazines
+            .read(|mags| mags.iter().map(|n| n.load(Ordering::Relaxed)).sum())
     }
 
     /// Free blocks currently parked on each central-list shard, summed
@@ -169,36 +169,12 @@ impl Heap {
     /// on one lock). Cold: takes one short lock per (class, shard).
     pub fn central_shard_blocks(&self) -> [u64; CENTRAL_SHARDS] {
         let mut out = [0u64; CENTRAL_SHARDS];
-        for class in &self.central {
+        for class in &self.central.lists {
             for (o, shard) in out.iter_mut().zip(class.iter()) {
                 *o += shard.lock().expect("not poisoned").len() as u64;
             }
         }
         out
-    }
-
-    /// Registers a new TLS magazine binding's block counter.
-    pub(crate) fn register_magazine(&self) -> Arc<MagCounter> {
-        let counter = Arc::new(MagCounter::default());
-        self.mag_registry
-            .lock()
-            .expect("not poisoned")
-            .push(Arc::clone(&counter));
-        counter
-    }
-
-    /// Returns a retiring binding's blocks to the central lists and
-    /// deregisters its counter. Holding the registry lock across the
-    /// handover keeps a concurrent [`Heap::magazine_blocks`] from seeing
-    /// the blocks counted zero or two times.
-    pub(crate) fn retire_magazines(&self, counter: &Arc<MagCounter>, lists: &mut [Vec<Addr>]) {
-        let mut reg = self.mag_registry.lock().expect("not poisoned");
-        for (class_id, list) in lists.iter_mut().enumerate() {
-            if !list.is_empty() {
-                self.central_push(class_id as u32, list, 0);
-            }
-        }
-        reg.retain(|c| !Arc::ptr_eq(c, counter));
     }
 
     /// Attaches a flight recorder; span carving is recorded from then on
@@ -291,7 +267,7 @@ impl Heap {
         want: usize,
         out: &mut Vec<Addr>,
     ) -> Result<(), AllocError> {
-        let shards = &self.central[class.id as usize];
+        let shards = &self.central.lists[class.id as usize];
         let home = magazine::shard_index();
         for probe in 0..CENTRAL_SHARDS {
             let mut list = shards[(home + probe) % CENTRAL_SHARDS]
@@ -319,16 +295,6 @@ impl Heap {
         Ok(())
     }
 
-    /// Returns `objs[keep..]` of `class_id` to the calling thread's home
-    /// central-list shard.
-    pub(crate) fn central_push(&self, class_id: u32, objs: &mut Vec<Addr>, keep: usize) {
-        let shard = magazine::shard_index();
-        let mut list = self.central[class_id as usize][shard]
-            .lock()
-            .expect("not poisoned");
-        list.extend(objs.drain(keep..));
-    }
-
     fn finish_alloc(&self, span: &SpanInfo, base: Addr, requested: u64) -> Allocation {
         let idx = span.object_index(base).expect("base inside span");
         let fresh = span.mark_allocated(idx);
@@ -349,16 +315,13 @@ impl Heap {
         class: &SizeClass,
         requested: u64,
     ) -> Result<Allocation, AllocError> {
-        if self.thread_cached() {
-            if let Some(res) = magazine::alloc(self, class.id) {
-                let base = res?;
-                let span = self.registry.lookup(base).expect("object has a span");
-                return Ok(self.finish_alloc(span, base, requested));
-            }
-        }
-        let mut one = Vec::with_capacity(1);
-        self.central_pop(class, 1, &mut one)?;
-        let base = one.pop().expect("central_pop returns at least one");
+        let base = if self.thread_cached() {
+            magazine::alloc(self, class.id)?
+        } else {
+            let mut one = Vec::with_capacity(1);
+            self.central_pop(class, 1, &mut one)?;
+            one.pop().expect("central_pop returns at least one")
+        };
         let span = self.registry.lookup(base).expect("object has a span");
         Ok(self.finish_alloc(span, base, requested))
     }
@@ -472,8 +435,8 @@ impl Heap {
 
     /// Puts the released block at `addr` back into circulation: a large
     /// span into the reuse pool, a small block into the calling thread's
-    /// magazine when thread caching is on, otherwise (or when the
-    /// magazine is full) straight to the home central-list shard.
+    /// magazine when thread caching is on, otherwise straight to the home
+    /// central-list shard.
     /// Inlined into both callers: `free` and a retiring sweep's
     /// single-block requeue are each on a hot path.
     #[inline(always)]
@@ -485,9 +448,11 @@ impl Heap {
         let class_id = class_for_size(span.stride)
             .expect("span stride is a class size")
             .id;
-        if !(self.thread_cached() && magazine::free(self, class_id, addr)) {
+        if self.thread_cached() {
+            magazine::free(self, class_id, addr);
+        } else {
             let shard = magazine::shard_index();
-            self.central[class_id as usize][shard]
+            self.central.lists[class_id as usize][shard]
                 .lock()
                 .expect("not poisoned")
                 .push(addr);
@@ -552,7 +517,7 @@ impl Heap {
         }
         for (class_id, blocks) in by_class.iter().enumerate() {
             if !blocks.is_empty() {
-                self.central[class_id][shard]
+                self.central.lists[class_id][shard]
                     .lock()
                     .expect("not poisoned")
                     .extend_from_slice(blocks);

@@ -6,99 +6,79 @@
 //! batches of [`BATCH`], and a magazine never holds more than [`MAG_CAP`]
 //! blocks per class, so per-thread hoarding is bounded.
 //!
-//! The lifecycle follows the same TLS-slab discipline as the detector's
-//! counters (`dangsan::stats`):
+//! A thread's magazines are bound to a heap's central lists through the
+//! stack's one per-thread binding ([`dangsan_trace::binding`]), which
+//! decides when they drain; this module keeps only the lists and the
+//! handover:
 //!
-//! * a thread's magazines bind to **one heap at a time**, identified by a
-//!   never-reused id; touching a different heap drains the old binding
-//!   back to its central lists first, so a stale binding can never alias
-//!   a newer heap's blocks;
-//! * the binding holds only a [`Weak`] heap reference, so cached blocks
-//!   keep no dropped heap alive (draining into a dead heap is a no-op —
-//!   the simulated memory is gone with it);
-//! * thread exit drains via the TLS destructor, so `free`d blocks always
-//!   return to the central lists once the thread is joined;
-//! * each binding registers a single-writer block counter with the heap,
-//!   and [`Heap::magazine_blocks`] sums live counters under the registry
-//!   lock — exactly like `Stats::snapshot` — so "no blocks are parked in
-//!   any magazine" is an observable, testable invariant after a join.
+//! * a thread's magazines bind to **one heap at a time**; touching a
+//!   different heap drains the old binding back to its central lists
+//!   first, so blocks never leak across heaps;
+//! * the binding holds only a `Weak` reference, so cached blocks keep no
+//!   dropped heap alive (draining into a dead heap is a no-op — the
+//!   simulated memory is gone with it);
+//! * thread exit drains the magazines, so `free`d blocks always return to
+//!   the central lists once the thread is joined, and a malloc or free
+//!   made after that (from a later TLS destructor) goes through magazines
+//!   of its own that drain at once;
+//! * each binding registers a single-writer block counter, and
+//!   [`Heap::magazine_blocks`] sums the registered counters under the
+//!   registry lock, so "no blocks are parked in any magazine" is an
+//!   observable, testable invariant after a join.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
 
+use dangsan_trace::{Binding, Owner, Registry};
 use dangsan_vmem::Addr;
 
-use crate::heap::{Heap, BATCH, CENTRAL_SHARDS};
+use crate::heap::{Central, Heap, BATCH, CENTRAL_SHARDS};
 use crate::size_classes::classes;
+use crate::AllocError;
 
 /// Magazine capacity per size class. A `free` that grows a list past this
 /// spills [`BATCH`] blocks back to the central lists, leaving [`BATCH`]
 /// behind — the classic tcmalloc high/low watermark pair.
 pub(crate) const MAG_CAP: usize = 2 * BATCH;
 
-/// Blocks parked in one thread's magazines for one heap. Only the owning
-/// thread writes (plain load + store, never an RMW); any thread may read
-/// through the heap's registry.
-#[derive(Debug, Default)]
-pub(crate) struct MagCounter {
-    blocks: AtomicU64,
-}
+/// One thread's magazines for its bound heap: one free list per size
+/// class, touched only by that thread.
+pub(crate) struct Lists(Vec<Vec<Addr>>);
 
-impl MagCounter {
-    fn add(&self, n: u64) {
-        self.blocks
-            .store(self.blocks.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-    }
-
-    fn sub(&self, n: u64) {
-        self.blocks
-            .store(self.blocks.load(Ordering::Relaxed) - n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn blocks(&self) -> u64 {
-        self.blocks.load(Ordering::Relaxed)
+impl Default for Lists {
+    fn default() -> Self {
+        Lists(classes().iter().map(|_| Vec::new()).collect())
     }
 }
 
-/// One thread's magazines for its currently bound heap.
-struct Magazines {
-    /// `Heap::id` of the bound heap.
-    heap_id: u64,
-    /// The bound heap; `Weak` so parked blocks don't keep it alive.
-    heap: Weak<Heap>,
-    /// This binding's registered block counter.
-    counter: Arc<MagCounter>,
-    /// One free list per size class.
-    lists: Vec<Vec<Addr>>,
-}
+/// A thread's registered state is the number of blocks parked in its
+/// magazines. Only that thread writes it (plain load + store, never an
+/// RMW); [`Heap::magazine_blocks`] reads it through the registry.
+impl Owner for Central {
+    type State = AtomicU64;
+    type Local = Lists;
 
-impl Magazines {
-    fn bind(heap: &Heap) -> Magazines {
-        let counter = heap.register_magazine();
-        Magazines {
-            heap_id: heap.id(),
-            heap: heap.weak(),
-            counter,
-            lists: classes().iter().map(|_| Vec::new()).collect(),
-        }
+    fn registry(&self) -> &Registry<AtomicU64> {
+        &self.magazines
     }
-}
 
-impl Drop for Magazines {
-    fn drop(&mut self) {
-        // Rebind or thread exit: hand every parked block back to the
-        // bound heap's central lists and deregister the counter. If the
-        // heap is already gone its memory is gone too — dropping the
-        // addresses is the correct (and only possible) cleanup.
-        if let Some(heap) = self.heap.upgrade() {
-            heap.retire_magazines(&self.counter, &mut self.lists);
+    fn new_state(&self) -> AtomicU64 {
+        AtomicU64::new(0)
+    }
+
+    /// Rebind or thread exit: every parked block goes back to the central
+    /// lists.
+    fn retire(&self, _: &AtomicU64, lists: &mut Lists) {
+        for (class_id, list) in lists.0.iter_mut().enumerate() {
+            if !list.is_empty() {
+                self.push(class_id as u32, list, 0);
+            }
         }
     }
 }
 
 thread_local! {
-    static MAGS: RefCell<Option<Magazines>> = const { RefCell::new(None) };
+    static MAGAZINES: Binding<Central> = const { Binding::new() };
 
     /// This thread's central-list shard, assigned round-robin at first
     /// use so threads spread across the shards.
@@ -113,80 +93,45 @@ pub(crate) fn shard_index() -> usize {
     SHARD.try_with(Cell::get).unwrap_or(0)
 }
 
-/// Runs `f` with the calling thread's magazine list for `class_id` (and
-/// the binding's block counter), binding to `heap` first — and draining
-/// any previous binding — if needed. Returns `None` when the thread's TLS
-/// is already torn down (the caller falls back to the central lists).
-///
-/// `f` may call back into `heap`'s central lists (refill/spill) but must
-/// not re-enter the magazine layer; the `RefCell` borrow is held across
-/// the call.
-fn with_magazine<R>(
-    heap: &Heap,
-    class_id: u32,
-    f: impl FnOnce(&mut Vec<Addr>, &MagCounter) -> R,
-) -> Option<R> {
-    MAGS.try_with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let rebind = match slot.as_ref() {
-            Some(m) => m.heap_id != heap.id(),
-            None => true,
-        };
-        if rebind {
-            // Dropping the old binding drains it into *its* heap.
-            *slot = None;
-            *slot = Some(Magazines::bind(heap));
-        }
-        let mags = slot.as_mut().expect("just bound");
-        f(&mut mags.lists[class_id as usize], &mags.counter)
-    })
-    .ok()
-}
-
 /// Serves one block of `class_id` from the calling thread's magazine,
-/// refilling a batch from the central lists when it runs dry.
-///
-/// `Some(Err(_))` propagates a refill failure (heap exhausted); `None`
-/// means the TLS layer is unavailable and the caller must use the
-/// central path directly.
-pub(crate) fn alloc(heap: &Heap, class_id: u32) -> Option<Result<Addr, crate::AllocError>> {
-    with_magazine(heap, class_id, |list, counter| {
-        if list.is_empty() {
-            let class = &classes()[class_id as usize];
-            heap.central_pop(class, BATCH, list)?;
-            counter.add(list.len() as u64);
+/// refilling a batch from the central lists when it runs dry (an error is
+/// the refill's: the heap is exhausted).
+pub(crate) fn alloc(heap: &Heap, class_id: u32) -> Result<Addr, AllocError> {
+    Binding::with(&MAGAZINES, &heap.central, |parked, lists| {
+        let list = &mut lists.0[class_id as usize];
+        let before = list.len();
+        if before == 0 {
+            heap.central_pop(&classes()[class_id as usize], BATCH, list)?;
         }
         let base = list.pop().expect("refill yields at least one block");
-        counter.sub(1);
+        recount(parked, before, list.len());
         Ok(base)
     })
 }
 
 /// Parks a released block of `class_id` in the calling thread's magazine,
 /// spilling a batch to the central lists past the capacity watermark.
-/// Returns `false` when the TLS layer is unavailable.
-pub(crate) fn free(heap: &Heap, class_id: u32, addr: Addr) -> bool {
-    with_magazine(heap, class_id, |list, counter| {
+pub(crate) fn free(heap: &Heap, class_id: u32, addr: Addr) {
+    Binding::with(&MAGAZINES, &heap.central, |parked, lists| {
+        let list = &mut lists.0[class_id as usize];
+        let before = list.len();
         list.push(addr);
-        counter.add(1);
         if list.len() > MAG_CAP {
-            let spill = (list.len() - BATCH) as u64;
-            heap.central_push(class_id, list, BATCH);
-            counter.sub(spill);
+            heap.central.push(class_id, list, BATCH);
         }
-    })
-    .is_some()
+        recount(parked, before, list.len());
+    });
+}
+
+/// Moves the thread's parked-block count by one list's change in length.
+fn recount(parked: &AtomicU64, before: usize, after: usize) {
+    let n = parked.load(Ordering::Relaxed) + after as u64;
+    parked.store(n - before as u64, Ordering::Relaxed);
 }
 
 /// Drains the calling thread's magazines if (and only if) they are bound
 /// to `heap`. Other threads' magazines are untouched — they drain when
 /// their owners rebind or exit.
 pub(crate) fn flush_current(heap: &Heap) {
-    let _ = MAGS.try_with(|cell| {
-        let mut slot = cell.borrow_mut();
-        if slot.as_ref().is_some_and(|m| m.heap_id == heap.id()) {
-            // Drop drains into the heap's central lists.
-            *slot = None;
-        }
-    });
+    Binding::release(&MAGAZINES, &*heap.central);
 }

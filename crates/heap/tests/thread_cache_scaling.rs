@@ -7,8 +7,9 @@
 //! orders its TLS destructors (which drain the magazines) before the
 //! join returns, which scoped threads do not guarantee.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dangsan_heap::{AllocError, Heap};
 use dangsan_vmem::rng::SmallRng;
@@ -206,4 +207,46 @@ fn rebinding_to_a_second_heap_drains_the_first() {
     t.join().unwrap();
     assert_eq!(heap_a.magazine_blocks(), 0);
     assert_eq!(heap_b.magazine_blocks(), 0, "drained on thread exit");
+}
+
+/// A malloc and a free made after the thread's magazines were torn down
+/// (from a later TLS destructor) go through magazines of their own that
+/// drain at once: nothing stays parked, and the freed block is
+/// allocatable again.
+#[test]
+fn late_malloc_and_free_from_thread_exit_destructors_drain() {
+    struct OnExit(Arc<Heap>, Arc<Mutex<Vec<u64>>>);
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            if let Ok(a) = self.0.malloc(64) {
+                let _ = self.0.free(a.base);
+                self.1.lock().unwrap().push(a.base);
+            }
+        }
+    }
+    thread_local! {
+        static ON_EXIT: RefCell<Option<OnExit>> = const { RefCell::new(None) };
+    }
+    let (_, heap) = setup();
+    let freed = Arc::new(Mutex::new(Vec::new()));
+    {
+        let (heap, freed) = (Arc::clone(&heap), Arc::clone(&freed));
+        std::thread::spawn(move || {
+            // Registered before the magazines bind, so on platforms that
+            // run TLS destructors in reverse order it runs after them.
+            ON_EXIT.with(|e| *e.borrow_mut() = Some(OnExit(Arc::clone(&heap), freed)));
+            let a = heap.malloc(64).unwrap();
+            heap.free(a.base).unwrap();
+        })
+        .join()
+        .unwrap();
+    }
+    // `join` waits for the thread's TLS destructors.
+    assert_eq!(heap.magazine_blocks(), 0, "the late magazines drained");
+    let late = freed.lock().unwrap()[0];
+    heap.set_thread_cached(false);
+    assert!(
+        (0..200).any(|_| heap.malloc(64).unwrap().base == late),
+        "the late free's block is back on a central list"
+    );
 }

@@ -88,15 +88,12 @@ thread_local! {
     };
 }
 
-/// Table identities are handed out once and never reused, so a stale
-/// thread-local entry — from a dropped table or another live one — can
-/// never match a key built from a different table's identity.
-static NEXT_TABLE_IDENTITY: AtomicU64 = AtomicU64::new(1);
-
 /// Returns a fresh identity, pre-shifted into the upper bits of the
-/// packed cache key (see [`P2oSlot`]).
+/// packed cache key (see [`P2oSlot`]). Identities are never reused, so a
+/// stale thread-local entry — from a dropped table or another live one —
+/// can never match a key built from a different table's identity.
 fn fresh_table_identity() -> u64 {
-    let id = NEXT_TABLE_IDENTITY.fetch_add(1, Ordering::Relaxed);
+    let id = dangsan_trace::fresh_id();
     debug_assert!(id < 1 << 40, "table identities exhausted");
     id << 24
 }

@@ -6,24 +6,31 @@
 //! `1/SUB` (12.5%) across the whole `u64` range — fine-grained enough
 //! for latency percentiles, coarse enough that a slab is a few KiB.
 //!
-//! Recording follows the `dangsan::stats` slab discipline exactly:
+//! Recording follows DangSan's single-writer rule through the stack's one
+//! per-thread binding ([`dangsan_trace::binding`]), as the detector's
+//! counters do:
 //!
 //! * each (thread, histogram) pair owns one slab of `AtomicU64` buckets;
 //!   only the owning thread writes, with plain load + store — zero RMWs,
 //!   zero locks on the record path;
-//! * slabs register with the histogram's shared registry; a snapshot
-//!   sums the retired totals plus every live slab under the registry
-//!   mutex, so totals are exact for any reader ordered after the
-//!   recording (a `join` or `thread::scope` returning) without waiting
-//!   on TLS destructors;
-//! * thread exit retires the slab — counts move to the shared `retired`
-//!   array under the same lock, so a concurrent snapshot sees them
-//!   exactly once — and histogram ids are never reused, so a stale
-//!   thread-local entry can never alias a new histogram.
+//! * slabs register with the histogram's registry; a snapshot sums the
+//!   retired totals plus every registered slab under the registry lock,
+//!   so totals are exact for any reader ordered after the recording (a
+//!   `join` or `thread::scope` returning) without waiting on TLS
+//!   destructors;
+//! * a thread keeps its binding to every histogram it records into
+//!   ([`dangsan_trace::Owner::SEVERAL`]), so alternating histograms — the
+//!   `server` harness records each request into two — retires nothing;
+//! * thread exit retires the slabs — counts move to the histogram's
+//!   retired totals under the same lock, so a concurrent snapshot sees
+//!   them exactly once — and a value recorded after the thread's binding
+//!   was torn down (from a later TLS destructor) goes through a slab of
+//!   its own that retires at once.
 
 use core::sync::atomic::{AtomicU64, Ordering};
-use std::cell::RefCell;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
+
+use dangsan_trace::{Binding, Owner, Registry};
 
 /// Bits of linear resolution inside one octave.
 const SUB_BITS: u32 = 3;
@@ -81,79 +88,43 @@ impl HistSlab {
     }
 }
 
-/// Shared accumulation target: retired totals plus the live-slab
-/// registry a snapshot walks.
-struct HistShared {
+/// A histogram's slabs and the totals retired slabs handed over.
+struct Buckets {
+    registry: Registry<HistSlab>,
+    /// Added to only under the registry lock, by retiring slabs.
     retired: [AtomicU64; BUCKETS],
     retired_max: AtomicU64,
-    live: Mutex<Vec<Arc<HistSlab>>>,
 }
 
-/// Histogram identities are never reused (see the module docs).
-static NEXT_HIST_ID: AtomicU64 = AtomicU64::new(1);
+impl Owner for Buckets {
+    type State = HistSlab;
+    type Local = ();
+    const SEVERAL: bool = true;
 
-/// One thread-local binding: the slab this thread records into for
-/// histogram `id`.
-struct HistEntry {
-    id: u64,
-    slab: Arc<HistSlab>,
-    target: Weak<HistShared>,
-}
-
-impl HistEntry {
-    /// Hands the slab's counts to the shared registry (if it is still
-    /// alive) and deregisters it. Holding the registry lock across the
-    /// handover means a concurrent snapshot sees the counts exactly
-    /// once — in `live` or in `retired`, never neither nor both.
-    fn retire(&self) {
-        if let Some(shared) = self.target.upgrade() {
-            let mut live = shared.live.lock().expect("not poisoned");
-            live.retain(|s| !Arc::ptr_eq(s, &self.slab));
-            for i in 0..BUCKETS {
-                let n = self.slab.counts[i].load(Ordering::Relaxed);
-                if n > 0 {
-                    shared.retired[i].fetch_add(n, Ordering::Relaxed);
-                }
-            }
-            shared
-                .retired_max
-                .fetch_max(self.slab.max.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
+    fn registry(&self) -> &Registry<HistSlab> {
+        &self.registry
     }
-}
 
-/// The calling thread's bindings, one per histogram it has recorded
-/// into. A thread records into a handful of histograms (one per request
-/// class), so the linear scan is cheaper than any map — and unlike the
-/// single-slot stats batch, switching histograms costs nothing.
-struct HistBatch {
-    entries: RefCell<Vec<HistEntry>>,
-}
+    fn new_state(&self) -> HistSlab {
+        HistSlab::new()
+    }
 
-impl Drop for HistBatch {
-    fn drop(&mut self) {
-        // Thread exit: retire every binding so registries don't grow
-        // with thread churn. Exactness never depends on this timing —
-        // live slabs stay readable until retired.
-        for e in self.entries.borrow().iter() {
-            e.retire();
+    fn retire(&self, slab: &HistSlab, _: &mut ()) {
+        for (total, n) in self.retired.iter().zip(&slab.counts) {
+            total.fetch_add(n.load(Ordering::Relaxed), Ordering::Relaxed);
         }
+        self.retired_max
+            .fetch_max(slab.max.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 }
 
 thread_local! {
-    static HIST_BATCH: HistBatch = const {
-        HistBatch {
-            entries: RefCell::new(Vec::new()),
-        }
-    };
+    static SLABS: Binding<Buckets> = const { Binding::new() };
 }
 
 /// A concurrent log-bucketed histogram (see the module docs).
 pub struct Histogram {
-    shared: Arc<HistShared>,
-    /// Never-reused identity for the thread-local bindings.
-    id: u64,
+    buckets: Arc<Buckets>,
 }
 
 impl Default for Histogram {
@@ -164,7 +135,7 @@ impl Default for Histogram {
 
 impl core::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("Histogram").field("id", &self.id).finish()
+        f.debug_struct("Histogram").finish_non_exhaustive()
     }
 }
 
@@ -172,12 +143,11 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            shared: Arc::new(HistShared {
+            buckets: Arc::new(Buckets {
+                registry: Registry::default(),
                 retired: [const { AtomicU64::new(0) }; BUCKETS],
                 retired_max: AtomicU64::new(0),
-                live: Mutex::new(Vec::new()),
             }),
-            id: NEXT_HIST_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -186,30 +156,7 @@ impl Histogram {
     /// histogram) registers a slab (cold, takes the registry lock once).
     pub fn record(&self, v: u64) {
         let idx = bucket_index(v);
-        HIST_BATCH.with(|b| {
-            let mut entries = b.entries.borrow_mut();
-            let pos = match entries.iter().position(|e| e.id == self.id) {
-                Some(pos) => pos,
-                None => {
-                    // Registration is the cold path: drop bindings whose
-                    // histograms died so thread-churn-free programs that
-                    // churn histograms stay bounded, then bind a slab.
-                    entries.retain(|e| e.target.strong_count() > 0);
-                    let slab = Arc::new(HistSlab::new());
-                    self.shared
-                        .live
-                        .lock()
-                        .expect("not poisoned")
-                        .push(Arc::clone(&slab));
-                    entries.push(HistEntry {
-                        id: self.id,
-                        slab,
-                        target: Arc::downgrade(&self.shared),
-                    });
-                    entries.len() - 1
-                }
-            };
-            let slab = &entries[pos].slab;
+        Binding::with(&SLABS, &self.buckets, |slab, _| {
             let c = &slab.counts[idx];
             c.store(c.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
             if v > slab.max.load(Ordering::Relaxed) {
@@ -223,20 +170,19 @@ impl Histogram {
     /// `thread::scope` returning).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = vec![0u64; BUCKETS];
-        let mut max;
-        {
-            let live = self.shared.live.lock().expect("not poisoned");
-            max = self.shared.retired_max.load(Ordering::Relaxed);
+        let max = self.buckets.registry.read(|slabs| {
+            let mut max = self.buckets.retired_max.load(Ordering::Relaxed);
             for (i, c) in counts.iter_mut().enumerate() {
-                *c = self.shared.retired[i].load(Ordering::Relaxed);
-                for slab in live.iter() {
+                *c = self.buckets.retired[i].load(Ordering::Relaxed);
+                for slab in slabs {
                     *c += slab.counts[i].load(Ordering::Relaxed);
                 }
             }
-            for slab in live.iter() {
+            for slab in slabs {
                 max = max.max(slab.max.load(Ordering::Relaxed));
             }
-        }
+            max
+        });
         let count = counts.iter().sum();
         HistogramSnapshot { counts, count, max }
     }
@@ -320,6 +266,7 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn bucket_scheme_is_contiguous_and_monotone() {
@@ -430,12 +377,37 @@ mod tests {
         let h = Histogram::new();
         h.record(7);
         assert_eq!(h.snapshot().count(), 1);
-        HIST_BATCH.with(|b| {
-            assert!(
-                b.entries.borrow().len() <= 2,
-                "dead bindings must be pruned"
-            );
+        SLABS.with(|b| {
+            assert!(b.bindings() <= 2, "dead bindings must be pruned");
         });
+    }
+
+    #[test]
+    fn records_from_thread_exit_destructors_are_kept() {
+        // A thread-local whose destructor records. Touching it before the
+        // first record registers its destructor before the slab
+        // binding's, so on platforms that run TLS destructors in reverse
+        // order the binding is gone when it records.
+        struct RecordOnExit(Arc<Histogram>);
+        impl Drop for RecordOnExit {
+            fn drop(&mut self) {
+                self.0.record(900);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<Option<RecordOnExit>> = const { RefCell::new(None) };
+        }
+        let h = Arc::new(Histogram::new());
+        let t = Arc::clone(&h);
+        std::thread::spawn(move || {
+            ON_EXIT.with(|e| *e.borrow_mut() = Some(RecordOnExit(Arc::clone(&t))));
+            t.record(7);
+        })
+        .join()
+        .unwrap();
+        // `join` waits for the thread's TLS destructors.
+        let s = h.snapshot();
+        assert_eq!((s.count(), s.max()), (2, 900));
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! production deployment would graph. Three pieces:
 //!
 //! * [`Histogram`] — log-bucketed latency histograms recorded through
-//!   per-thread single-writer slabs, the `dangsan::stats` discipline:
-//!   the owning thread writes its slab with plain load + store (never an
-//!   RMW, never a lock), slabs stay registered and readable until the
-//!   thread retires them, and [`Histogram::snapshot`] sums retired
-//!   totals plus every live slab under the registry mutex — so counts
-//!   are exact for any reader ordered after the recording (a `join`, or
-//!   `thread::scope` returning), with no dependence on TLS-destructor
-//!   timing.
+//!   per-thread single-writer slabs, bound through the stack's one
+//!   per-thread binding (`dangsan_trace::binding`) as the detector's
+//!   counters are: the owning thread writes its slab with plain load +
+//!   store (never an RMW, never a lock), slabs stay registered and
+//!   readable until the thread retires them, and
+//!   [`Histogram::snapshot`] sums retired totals plus every registered
+//!   slab under the registry mutex — so counts are exact for any reader
+//!   ordered after the recording (a `join`, or `thread::scope`
+//!   returning), with no dependence on TLS-destructor timing.
 //! * [`MetricsHub`] — a pull-based registry of gauges and counters.
 //!   Sources (the detector, the heap) register a closure once; nothing
 //!   is pushed on the hot path, so a mutator never touches the hub at
@@ -23,7 +24,7 @@
 //!   cadence into an in-memory JSONL time series, plus a
 //!   Prometheus-style text exposition dump on demand. Harnesses write
 //!   the buffers to files; the crate itself never touches the
-//!   filesystem and depends on nothing outside `std`.
+//!   filesystem.
 //!
 //! The ablation contract mirrors the flight recorder's: with
 //! `Config::metrics` off no hub exists and a record site costs at most

@@ -3,21 +3,23 @@
 //! The observability twin of DangSan's per-thread pointer logs. Every
 //! layer of the stack (vmem faults, shadow remaps, heap span carving,
 //! detector lifecycles) records compact 32-byte binary events into a ring
-//! owned by the recording thread, using the same single-writer-slab
-//! discipline as the counters in `dangsan::stats`: the owning thread
-//! writes with plain load + store (never an RMW, never a lock), and any
-//! thread may read the rings through the tracer's registry.
+//! owned by the recording thread, bound to it through the stack's one
+//! per-thread [`binding`]: the owning thread writes with plain load +
+//! store (never an RMW, never a lock), and any thread may read the rings
+//! through the tracer's registry.
 //!
-//! Unlike the stats slabs — which *hand over* their counts when a thread
-//! retires — rings stay registered for the tracer's whole lifetime: the
-//! history a thread recorded must remain readable after the thread is
-//! gone, or a use-after-free trap could never be attributed to a free
-//! performed by an exited thread. A `thread::scope` worker's events are
-//! therefore visible to [`Tracer::snapshot`] immediately after the scope
-//! returns, with no dependence on TLS-destructor timing (the same
-//! retirement rule `stats.rs` pins for counters). Memory is bounded at
-//! one ring per (tracer, thread): a thread re-recording for a tracer it
-//! previously recorded for reuses its existing ring.
+//! Unlike the counter and histogram slabs — which *hand over* their
+//! counts when a thread retires — rings stay registered for the tracer's
+//! whole lifetime ([`Owner::KEEP_RETIRED`]): the history a thread
+//! recorded must remain readable after the thread is gone, or a
+//! use-after-free trap could never be attributed to a free performed by
+//! an exited thread. A `thread::scope` worker's events are therefore
+//! visible to [`Tracer::snapshot`] immediately after the scope returns,
+//! with no dependence on TLS-destructor timing, and an event recorded
+//! from a TLS destructor after the thread's binding was torn down lands
+//! in the same ring. Memory is bounded at one ring per (tracer, thread):
+//! a thread recording for a tracer it recorded for before takes its
+//! existing ring back.
 //!
 //! Components embed a [`Trace`] attach point. Until a [`Tracer`] is
 //! attached the level is [`TraceLevel::Off`] and every record call is a
@@ -29,11 +31,13 @@
 //! the trap: which object, which free, which thread — see [`forensics`].
 
 use core::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::cell::{Cell, RefCell};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+pub mod binding;
 pub mod forensics;
+pub use binding::{fresh_id, Binding, Owner, Registry};
 pub use forensics::{uaf_report, uaf_report_with, UafReport};
 
 /// Returns this thread's stable small integer id (monotonic from 1).
@@ -343,10 +347,6 @@ pub struct RingSnapshot {
     pub events: Vec<Event>,
 }
 
-/// Tracer ids are never reused, so a stale thread-local binding can never
-/// alias a new tracer's rings (the `stats.rs` id rule).
-static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
-
 /// Default events per ring; 32 bytes each.
 pub const DEFAULT_RING_EVENTS: usize = 4096;
 
@@ -357,11 +357,37 @@ pub const DEFAULT_RING_EVENTS: usize = 4096;
 /// component's [`Trace::attach`], and read it back with
 /// [`Tracer::snapshot`] or [`uaf_report`].
 pub struct Tracer {
-    id: u64,
     level: TraceLevel,
     start: Instant,
     ring_events: usize,
-    rings: Mutex<Vec<Arc<Ring>>>,
+    rings: Registry<Ring>,
+}
+
+/// One ring per (tracer, thread), kept after the thread exits.
+impl Owner for Tracer {
+    type State = Ring;
+    type Local = ();
+    const KEEP_RETIRED: bool = true;
+
+    fn registry(&self) -> &Registry<Ring> {
+        &self.rings
+    }
+
+    fn new_state(&self) -> Ring {
+        Ring::new(current_thread_id(), self.ring_events)
+    }
+
+    /// A thread that recorded for this tracer before — even through a
+    /// since-retired binding — picks its old ring back up, so the
+    /// registry stays bounded and per-thread sequences stay contiguous.
+    fn find(&self, rings: &[Arc<Ring>]) -> Option<Arc<Ring>> {
+        let tid = current_thread_id();
+        rings.iter().find(|r| r.thread == tid).cloned()
+    }
+}
+
+thread_local! {
+    static RINGS: Binding<Tracer> = const { Binding::new() };
 }
 
 impl Tracer {
@@ -375,11 +401,10 @@ impl Tracer {
     /// events (rounded up to a power of two, minimum 16).
     pub fn with_capacity(level: TraceLevel, ring_events: usize) -> Arc<Tracer> {
         Arc::new(Tracer {
-            id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
             level,
             start: Instant::now(),
             ring_events,
-            rings: Mutex::new(Vec::new()),
+            rings: Registry::default(),
         })
     }
 
@@ -396,50 +421,18 @@ impl Tracer {
     /// Records one event into the calling thread's ring.
     ///
     /// Level filtering is the caller's job (see [`Trace::record`]); this
-    /// always records. The fast path is one TLS round trip plus five
-    /// plain stores.
-    pub fn record(&self, code: EventCode, a: u64, b: u64, c: u64) {
+    /// always records. The fast path is one TLS round trip, an id
+    /// compare and seven plain stores: five into the ring, two marking
+    /// the binding busy and free again.
+    pub fn record(self: &Arc<Self>, code: EventCode, a: u64, b: u64, c: u64) {
         let ts = self.now();
-        TRACE_BATCH.with(|batch| {
-            if batch.id.get() != self.id {
-                self.bind_ring(batch);
-            }
-            // SAFETY: `id == self.id` implies `ring` points into the Arc
-            // in `hold` (the three cells are only ever set together in
-            // `bind_ring`), which pins the ring for the duration.
-            let ring = unsafe { &*batch.ring.get() };
-            ring.push(ts, code, a, b, c);
-        });
-    }
-
-    /// Registers (or re-binds) the calling thread's ring for this tracer.
-    /// One ring per (tracer, thread): a thread that recorded for this
-    /// tracer before — even through a since-cleared binding — picks its
-    /// old ring back up, so registry growth is bounded and per-thread
-    /// sequences stay contiguous.
-    #[cold]
-    fn bind_ring(&self, batch: &TraceBatch) {
-        let tid = current_thread_id();
-        let ring = {
-            let mut rings = self.rings.lock().unwrap();
-            match rings.iter().find(|r| r.thread == tid) {
-                Some(r) => Arc::clone(r),
-                None => {
-                    let r = Arc::new(Ring::new(tid, self.ring_events));
-                    rings.push(Arc::clone(&r));
-                    r
-                }
-            }
-        };
-        batch.ring.set(Arc::as_ptr(&ring));
-        *batch.hold.borrow_mut() = Some(ring);
-        batch.id.set(self.id);
+        Binding::with(&RINGS, self, |ring, _| ring.push(ts, code, a, b, c));
     }
 
     /// Reads every ring — live threads, exited threads, scoped threads
     /// whose TLS destructors have not run — oldest events first per ring.
     pub fn snapshot(&self) -> Vec<RingSnapshot> {
-        let rings: Vec<Arc<Ring>> = self.rings.lock().unwrap().clone();
+        let rings = self.rings.read(<[Arc<Ring>]>::to_vec);
         let mut snaps: Vec<RingSnapshot> = rings.iter().map(|r| r.snapshot()).collect();
         snaps.sort_by_key(|s| s.thread);
         snaps
@@ -454,44 +447,13 @@ impl Tracer {
 
     /// Host bytes held by the ring registry.
     pub fn ring_bytes(&self) -> u64 {
-        let rings = self.rings.lock().unwrap();
-        rings
-            .iter()
-            .map(|r| (r.mask + 1) * (SLOT_WORDS as u64) * 8)
-            .sum()
+        self.rings.read(|rings| {
+            rings
+                .iter()
+                .map(|r| (r.mask + 1) * (SLOT_WORDS as u64) * 8)
+                .sum()
+        })
     }
-}
-
-/// The calling thread's current ring binding: which tracer it records
-/// for and the ring it records into (the `HotBatch` shape from
-/// `stats.rs`, minus the handover — ring history must outlive the
-/// thread, so clearing the binding is all thread exit does).
-struct TraceBatch {
-    /// `Tracer::id` of the bound tracer; 0 = none.
-    id: Cell<u64>,
-    /// Borrow of the Arc in `hold`; valid while `id` matches.
-    ring: Cell<*const Ring>,
-    hold: RefCell<Option<Arc<Ring>>>,
-}
-
-impl Drop for TraceBatch {
-    fn drop(&mut self) {
-        // Thread exit: drop our Arc; the tracer's registry keeps the ring
-        // (and its events) alive and readable.
-        self.id.set(0);
-        self.ring.set(core::ptr::null());
-        self.hold.borrow_mut().take();
-    }
-}
-
-thread_local! {
-    static TRACE_BATCH: TraceBatch = const {
-        TraceBatch {
-            id: Cell::new(0),
-            ring: Cell::new(core::ptr::null()),
-            hold: RefCell::new(None),
-        }
-    };
 }
 
 /// A component's attach point for a [`Tracer`].
@@ -592,6 +554,7 @@ impl std::fmt::Debug for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     #[test]
     fn detached_trace_records_nothing_and_is_off() {
@@ -708,6 +671,42 @@ mod tests {
             assert_eq!(snaps[0].written, 10);
             assert_eq!(snaps[0].events.last().unwrap().seq, 9);
         }
+    }
+
+    #[test]
+    fn events_from_thread_exit_destructors_are_kept() {
+        // A thread-local whose destructor records. Touching it before the
+        // first record registers its destructor before the ring
+        // binding's, so on platforms that run TLS destructors in reverse
+        // order the binding is gone when it records.
+        struct RecordOnExit(Arc<Tracer>);
+        impl Drop for RecordOnExit {
+            fn drop(&mut self) {
+                self.0.record(EventCode::ObjectFree, 2, 0, 0);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<Option<RecordOnExit>> = const { RefCell::new(None) };
+        }
+        let tracer = Tracer::new(TraceLevel::Lifecycles);
+        let t = Arc::clone(&tracer);
+        let tid = std::thread::spawn(move || {
+            ON_EXIT.with(|e| *e.borrow_mut() = Some(RecordOnExit(Arc::clone(&t))));
+            t.record(EventCode::ObjectAlloc, 1, 0, 0);
+            current_thread_id()
+        })
+        .join()
+        .unwrap();
+        // `join` waits for the thread's TLS destructors; the late event
+        // lands in the thread's own ring, after its first.
+        let snaps = tracer.snapshot();
+        assert_eq!(snaps.len(), 1, "one ring for the thread");
+        let codes: Vec<_> = snaps[0].events.iter().map(|e| (e.code, e.seq)).collect();
+        assert_eq!(snaps[0].thread, tid);
+        assert_eq!(
+            codes,
+            [(EventCode::ObjectAlloc, 0), (EventCode::ObjectFree, 1)]
+        );
     }
 
     #[test]

@@ -57,11 +57,11 @@ const TLB_SLOTS: usize = 64;
 /// pointer.
 ///
 /// The stamp fuses the space's identity and its invalidation generation
-/// into one word: stamps are drawn from a global never-reused counter, and
-/// a space takes a fresh stamp on every `unmap`. A slot whose stamp equals
-/// the space's *current* stamp was therefore filled by this very space
-/// with no unmap since — one compare where an (id, generation) pair would
-/// need two.
+/// into one word: stamps are drawn from the never-reused id source
+/// ([`dangsan_trace::fresh_id`]), and a space takes a fresh stamp on every
+/// `unmap`. A slot whose stamp equals the space's *current* stamp was
+/// therefore filled by this very space with no unmap since — one compare
+/// where an (id, generation) pair would need two.
 #[derive(Clone, Copy)]
 struct TlbSlot {
     /// The filling space's `tlb_stamp` at fill time; 0 is never issued, so
@@ -99,15 +99,6 @@ thread_local! {
             hits: HitCountdown::new(),
         }
     };
-}
-
-/// Stamps are handed out once and never reused (across all spaces), so a
-/// stale TLB entry — from a dropped space, another space, or this space
-/// before an `unmap` — can never match.
-static NEXT_TLB_STAMP: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_tlb_stamp() -> u64 {
-    NEXT_TLB_STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Hit/miss counters for a space's software TLB (see
@@ -310,7 +301,7 @@ impl AddressSpace {
         AddressSpace {
             root: Node::new(),
             mapped_pages: AtomicUsize::new(0),
-            tlb_stamp: AtomicU64::new(fresh_tlb_stamp()),
+            tlb_stamp: AtomicU64::new(dangsan_trace::fresh_id()),
             tlb_enabled: AtomicBool::new(true),
             tlb_hits: AtomicU64::new(0),
             tlb_misses: AtomicU64::new(0),
@@ -500,7 +491,8 @@ impl AddressSpace {
         // before any page is detached: a fresh stamp makes every existing
         // slot a mismatch, so no thread that observes it can still reach a
         // page this call unmaps.
-        self.tlb_stamp.store(fresh_tlb_stamp(), Ordering::Release);
+        self.tlb_stamp
+            .store(dangsan_trace::fresh_id(), Ordering::Release);
         for p in first..=last {
             let (i0, i1, i2) = Self::indices(p);
             let l1 = self.root.get(i0);

@@ -3,6 +3,7 @@
 //! use-after-free traps, and the forensics pass must attribute the trap
 //! to the right object, freeing thread and invalidation count.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use dangsan_suite::dangsan::{
@@ -267,6 +268,55 @@ fn frees_on_another_thread_are_attributed_to_it() {
     assert_eq!(uaf.free_thread, freeing_thread, "freed on the worker");
     assert_eq!(uaf.fault_thread, Some(current_thread_id()), "trapped here");
     assert_eq!(uaf.invalidated, 1);
+}
+
+/// A free made from a TLS destructor that runs after the thread's
+/// bindings (counter slab, ring, magazines) were torn down is still a
+/// whole free: it masks the holder, and its `ObjectFree` event lands in
+/// the freeing thread's ring.
+#[test]
+fn frees_from_thread_exit_destructors_are_recorded() {
+    struct FreeOnExit(HookedHeap<DangSan>, u64);
+    impl Drop for FreeOnExit {
+        fn drop(&mut self) {
+            let _ = self.0.free(self.1);
+        }
+    }
+    thread_local! {
+        static ON_EXIT: RefCell<Option<FreeOnExit>> = const { RefCell::new(None) };
+    }
+    let (mem, heap, det) = traced_env(TraceLevel::Lifecycles);
+    let hooked = HookedHeap::new(heap, Arc::clone(&det));
+    let holder = hooked.malloc(8).expect("holder");
+    let victim = hooked.malloc(64).expect("victim");
+    hooked.store_ptr(holder.base, victim.base).expect("store");
+    let freeing_thread = {
+        let hooked = hooked.clone();
+        std::thread::spawn(move || {
+            // Registered before the bindings below, so on platforms that
+            // run TLS destructors in reverse order it runs after them.
+            ON_EXIT.with(|e| *e.borrow_mut() = Some(FreeOnExit(hooked.clone(), victim.base)));
+            let warm = hooked.malloc(32).expect("warm");
+            hooked.free(warm.base).expect("free");
+            current_thread_id()
+        })
+        .join()
+        .expect("worker")
+    };
+    // `join` waits for the thread's TLS destructors.
+    let dangling = mem.read_word(holder.base).expect("load");
+    assert_eq!(dangling & INVALID_BIT, INVALID_BIT, "late free masked it");
+    let tracer = det.tracer().expect("tracer");
+    assert!(
+        tracer
+            .events()
+            .iter()
+            .any(|e| e.code == EventCode::ObjectFree
+                && e.a == victim.base
+                && e.thread == freeing_thread),
+        "the late free's event is in the freeing thread's ring"
+    );
+    assert_eq!(det.stats().objects_freed, 2);
 }
 
 /// With tracing off there is no tracer, no rings, and no report — and
