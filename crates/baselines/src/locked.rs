@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use dangsan::{Config, DangSan, Detector, InvalidationReport, StatsSnapshot};
-use dangsan_heap::Allocation;
+use dangsan_heap::{Allocation, Heap};
 use dangsan_vmem::{Addr, AddressSpace};
 use std::sync::Mutex;
 
@@ -61,6 +61,10 @@ impl Detector for DangSanLocked {
         self.inner.register_ptr(loc, value);
     }
 
+    fn bind_heap(&self, heap: &Arc<Heap>) {
+        self.inner.bind_heap(heap);
+    }
+
     fn stats(&self) -> StatsSnapshot {
         self.inner.stats()
     }
@@ -74,7 +78,6 @@ impl Detector for DangSanLocked {
 mod tests {
     use super::*;
     use dangsan::HookedHeap;
-    use dangsan_heap::Heap;
     use dangsan_vmem::INVALID_BIT;
 
     #[test]
@@ -89,6 +92,21 @@ mod tests {
         let r = hh.free(obj.base).unwrap();
         assert_eq!(r.invalidated, 1);
         assert_eq!(hh.load(holder.base).unwrap(), (obj.base + 16) | INVALID_BIT);
+    }
+
+    #[test]
+    fn binding_a_heap_applies_thread_cached_heap() {
+        // A hand-built HookedHeap (no env helper) must still run the
+        // heap the way the config says, directly and through the lock.
+        let cfg = Config::default().with_thread_cached_heap(false);
+        let mem = Arc::new(AddressSpace::new());
+        let heap = Heap::new(Arc::clone(&mem));
+        HookedHeap::new(Arc::clone(&heap), DangSan::new(mem, cfg));
+        assert!(!heap.thread_cached(), "DangSan");
+        let mem = Arc::new(AddressSpace::new());
+        let heap = Heap::new(Arc::clone(&mem));
+        HookedHeap::new(Arc::clone(&heap), DangSanLocked::new(mem, cfg));
+        assert!(!heap.thread_cached(), "DangSanLocked");
     }
 
     #[test]

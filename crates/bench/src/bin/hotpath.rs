@@ -14,7 +14,7 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dangsan::{Config, DangSan, Detector, TraceLevel};
 use dangsan_bench::report::Json;
@@ -22,6 +22,9 @@ use dangsan_bench::{cores, Args, HOTPATH_BENCHES, HOTPATH_SCHEMA};
 use dangsan_heap::Heap;
 use dangsan_shadow::MetaPageTable;
 use dangsan_vmem::{AddressSpace, PAGE_SIZE};
+
+/// The `metrics_off` row's sampler cadence.
+const SAMPLE_EVERY: Duration = Duration::from_millis(5);
 
 /// One measured configuration of one microbenchmark.
 struct Measurement {
@@ -60,11 +63,10 @@ fn env(caches: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
         Arc::clone(&mem),
         Config::default().with_hot_path_caches(caches),
     );
-    mem.set_tlb_enabled(caches);
     (mem, heap, det)
 }
 
-/// [`env`] plus the deferred sweep on the optimised arm: the "on" side
+/// [`env()`] plus the deferred sweep on the optimised arm: the "on" side
 /// of the mutator-visible free benchmarks frees into the quarantine
 /// (`Heap::quarantine` + an O(1) `on_free`) and the walks run at the
 /// drain, outside the timed region — the throughput a mutator actually
@@ -82,7 +84,6 @@ fn deferred_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
             .with_quarantine_caps(u64::MAX, u64::MAX),
     );
     det.bind_heap(&heap);
-    mem.set_tlb_enabled(opt);
     (mem, heap, det)
 }
 
@@ -102,11 +103,13 @@ fn free_one(heap: &Heap, det: &DangSan, base: u64) {
 /// The malloc/register/free lifecycle loop the two Off-mode rows share:
 /// `rounds` lifecycles on a fresh detector built from `cfg`, each one
 /// allocating an object, storing a pointer to it into a long-lived
-/// holder, and freeing it.
+/// holder, and freeing it. With `cfg.metrics` on, a sampler pulls the
+/// hub every [`SAMPLE_EVERY`] throughout the loop.
 fn lifecycle_loop(rounds: u64, cfg: Config) -> Measurement {
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
     let det = DangSan::new(Arc::clone(&mem), cfg);
+    let _sampler = det.metrics().map(|hub| hub.start_sampler(SAMPLE_EVERY));
     let holder = heap.malloc(8).expect("holder");
     det.on_alloc(&holder);
     let start = Instant::now();
@@ -155,9 +158,7 @@ fn bench_metrics_off(rounds: u64, unmetered: bool) -> Measurement {
     let cfg = if unmetered {
         Config::default()
     } else {
-        Config::default()
-            .with_metrics(true)
-            .with_metrics_interval_ms(5)
+        Config::default().with_metrics(true)
     };
     lifecycle_loop(rounds, cfg)
 }
@@ -457,7 +458,6 @@ fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
             .with_deferred_sweep(deferred),
     );
     det.bind_heap(&heap);
-    mem.set_tlb_enabled(true);
     let holder = heap.malloc(OBJS * 8).expect("holder");
     det.on_alloc(&holder);
     let mut live = Vec::with_capacity(OBJS as usize);
@@ -545,5 +545,5 @@ fn main() {
         section.set(name, b);
     }
     doc.set("benches", section);
-    args.write_out(&doc.render_pretty());
+    args.write("--out", &doc.render_pretty());
 }

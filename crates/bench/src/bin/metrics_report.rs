@@ -18,36 +18,30 @@
 //! truth, or the ledger's parts do not sum to the total.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dangsan::telemetry::{MetricKind, Sample};
-use dangsan::{Config, DangSan, Detector, HookedHeap};
+use dangsan::{DangSan, Detector, HookedHeap};
 use dangsan_bench::report::Table;
+use dangsan_bench::{detector_config, production_profile, Args};
 use dangsan_heap::Heap;
 use dangsan_vmem::AddressSpace;
-use dangsan_workloads::{run_server_opts, ServerOptions, ServerProfile};
+use dangsan_workloads::{run_server_opts, ServerOptions};
 
-fn arg_value(args: &[String], flag: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
+/// The time series' cadence: a `--quick` run (about 0.1 s) still
+/// yields several lines.
+const SAMPLE_EVERY: Duration = Duration::from_millis(10);
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let jsonl_path = arg_value(&args, "--jsonl", "metrics.jsonl");
-    let prom_path = arg_value(&args, "--prom", "metrics.prom");
-    let requests = if quick { 10_000u64 } else { 40_000u64 };
+    let args = Args::parse(
+        "metrics_report [--quick] [--jsonl metrics.jsonl] [--prom metrics.prom]",
+        0,
+    );
+    let requests = if args.has("--quick") { 10_000 } else { 40_000 };
 
-    // Every subsystem with a gauge switched on: metrics + deferred sweep
-    // (quarantine and shard-depth gauges).
-    let cfg = Config::default()
-        .with_metrics(true)
-        .with_metrics_interval_ms(10)
-        .with_deferred_sweep(true)
-        .with_quarantine_caps(256 << 10, 256);
+    // Every subsystem with a gauge switched on: the harness config's
+    // deferred sweep (quarantine and shard-depth gauges) plus metrics.
+    let cfg = detector_config().with_metrics(true);
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
     // A *concrete* `HookedHeap<DangSan>`: the hub lives on the detector,
@@ -56,33 +50,21 @@ fn main() {
     let hub = Arc::clone(det.metrics().expect("metrics enabled"));
     let hh = HookedHeap::new(Arc::clone(&heap), det);
     let det = Arc::clone(hh.detector());
+    let mut sampler = hub.start_sampler(SAMPLE_EVERY);
 
-    let profile = ServerProfile {
-        name: "production",
-        workers: 4,
-        allocs_per_request: 12,
-        stores_per_request: 64,
-        retained_frac: 0.05,
-        static_bytes: 1 << 20,
-        paper_slowdown: 1.0,
-        paper_mem: 1.0,
-    };
     eprintln!("[metrics_report] serving {requests} requests...");
     let opts = ServerOptions {
         offered_rps: None,
         hub: Some(Arc::clone(&hub)),
     };
-    let result = run_server_opts(&profile, requests, 0, &hh, 0x7e1e, &opts);
+    let result = run_server_opts(&production_profile(4), requests, 0, &hh, 0x7e1e, &opts);
     det.drain();
+    sampler.stop();
 
-    // Dump the artifacts first: series so far plus one final exposition.
+    // Dump the artifacts first: the whole series plus one final exposition.
     let series = hub.series();
-    std::fs::write(&jsonl_path, series.join("\n") + "\n").expect("write jsonl");
-    std::fs::write(&prom_path, hub.prometheus()).expect("write prom");
-    eprintln!(
-        "[metrics_report] wrote {jsonl_path} ({} lines) and {prom_path}",
-        series.len()
-    );
+    args.write("--jsonl", &(series.join("\n") + "\n"));
+    args.write("--prom", &hub.prometheus());
 
     // Reconcile: the workload is quiescent and drained, so every sample
     // the hub collects must equal the corresponding source of truth.

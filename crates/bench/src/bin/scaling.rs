@@ -47,8 +47,10 @@
 //! ```
 
 use dangsan_bench::report::Json;
-use dangsan_bench::{cores, defense_arms, detector_config, Args, SCALING_SCHEMA};
-use dangsan_workloads::{run_server, DetectorKind, ServerProfile};
+use dangsan_bench::{
+    cores, defense_arms, detector_config, production_profile, Args, SCALING_SCHEMA,
+};
+use dangsan_workloads::{run_server, DetectorKind};
 
 /// Worker-count sweep: the paper's 1/2/4 plus the machine's full core
 /// count when it is larger.
@@ -90,18 +92,8 @@ struct Cell {
 /// One run: a fresh environment, `workers` threads, `requests` total
 /// requests of nginx-shaped traffic.
 fn run_once(kind: DetectorKind, workers: usize, requests: u64, seed: u64) -> Cell {
-    let profile = ServerProfile {
-        name: "scaling",
-        workers,
-        allocs_per_request: 12,
-        stores_per_request: 64,
-        retained_frac: 0.05,
-        static_bytes: 1 << 20,
-        paper_slowdown: 1.0,
-        paper_mem: 1.0,
-    };
     let hh = dangsan_workloads::shared_env(kind);
-    let r = run_server(&profile, requests, 0, &hh, seed);
+    let r = run_server(&production_profile(workers), requests, 0, &hh, seed);
     hh.detector().drain();
     let s = hh.detector().stats();
     Cell {
@@ -285,7 +277,7 @@ fn main() {
     }
     doc.set("defenses", defenses_json);
 
-    args.write_out(&doc.render_pretty());
+    args.write("--out", &doc.render_pretty());
 }
 
 #[cfg(test)]

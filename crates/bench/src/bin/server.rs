@@ -25,30 +25,18 @@
 //! ```
 
 use dangsan_bench::report::Json;
-use dangsan_bench::{cores, detector_config, Args, SERVER_SCHEMA, TAGGING_SCHEMES};
-use dangsan_workloads::{
-    run_server, run_server_opts, DetectorKind, ServerOptions, ServerProfile, ServerResult,
+use dangsan_bench::{
+    cores, detector_config, production_profile, Args, SERVER_SCHEMA, TAGGING_SCHEMES,
 };
-
-fn profile(workers: usize) -> ServerProfile {
-    ServerProfile {
-        name: "production",
-        workers,
-        allocs_per_request: 12,
-        stores_per_request: 64,
-        retained_frac: 0.05,
-        static_bytes: 1 << 20,
-        paper_slowdown: 1.0,
-        paper_mem: 1.0,
-    }
-}
+use dangsan_workloads::{run_server, run_server_opts, DetectorKind, ServerOptions, ServerResult};
 
 /// Best-of closed-loop capacity for one arm.
 fn capacity(kind: DetectorKind, workers: usize, requests: u64, reps: u32) -> f64 {
+    let profile = production_profile(workers);
     let mut best = 0f64;
     for rep in 0..reps {
         let hh = dangsan_workloads::shared_env(kind);
-        let r = run_server(&profile(workers), requests, 0, &hh, 0xbe2c ^ rep as u64);
+        let r = run_server(&profile, requests, 0, &hh, 0xbe2c ^ rep as u64);
         best = best.max(r.rps);
     }
     best
@@ -71,7 +59,7 @@ fn open_loop(
             hub: None,
         };
         let r = run_server_opts(
-            &profile(workers),
+            &production_profile(workers),
             requests,
             0,
             &hh,
@@ -200,5 +188,5 @@ fn main() {
     derived.set("dangsan_p999_ns", Json::Num(rd.p999_ns as f64));
     doc.set("derived", derived);
 
-    args.write_out(&doc.render_pretty());
+    args.write("--out", &doc.render_pretty());
 }

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use dangsan::{forensics, Config, DangSan, Detector, EventCode, TraceLevel, Tracer};
 use dangsan_bench::report::{human, Json, Table};
+use dangsan_bench::Args;
 use dangsan_heap::Heap;
 use dangsan_trace::{set_alloc_site, unpack_walked, Event};
 use dangsan_vmem::{AddressSpace, FaultKind};
@@ -153,19 +154,11 @@ fn chrome_event(e: &Event) -> Json {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "trace_report.json".to_string());
+    let args = Args::parse("trace_report [--out trace_report.json] [--trail 8]", 0);
     let trail = args
-        .iter()
-        .position(|a| a == "--trail")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(forensics::DEFAULT_TRAIL);
+        .value("--trail")
+        .parse()
+        .unwrap_or_else(|_| args.usage_error());
 
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
@@ -173,8 +166,9 @@ fn main() {
         Arc::clone(&mem),
         Config::default().with_trace_level(TraceLevel::Full),
     );
+    // Binding the heap folds its carve events into the detector's rings.
+    det.bind_heap(&heap);
     let tracer = Arc::clone(det.tracer().expect("tracing enabled"));
-    heap.set_tracer(&tracer);
 
     let dangling = run_workload(&mem, &heap, &det);
 
@@ -244,8 +238,11 @@ fn main() {
     }
 
     // 4. Chrome trace export.
-    std::fs::write(&out_path, chrome_trace(&tracer).render_pretty()).expect("write trace json");
-    println!("wrote {out_path} (load in chrome://tracing or ui.perfetto.dev)");
+    args.write("--out", &chrome_trace(&tracer).render_pretty());
+    println!(
+        "load {} in chrome://tracing or ui.perfetto.dev",
+        args.value("--out")
+    );
     if !reconciled {
         std::process::exit(1);
     }

@@ -25,7 +25,7 @@
 
 use dangsan::Config;
 use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
-use dangsan_workloads::{matrix_env_overrides, DetectorKind};
+use dangsan_workloads::{DetectorKind, ServerProfile};
 
 pub mod experiments;
 pub mod gate;
@@ -59,14 +59,27 @@ pub const HOTPATH_BENCHES: [(&str, bool); 10] = [
 /// fixed quarantine beats a per-thread budget at every thread count,
 /// because sweeping soon after the free walks log chains and shadow
 /// lines while they are still cache-hot — freshness is worth more than
-/// rarer backpressure trips. `SWEEP_THREADS=0` switches it to the
-/// synchronous sweep ([`matrix_env_overrides`]).
+/// rarer backpressure trips. The config is returned exactly as written
+/// here: to measure the synchronous sweep, edit this function.
 pub fn detector_config() -> Config {
-    matrix_env_overrides(
-        Config::default()
-            .with_deferred_sweep(true)
-            .with_quarantine_caps(256 << 10, 256),
-    )
+    Config::default()
+        .with_deferred_sweep(true)
+        .with_quarantine_caps(256 << 10, 256)
+}
+
+/// The nginx-shaped production request mix the `scaling`, `server` and
+/// `metrics_report` harnesses serve, with `workers` worker threads.
+pub fn production_profile(workers: usize) -> ServerProfile {
+    ServerProfile {
+        name: "production",
+        workers,
+        allocs_per_request: 12,
+        stores_per_request: 64,
+        retained_frac: 0.05,
+        static_bytes: 1 << 20,
+        paper_slowdown: 1.0,
+        paper_mem: 1.0,
+    }
 }
 
 /// The pointer-tagging arms at their default widths and keys, in the
@@ -113,27 +126,39 @@ pub struct Args {
     /// The bin's name, the usage line's first word.
     bin: &'static str,
     switches: Vec<String>,
-    /// `--out PATH`, or the default the usage line names.
-    pub out: String,
+    /// Each valued flag with its value: the default the usage line
+    /// names, or the command line's.
+    values: Vec<(&'static str, String)>,
     /// The arguments that are not flags, in order.
     pub operands: Vec<String>,
 }
 
 impl Args {
     /// Parses this process's arguments against `usage`, the bin's usage
-    /// line (`hotpath [--quick] [--out BENCH_hotpath.json]`): each
-    /// `--flag` in it is a switch, except `--out DEFAULT`, which takes a
-    /// path. Any other flag, or more than `max` operands, prints the usage
-    /// on stderr and exits 2.
+    /// line (`metrics_report [--quick] [--jsonl metrics.jsonl]`): a
+    /// `--flag` followed by a word in the same brackets takes a value,
+    /// and that word is its default; any other `--flag` is a switch. Any
+    /// other flag, a valued flag without a value, or more than `max`
+    /// operands prints the usage on stderr and exits 2.
     pub fn parse(usage: &'static str, max: usize) -> Args {
-        let words: Vec<&str> = usage.split([' ', '[', ']']).collect();
-        let out = words.windows(2).find(|w| w[0] == "--out").map(|w| w[1]);
-        let mut args = Args::default();
-        (args.usage, args.bin, args.out) = (usage, words[0], out.unwrap_or_default().into());
+        let words: Vec<&'static str> = usage.split([' ', '[', ']']).collect();
+        let mut args = Args {
+            usage,
+            bin: words[0],
+            ..Args::default()
+        };
+        args.values = words
+            .windows(2)
+            .filter(|w| w[0].starts_with("--") && !w[1].is_empty())
+            .map(|w| (w[0], w[1].to_string()))
+            .collect();
         let mut argv = std::env::args().skip(1);
         while let Some(arg) = argv.next() {
-            if arg == "--out" && out.is_some() {
-                args.out = argv.next().unwrap_or_else(|| args.usage_error());
+            if let Some(i) = args.values.iter().position(|(flag, _)| *flag == arg) {
+                match argv.next() {
+                    Some(value) if !value.starts_with('-') => args.values[i].1 = value,
+                    _ => args.usage_error(),
+                }
             } else if arg.starts_with("--") && words.contains(&arg.as_str()) {
                 args.switches.push(arg);
             } else if arg.starts_with('-') || args.operands.len() == max {
@@ -143,6 +168,19 @@ impl Args {
             }
         }
         args
+    }
+
+    /// A valued flag's value: the command line's, or the usage line's
+    /// default.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the usage line names no valued flag `flag`.
+    pub fn value(&self, flag: &str) -> &str {
+        match self.values.iter().find(|(f, _)| *f == flag) {
+            Some((_, value)) => value,
+            None => panic!("`{}` has no valued flag {flag}", self.usage),
+        }
     }
 
     /// Whether the switch was given.
@@ -162,12 +200,14 @@ impl Args {
         std::process::exit(1)
     }
 
-    /// Writes `text` to the `--out` path and says so on stderr, or fails
-    /// naming the path and the OS error.
-    pub fn write_out(&self, text: &str) {
-        if let Err(e) = std::fs::write(&self.out, text) {
-            self.fail(&format!("cannot write {}: {e}", self.out));
+    /// Writes `text` to the path a valued flag names (`--out` for the
+    /// bench baselines) and says so on stderr, or fails naming the path
+    /// and the OS error.
+    pub fn write(&self, flag: &str, text: &str) {
+        let path = self.value(flag);
+        if let Err(e) = std::fs::write(path, text) {
+            self.fail(&format!("cannot write {path}: {e}"));
         }
-        eprintln!("[{}] wrote {}", self.bin, self.out);
+        eprintln!("[{}] wrote {path}", self.bin);
     }
 }

@@ -232,7 +232,7 @@ impl Json {
         }
     }
 
-    /// Parses the subset of JSON that [`Json::render`]/[`render_pretty`]
+    /// Parses the subset of JSON that [`Json::render`]/[`Json::render_pretty`]
     /// produce, which the bench gates (`gate.rs`) read. `null` is an
     /// error: the writer never emits it, and read as a number it would
     /// pass every presence gate.

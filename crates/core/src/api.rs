@@ -127,7 +127,10 @@ pub trait Detector {
 
     /// Hands the detector the heap it is hooked in front of, so a
     /// deferred sweep can requeue quarantined blocks when it retires.
-    /// Called once by `HookedHeap::new`; default: ignore it.
+    /// This is also where a detector applies its configuration to the
+    /// heap: `DangSan` sets `Config::thread_cached_heap` and attaches its
+    /// tracer here, and wrappers forward the call. Called once by
+    /// `HookedHeap::new`; default: ignore it.
     fn bind_heap(&self, heap: &std::sync::Arc<dangsan_heap::Heap>) {
         let _ = heap;
     }

@@ -2,7 +2,10 @@
 //!
 //! The paper fixes these at compile time; the reproduction keeps them
 //! runtime-tunable so the ablation benchmarks (`dangsan-bench`, bin
-//! `ablations`) can sweep them without rebuilding.
+//! `ablations`) can sweep them without rebuilding. Each field takes
+//! effect in one place: [`crate::DangSan::new`] applies the ones that
+//! reach the address space and the shadow map, and
+//! [`crate::Detector::bind_heap`] the ones that reach the heap.
 
 use dangsan_trace::TraceLevel;
 
@@ -38,12 +41,16 @@ pub struct Config {
     /// memoization, last-object→log). Off turns every instrumented store
     /// back into the three full tree walks — the before/after baseline for
     /// the hot-path micro-benchmarks. Behaviour is identical either way.
+    /// [`crate::DangSan::new`] applies it to the address space's TLB and
+    /// the shadow map's cache.
     pub hot_path_caches: bool,
     /// Serve the allocator's malloc/free from the heap's TLS magazines
     /// (tcmalloc's per-thread caches). Off routes every operation through
     /// the locked central free lists — the "locked allocator" baseline the
     /// scaling benchmark compares against. Allocation placement differs
     /// between the two paths; detector behaviour does not.
+    /// [`crate::Detector::bind_heap`] applies it to the heap, so a
+    /// `HookedHeap` over the detector runs with it.
     pub thread_cached_heap: bool,
     /// Defer the free-time invalidation sweep: `on_free` retires the
     /// object's epoch, detaches its logs, and enqueues a sweep job on the
@@ -65,21 +72,24 @@ pub struct Config {
     /// relaxed load + branch at each record site — and the registration
     /// fast path has no record sites at all. `Lifecycles` captures what
     /// UAF forensics needs; `Full` adds sweep spans, tier promotions and
-    /// shadow/heap events. [`crate::DangSan::new`] creates and attaches a
-    /// tracer when this is not `Off` (see [`crate::DangSan::tracer`]).
+    /// shadow/heap events. When this is not `Off`,
+    /// [`crate::DangSan::new`] creates a tracer and attaches it to the
+    /// detector, the shadow map and the address space, and
+    /// [`crate::Detector::bind_heap`] attaches it to the heap (see
+    /// [`crate::DangSan::tracer`]).
     pub trace_level: TraceLevel,
     /// Enable the live telemetry plane (DESIGN.md §6): [`crate::DangSan::new`]
-    /// creates a pull-based metrics hub, registers the detector's gauge
-    /// and counter sources (quarantine levels, sweep-shard depths, cache
-    /// hit rates) and starts a sampler thread emitting a JSONL time
-    /// series every [`Config::metrics_interval_ms`].
+    /// creates a pull-based metrics hub and registers the detector's
+    /// gauge and counter sources (quarantine levels, sweep-shard depths,
+    /// cache hit rates), and [`crate::Detector::bind_heap`] the heap's.
+    /// The detector starts no thread: a caller that wants a JSONL time
+    /// series starts one with [`dangsan_telemetry::MetricsHub::start_sampler`]
+    /// at its own cadence.
     /// Off (the default) creates nothing: the registry is pull-based, so
     /// the detector's malloc/store/free paths carry no metrics sites at
     /// all and a telemetry-aware call site pays at most one relaxed
     /// load + untaken branch.
     pub metrics: bool,
-    /// Sampler cadence in milliseconds when [`Config::metrics`] is on.
-    pub metrics_interval_ms: u64,
 }
 
 impl Default for Config {
@@ -97,7 +107,6 @@ impl Default for Config {
             quarantine_max_objects: 256 * 1024,
             trace_level: TraceLevel::Off,
             metrics: false,
-            metrics_interval_ms: 100,
         }
     }
 }
@@ -182,12 +191,6 @@ impl Config {
         self.metrics = on;
         self
     }
-
-    /// Returns a copy with a different sampler cadence (milliseconds).
-    pub fn with_metrics_interval_ms(mut self, ms: u64) -> Self {
-        self.metrics_interval_ms = ms;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -209,11 +212,8 @@ mod tests {
 
     #[test]
     fn metrics_builders() {
-        let c = Config::default()
-            .with_metrics(true)
-            .with_metrics_interval_ms(25);
+        let c = Config::default().with_metrics(true);
         assert!(c.metrics);
-        assert_eq!(c.metrics_interval_ms, 25);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::object::{fresh_epoch, ObjectMeta};
 use crate::pool::Pool;
 use crate::stats::{Counter, MetadataLedger, Stats, StatsSnapshot};
 use crate::sweep::{FreedObject, LogChain, MetaRef, ObjectSweep, SweepQueue};
-use dangsan_telemetry::{Collector, MetricsHub, Sampler};
+use dangsan_telemetry::{Collector, MetricsHub};
 
 /// This thread's stable small integer id.
 ///
@@ -229,26 +229,27 @@ pub struct DangSan {
     /// detector already keeps, so the malloc/store/free paths carry no
     /// metrics sites at all.
     metrics: Option<Arc<MetricsHub>>,
-    /// The sampler thread emitting the JSONL time series; stopped and
-    /// joined by its own `Drop`, which runs after the final drain in
-    /// [`Drop for DangSan`] — by then the hub's detector source fails its
-    /// `Weak` upgrade and samples only heap gauges.
-    sampler: Mutex<Option<Sampler>>,
     /// Whether [`Detector::bind_heap`] already registered the heap
     /// gauges, so re-binding cannot duplicate them.
     heap_gauges_bound: AtomicBool,
 }
 
 impl DangSan {
-    /// Creates a detector for objects in `mem`'s heap segment.
+    /// Creates a detector for objects in `mem`'s heap segment and applies
+    /// `cfg` to `mem` and the detector's shadow map: the hot-path caches
+    /// to the TLB and the ptr2obj cache, the trace level to a tracer
+    /// shared with both. [`Detector::bind_heap`] applies the rest to the
+    /// heap. Starts no thread.
     pub fn new(mem: Arc<AddressSpace>, cfg: Config) -> Arc<DangSan> {
         let map = MetaPageTable::new();
         map.set_cache_enabled(cfg.hot_path_caches);
+        mem.set_tlb_enabled(cfg.hot_path_caches);
         let trace = Trace::new();
         if cfg.trace_level != TraceLevel::Off {
-            // One tracer spans the stack: detector, shadow mapper and
-            // address space all feed the same per-thread rings, so a
-            // forensics pass sees vmem traps next to frees.
+            // One tracer spans the stack: detector, shadow mapper,
+            // address space and (once bound) heap all feed the same
+            // per-thread rings, so a forensics pass sees vmem traps next
+            // to frees.
             let tracer = Arc::new(Tracer::new(cfg.trace_level));
             trace.attach(&tracer);
             map.set_tracer(&tracer);
@@ -270,7 +271,6 @@ impl DangSan {
             sweep,
             heap: Arc::new(Mutex::new(Weak::new())),
             metrics: cfg.metrics.then(MetricsHub::new),
-            sampler: Mutex::new(None),
             heap_gauges_bound: AtomicBool::new(false),
         });
         if let Some(hub) = &det.metrics {
@@ -283,16 +283,14 @@ impl DangSan {
                     det.collect_metrics(c);
                 }
             });
-            let interval = std::time::Duration::from_millis(cfg.metrics_interval_ms.max(1));
-            *det.sampler.lock().expect("not poisoned") = Some(hub.start_sampler(interval));
         }
         det
     }
 
     /// The flight recorder created by [`DangSan::new`], when
-    /// `Config::trace_level` is not `Off`. Hand it to
-    /// [`dangsan_heap::Heap::set_tracer`] to fold carve events into the
-    /// same rings, or to [`dangsan_trace::forensics::uaf_report`].
+    /// `Config::trace_level` is not `Off`. The heap's carve events join
+    /// its rings once [`Detector::bind_heap`] has run (`HookedHeap::new`
+    /// runs it). Hand it to [`dangsan_trace::forensics::uaf_report`].
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.trace.tracer()
     }
@@ -308,8 +306,9 @@ impl DangSan {
     /// The telemetry hub created by [`DangSan::new`], when
     /// `Config::metrics` is on. Register extra sources or histograms on
     /// it (e.g. a workload's latency histograms) and they ride the same
-    /// sampler time series; call [`MetricsHub::prometheus`] for a text
-    /// exposition dump.
+    /// collections; start a JSONL time series with
+    /// [`MetricsHub::start_sampler`], or call [`MetricsHub::prometheus`]
+    /// for a text exposition dump.
     pub fn metrics(&self) -> Option<&Arc<MetricsHub>> {
         self.metrics.as_ref()
     }
@@ -969,6 +968,10 @@ impl Detector for DangSan {
 
     fn bind_heap(&self, heap: &Arc<Heap>) {
         *self.heap.lock().expect("not poisoned") = Arc::downgrade(heap);
+        heap.set_thread_cached(self.cfg.thread_cached_heap);
+        if let Some(tracer) = self.trace.tracer() {
+            heap.set_tracer(tracer);
+        }
         let Some(hub) = &self.metrics else {
             return;
         };
@@ -1429,7 +1432,6 @@ mod tests {
                 Arc::clone(&mem),
                 Config::default().with_hot_path_caches(caches),
             );
-            mem.set_tlb_enabled(caches);
             let holder = heap.malloc(8 * 8).unwrap();
             det.on_alloc(&holder);
             let mut reports = Vec::new();
@@ -1454,6 +1456,31 @@ mod tests {
         let (rep_off, stats_off) = run(false);
         assert_eq!(rep_on, rep_off, "invalidation reports diverge");
         assert_eq!(stats_on, stats_off, "Table 1 counters diverge");
+    }
+
+    #[test]
+    fn caches_off_turns_the_tlb_off() {
+        // `hot_path_caches` covers the software TLB: with the caches off
+        // every access walks the page tree, with no toggle on the
+        // address space by hand.
+        let tlb_hits = |caches: bool| {
+            let mem = Arc::new(AddressSpace::new());
+            let heap = Heap::new(Arc::clone(&mem));
+            let det = DangSan::new(
+                Arc::clone(&mem),
+                Config::default().with_hot_path_caches(caches),
+            );
+            let holder = alloc(&heap, &det, &mem, 8 * 8);
+            let obj = alloc(&heap, &det, &mem, 64);
+            for s in 0..8u64 {
+                mem.write_word(holder.base + s * 8, obj.base).unwrap();
+                det.register_ptr(holder.base + s * 8, obj.base);
+            }
+            assert_eq!(det.on_free(obj.base).invalidated, 8);
+            det.stats().tlb_hits
+        };
+        assert!(tlb_hits(true) > 0, "caches on: repeated pages hit");
+        assert_eq!(tlb_hits(false), 0, "caches off: no TLB hits");
     }
 
     #[test]
@@ -1515,7 +1542,6 @@ mod tests {
                 Arc::clone(&mem),
                 Config::default().with_hot_path_caches(caches),
             );
-            mem.set_tlb_enabled(caches);
             let holder = heap.malloc(LOCS * 8).unwrap();
             det.on_alloc(&holder);
             let mut reports = Vec::new();

@@ -428,14 +428,13 @@ mod tests {
         let deferred = Config::default()
             .with_deferred_sweep(true)
             .with_quarantine_caps(4 << 10, 16);
-        for (cfg, cached) in [
-            (Config::default(), true),
-            (Config::default(), false),
-            (deferred, true),
-        ] {
-            let arm = format!("cached={cached} deferred={}", cfg.deferred_sweep);
+        let locked = Config::default().with_thread_cached_heap(false);
+        for cfg in [Config::default(), locked, deferred] {
+            let arm = format!(
+                "cached={} deferred={}",
+                cfg.thread_cached_heap, cfg.deferred_sweep
+            );
             let hh = setup_with(cfg);
-            hh.heap().set_thread_cached(cached);
             let mut handles = Vec::new();
             for _ in 0..THREADS {
                 let hh = hh.clone();
@@ -524,8 +523,11 @@ mod tests {
         // The ABA guarantee: below the caps nothing sweeps until the
         // drain, so a freed block's address must not come back from
         // malloc while its sweep is pending — and must come back after.
-        let hh = setup_with(Config::default().with_deferred_sweep(true));
-        hh.heap().set_thread_cached(false);
+        let hh = setup_with(
+            Config::default()
+                .with_deferred_sweep(true)
+                .with_thread_cached_heap(false),
+        );
         let holder = hh.malloc(8).unwrap();
         let obj = hh.malloc(48).unwrap();
         hh.store_ptr(holder.base, obj.base).unwrap();

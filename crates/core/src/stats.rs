@@ -193,12 +193,12 @@ pub struct StatsSnapshot {
     /// See [`Counter::LogCacheMisses`].
     pub log_cache_misses: u64,
     /// Software-TLB hits in the underlying address space (filled in by
-    /// [`crate::DangSan::stats`]; zero for detectors without one).
+    /// `DangSan`'s [`crate::Detector::stats`]; zero for detectors without one).
     pub tlb_hits: u64,
     /// Software-TLB misses in the underlying address space.
     pub tlb_misses: u64,
     /// Per-thread `ptr2obj` cache hits in the metapagetable (filled in by
-    /// [`crate::DangSan::stats`]).
+    /// `DangSan`'s [`crate::Detector::stats`]).
     pub ptr2obj_cache_hits: u64,
     /// Per-thread `ptr2obj` cache misses in the metapagetable.
     pub ptr2obj_cache_misses: u64,
@@ -215,7 +215,7 @@ pub struct StatsSnapshot {
     /// See [`Counter::SweepSteals`].
     pub sweep_steals: u64,
     /// Highest sweep-queue depth (jobs) each of the 4 shards ever saw
-    /// (filled in by [`crate::DangSan::stats`]; zeros without a queue).
+    /// (filled in by `DangSan`'s [`crate::Detector::stats`]; zeros without a queue).
     pub sweep_shard_peaks: [u64; 4],
     /// Per-free histogram of locations drained: buckets 0, 1–8, 9–64,
     /// 65–512, >512 (see [`Counter::FreeHistEmpty`] and friends). Sums to

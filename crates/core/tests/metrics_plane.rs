@@ -10,6 +10,7 @@
 //!   behavioural counters with metrics on and off, in both sweep modes.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dangsan::telemetry::Histogram;
 use dangsan::{Config, DangSan, Detector, HookedHeap};
@@ -47,7 +48,6 @@ fn run_mixed_workload(hh: &HookedHeap<DangSan>) {
 fn hub_counters_reconcile_with_stats_snapshot_across_threads() {
     let cfg = Config::default()
         .with_metrics(true)
-        .with_metrics_interval_ms(5)
         .with_deferred_sweep(true);
     let hh = metered_env(cfg);
     // Multithreaded traffic: per-thread stat slabs and histogram slabs
@@ -56,6 +56,7 @@ fn hub_counters_reconcile_with_stats_snapshot_across_threads() {
     let lat = Arc::new(Histogram::new());
     let hub = Arc::clone(hh.detector().metrics().expect("hub"));
     hub.register_histogram("work_ns", &lat);
+    let _sampler = hub.start_sampler(Duration::from_millis(5));
     std::thread::scope(|s| {
         for w in 0..4u64 {
             let hh = hh.clone();
@@ -129,12 +130,14 @@ fn metrics_on_is_behaviourally_inert_across_the_matrix() {
         let base = Config::default().with_deferred_sweep(deferred);
         let run = |cfg: Config| {
             let hh = metered_env(cfg);
+            let hub = hh.detector().metrics();
+            let _sampler = hub.map(|hub| hub.start_sampler(Duration::from_millis(1)));
             run_mixed_workload(&hh);
             hh.detector().drain();
             hh.detector().stats().behavioural()
         };
         let off = run(base);
-        let on = run(base.with_metrics(true).with_metrics_interval_ms(1));
+        let on = run(base.with_metrics(true));
         assert_eq!(off, on, "metrics changed behaviour at deferred={deferred}");
     }
 }
@@ -175,17 +178,30 @@ fn heap_gauges_track_a_rebound_heap() {
 }
 
 #[test]
-fn sampler_series_accumulates_and_survives_detector_drop() {
-    let cfg = Config::default()
-        .with_metrics(true)
-        .with_metrics_interval_ms(1);
-    let hh = metered_env(cfg);
+fn hub_series_stays_empty_until_a_caller_starts_a_sampler() {
+    // The detector starts no thread: a metrics-on detector's hub
+    // collects on demand, and only a caller's sampler writes a series.
+    let hh = metered_env(Config::default().with_metrics(true));
     let hub = Arc::clone(hh.detector().metrics().expect("hub"));
     run_mixed_workload(&hh);
-    std::thread::sleep(std::time::Duration::from_millis(10));
+    std::thread::sleep(Duration::from_millis(10));
     drop(hh);
-    // The detector's drop stopped the sampler: a final line was taken,
+    assert!(hub.series().is_empty(), "{:?}", hub.series());
+    hub.start_sampler(Duration::from_millis(1)).stop();
+    assert!(!hub.series().is_empty(), "a stopped sampler leaves a line");
+}
+
+#[test]
+fn sampler_series_accumulates_and_survives_detector_drop() {
+    let hh = metered_env(Config::default().with_metrics(true));
+    let hub = Arc::clone(hh.detector().metrics().expect("hub"));
+    let mut sampler = hub.start_sampler(Duration::from_millis(1));
+    run_mixed_workload(&hh);
+    std::thread::sleep(Duration::from_millis(10));
+    drop(hh);
+    // The sampler outlived the detector; stopping it takes a final line,
     // and the series is intact (the hub outlives the detector here).
+    sampler.stop();
     let series = hub.series();
     assert!(series.len() >= 2, "expected several samples: {series:?}");
     for line in &series {

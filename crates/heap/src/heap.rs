@@ -43,8 +43,8 @@ pub enum ReallocOutcome {
 ///
 /// Thread-safe. With thread caching on (the default), the common
 /// [`Heap::malloc`]/[`Heap::free`] is served lock-free from the calling
-/// thread's TLS magazines (see [`crate::magazine`]); magazines exchange
-/// [`BATCH`]-sized block batches with the sharded central free lists, and
+/// thread's TLS magazines (see the `magazine` module); magazines exchange
+/// `BATCH`-sized block batches with the sharded central free lists, and
 /// fresh spans are carved off a lock-free bump pointer. With
 /// [`Heap::set_thread_cached`]`(false)` every operation takes the central
 /// path (one short per-class shard lock each) — the "locked" ablation

@@ -11,7 +11,7 @@ use std::ptr;
 use dangsan_vmem::{Addr, HEAP_BASE, HEAP_SIZE, PAGE_SHIFT};
 
 /// Metadata of one span. Created when the page heap carves out the span and
-/// kept alive for the lifetime of the [`SpanRegistry`] (spans are
+/// kept alive for the lifetime of the `SpanRegistry` (spans are
 /// permanently bound to their class, so there is no reclamation race).
 pub struct SpanInfo {
     /// First address of the span.

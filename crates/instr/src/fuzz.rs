@@ -29,7 +29,7 @@
 //!   For DangNULL, whose fixed poison loses the original bits of the
 //!   words it invalidates.
 //! * **Tagged** — the three tagging arms detect at *dereference* instead
-//!   of free, so their relation (see [`compare_tagged`]) forgives
+//!   of free, so their relation (see `compare_tagged`) forgives
 //!   exactly the disagreements the tag encoding causes — and turns a
 //!   truncated-tag **miss** into a classified [`ExpectedMiss`] (xTag
 //!   generation wrap, keyed-arm collision proven by a re-keyed rerun)
@@ -44,6 +44,7 @@
 //! tier-1 replays forever (`tests/fuzz_corpus.rs`).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dangsan::{Config, DangSan, Detector, HookedHeap};
 use dangsan_baselines::{
@@ -65,6 +66,10 @@ pub const SLOTS: i64 = 12;
 /// Object sizes the generator draws from (all word-multiples so interior
 /// offsets stay aligned).
 const SIZES: [u64; 6] = [16, 24, 32, 48, 64, 96];
+
+/// The `dangsan-metrics` arm's sampler cadence: a sampler pulling the hub
+/// while the program runs is what the arm's strict relation holds inert.
+const SAMPLE_EVERY: Duration = Duration::from_millis(50);
 
 /// One generated statement. Object indices refer to the phase's prelude
 /// allocations; slots to the shared slab. The compiler is total over any
@@ -464,9 +469,11 @@ fn env() -> (Arc<AddressSpace>, Arc<Heap>) {
     (mem, heap)
 }
 
+/// Runs a DangSan arm; a metrics-on `cfg` runs with a live sampler.
 fn run_dangsan(prog: &Program, threaded: bool, cfg: Config, drain: bool) -> ArmRun {
     let (mem, heap) = env();
     let det = DangSan::new(mem, cfg);
+    let _sampler = det.metrics().map(|hub| hub.start_sampler(SAMPLE_EVERY));
     run_arm(prog, threaded, HookedHeap::new(heap, det), drain)
 }
 
@@ -852,12 +859,7 @@ pub fn check_program_full(prog: &Program) -> FullReport {
     // --- sync-placement arms vs the eager oracle -----------------------
     let sync_arms: [(&'static str, Config); 2] = [
         ("dangsan-inline", Config::default()),
-        (
-            "dangsan-metrics",
-            Config::default()
-                .with_metrics(true)
-                .with_metrics_interval_ms(50),
-        ),
+        ("dangsan-metrics", Config::default().with_metrics(true)),
     ];
     for (name, cfg) in sync_arms {
         let run = run_dangsan(prog, threaded, cfg, false);

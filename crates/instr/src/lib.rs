@@ -13,7 +13,7 @@
 //! * [`builder`] — ergonomic construction of IR programs;
 //! * [`analysis`] — CFG, dominator tree, natural loops, transitive
 //!   may-call-`free`;
-//! * [`instrument`] — the pass itself (naive and optimized variants);
+//! * [`instrument`](mod@instrument) — the pass itself (naive and optimized variants);
 //! * [`interp`] — an interpreter that runs instrumented programs against a
 //!   hooked heap, turning dangling-pointer dereferences into
 //!   [`interp::Trap::UseAfterFree`].

@@ -1,7 +1,7 @@
 //! Log-bucketed histograms with single-writer per-thread slabs.
 //!
-//! Bucketing is HDR-style: values below [`SUB`] get one exact bucket
-//! each; every power-of-two octave above that is split into [`SUB`]
+//! Bucketing is HDR-style: values below `SUB` get one exact bucket
+//! each; every power-of-two octave above that is split into `SUB`
 //! linear sub-buckets, so the relative quantization error is bounded by
 //! `1/SUB` (12.5%) across the whole `u64` range — fine-grained enough
 //! for latency percentiles, coarse enough that a slab is a few KiB.
@@ -36,7 +36,7 @@ use dangsan_trace::{Binding, Owner, Registry};
 const SUB_BITS: u32 = 3;
 /// Linear sub-buckets per octave (and the count of exact low buckets).
 const SUB: usize = 1 << SUB_BITS;
-/// Total buckets: [`SUB`] exact low values plus `SUB` sub-buckets for
+/// Total buckets: `SUB` exact low values plus `SUB` sub-buckets for
 /// each octave whose leading bit is at position `SUB_BITS..=63`.
 pub const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 

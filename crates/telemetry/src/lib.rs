@@ -22,9 +22,10 @@
 //!   operations behind mutexes.
 //! * [`Sampler`] — a background thread that collects the hub on a fixed
 //!   cadence into an in-memory JSONL time series, plus a
-//!   Prometheus-style text exposition dump on demand. Harnesses write
-//!   the buffers to files; the crate itself never touches the
-//!   filesystem.
+//!   Prometheus-style text exposition dump on demand. The caller that
+//!   wants a series starts one ([`MetricsHub::start_sampler`]) and
+//!   writes the buffers to files; neither the detector nor this crate
+//!   starts a thread or touches the filesystem on its own.
 //!
 //! The ablation contract mirrors the flight recorder's: with
 //! `Config::metrics` off no hub exists and a record site costs at most

@@ -69,7 +69,7 @@ impl Collector {
 
 type Source = Box<dyn Fn(&mut Collector) + Send + Sync>;
 
-/// Ceiling on retained time-series lines: at the default 100 ms cadence
+/// Ceiling on retained time-series lines: at a 100 ms cadence
 /// this is ~2.7 hours of history, and it bounds sampler memory on
 /// long-running processes (oldest lines are dropped first).
 const SERIES_CAP: usize = 100_000;
@@ -164,7 +164,7 @@ impl MetricsHub {
     }
 
     /// The sampler's accumulated JSONL lines, oldest first. When the
-    /// [`SERIES_CAP`] ceiling dropped lines, the first line returned is
+    /// `SERIES_CAP` ceiling dropped lines, the first line returned is
     /// a marker object (`{"dropped":true}`).
     pub fn series(&self) -> Vec<String> {
         let lines = self.series.lock().expect("not poisoned");
@@ -222,11 +222,11 @@ impl Sampler {
     /// Stops and joins the sampler (idempotent; also runs on drop).
     ///
     /// A source's transient `Weak` upgrade can make the sampler thread
-    /// itself the one dropping the hub's owner — and therefore this
-    /// `Sampler` (the detector's drop glue is the concrete case).
-    /// Joining would then be a self-join deadlock, so the sampler
-    /// thread detaches instead: the stop flag is already set, and the
-    /// thread exits as soon as the in-flight collection returns.
+    /// itself the one dropping the source's owner — and therefore this
+    /// `Sampler`, if that owner holds it. Joining would then be a
+    /// self-join deadlock, so the sampler thread detaches instead: the
+    /// stop flag is already set, and the thread exits as soon as the
+    /// in-flight collection returns.
     pub fn stop(&mut self) {
         if let Some(handle) = self.handle.take() {
             self.stop.store(true, Ordering::Relaxed);

@@ -440,8 +440,8 @@ impl AddressSpace {
 
     /// Enables or disables the software TLB at runtime (it starts
     /// enabled). Disabling sends every access back through the full radix
-    /// walk; behaviour is identical either way. Used by the hot-path
-    /// benchmarks to measure both configurations in one process.
+    /// walk; behaviour is identical either way. The detector sets it from
+    /// its `Config::hot_path_caches` when it is created over this space.
     pub fn set_tlb_enabled(&self, on: bool) {
         self.tlb_enabled.store(on, Ordering::Relaxed);
     }

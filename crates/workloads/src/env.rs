@@ -38,50 +38,12 @@ impl DetectorKind {
             DetectorKind::Tagging(TagScheme::PaMac { .. }) => "pa-mac",
         }
     }
-
-    /// The detector `Config` this kind carries, if any. Kinds without one
-    /// (baseline, comparators) run on the default allocator settings.
-    fn config(&self) -> Option<&Config> {
-        match self {
-            DetectorKind::DangSan(cfg) | DetectorKind::DangSanLocked(cfg) => Some(cfg),
-            _ => None,
-        }
-    }
-
-    /// Applies this kind's allocator-side settings to a fresh heap.
-    fn configure_heap(&self, heap: &Heap) {
-        if let Some(cfg) = self.config() {
-            heap.set_thread_cached(cfg.thread_cached_heap);
-        }
-    }
-}
-
-/// Environment-variable override for the free path: `SWEEP_THREADS=0`
-/// forces the synchronous sweep, and any positive value selects the
-/// deferred sweep (despite the name, no value spawns threads). An unset
-/// or unparsable variable leaves `cfg` untouched, so local runs and
-/// committed baselines see exactly the config the caller built.
-///
-/// Perf harnesses (the scaling and server benches) opt in by calling
-/// this on the configs they build; [`local_env`]/[`shared_env`]
-/// deliberately do NOT apply it, because deferred sweeping changes
-/// observable timing (a load in the quarantine window reads the raw
-/// pointer until the sweep runs) and the detection tests rely on
-/// synchronous trap semantics.
-pub fn matrix_env_overrides(mut cfg: Config) -> Config {
-    if let Ok(v) = std::env::var("SWEEP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            cfg = cfg.with_deferred_sweep(n > 0);
-        }
-    }
-    cfg
 }
 
 /// A fresh single-threaded environment (any detector kind).
 pub fn local_env(kind: DetectorKind) -> HookedHeap<dyn Detector> {
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
-    kind.configure_heap(&heap);
     let det: Arc<dyn Detector> = match kind {
         DetectorKind::Baseline => Arc::new(NullDetector),
         DetectorKind::DangSan(cfg) => DangSan::new(Arc::clone(&mem), cfg),
@@ -104,7 +66,6 @@ pub fn local_env(kind: DetectorKind) -> HookedHeap<dyn Detector> {
 pub fn shared_env(kind: DetectorKind) -> HookedHeap<dyn Detector + Send + Sync> {
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
-    kind.configure_heap(&heap);
     let det: Arc<dyn Detector + Send + Sync> = match kind {
         DetectorKind::Baseline => Arc::new(NullDetector),
         DetectorKind::DangSan(cfg) => DangSan::new(Arc::clone(&mem), cfg),
@@ -189,35 +150,6 @@ mod tests {
     #[should_panic(expected = "multithreaded")]
     fn shared_env_rejects_freesentry() {
         let _ = shared_env(DetectorKind::FreeSentry);
-    }
-
-    #[test]
-    fn matrix_env_overrides_follow_the_matrix_variables() {
-        // Single test covering all cases so the env-var mutation never
-        // races another assertion in this binary. The caller's value is
-        // restored at the end.
-        let saved = std::env::var_os("SWEEP_THREADS");
-        std::env::remove_var("SWEEP_THREADS");
-        let base = Config::default();
-        let cfg = matrix_env_overrides(base);
-        assert_eq!(cfg.deferred_sweep, base.deferred_sweep);
-
-        std::env::set_var("SWEEP_THREADS", "2");
-        let cfg = matrix_env_overrides(Config::default());
-        assert!(cfg.deferred_sweep);
-
-        std::env::set_var("SWEEP_THREADS", "0");
-        let cfg = matrix_env_overrides(Config::default().with_deferred_sweep(true));
-        assert!(!cfg.deferred_sweep);
-
-        std::env::set_var("SWEEP_THREADS", "banana");
-        let cfg = matrix_env_overrides(base);
-        assert_eq!(cfg, base, "unparsable values leave cfg untouched");
-
-        std::env::remove_var("SWEEP_THREADS");
-        if let Some(value) = saved {
-            std::env::set_var("SWEEP_THREADS", value);
-        }
     }
 
     #[test]

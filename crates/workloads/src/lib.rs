@@ -11,7 +11,7 @@
 //! * [`server`] — the Apache/Nginx/Cherokee request loop (§8.2/§8.3);
 //! * [`exploits`] — the §8.1 effectiveness scenarios;
 //! * [`cost`] — machine-independent compute calibration;
-//! * [`env`] — fresh experiment environments per detector kind.
+//! * [`env`](mod@env) — fresh experiment environments per detector kind.
 
 pub mod cost;
 pub mod env;
@@ -22,7 +22,7 @@ pub mod server;
 pub mod spec;
 
 pub use cost::{calibrate, CostModel};
-pub use env::{local_env, matrix_env_overrides, shared_env, DetectorKind};
+pub use env::{local_env, shared_env, DetectorKind};
 pub use profiles::ServerProfile;
 pub use server::{run_server, run_server_opts, ClassLatency, ServerOptions, ServerResult};
 pub use spec::{run_spec, RunResult};

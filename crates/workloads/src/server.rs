@@ -10,7 +10,7 @@
 //! the rest.
 //!
 //! Latency is accumulated in lock-free log-bucketed histograms
-//! ([`dangsan_telemetry::Histogram`], ≤12.5% relative bucket error)
+//! ([`dangsan::telemetry::Histogram`], ≤12.5% relative bucket error)
 //! rather than per-request `Vec`s, so memory stays bounded at any
 //! request count and the percentile lines extend to p999. Requests are
 //! drawn from three classes hashed deterministically from the request

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build/lint/tests, the e2ebench benchmark
-# package's lint, every workspace crate's tests, a differential-fuzz
-# slice, the e2ebench benchmark's own test and 1-second smoke runs of
-# its two deferred-sweep workloads, the repo-hygiene guard, and the
+# Repo verification: tier-1 build/lint/tests, the workspace's rustdoc
+# with warnings denied, the e2ebench benchmark package's lint, every
+# workspace crate's tests, a differential-fuzz slice, the e2ebench
+# benchmark's own test and 1-second smoke runs of its two
+# deferred-sweep workloads, the repo-hygiene guard, and the
 # bench gates: `bench_gate` lints the committed BENCH_*.json baselines
 # and, in full mode, gates quick hotpath/scaling/server runs against
 # them. The gates, their floors and what fails them are documented
@@ -21,7 +22,8 @@
 #   VERIFY_FUZZ_PROGRAMS  Programs in the fuzz slice, default 150; 0 skips.
 #
 # Fails if any stage fails: the tier-1 suite (build, clippy -D warnings,
-# tests), the e2ebench package's rustfmt check or clippy -D warnings, any
+# tests), a rustdoc warning in the workspace, the e2ebench package's
+# rustfmt check or clippy -D warnings, any
 # workspace crate's tests (tier-1 `cargo test` runs only the root
 # package's), a fuzz divergence, the e2ebench build or test, a
 # failed correctness check in an e2ebench smoke run, a
@@ -39,6 +41,9 @@ cargo build --release
 
 echo "== tier-1: cargo clippy -D warnings =="
 cargo clippy -q --all-targets -- -D warnings
+
+echo "== docs: cargo doc --workspace --no-deps, warnings denied =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 # The benchmark package is its own workspace, so neither the clippy
 # above nor `cargo fmt --all` ever sees it.

@@ -18,9 +18,7 @@ fn traced_env(level: TraceLevel) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>)
     let mem = Arc::new(AddressSpace::new());
     let heap = Heap::new(Arc::clone(&mem));
     let det = DangSan::new(Arc::clone(&mem), Config::default().with_trace_level(level));
-    if let Some(tracer) = det.tracer() {
-        heap.set_tracer(tracer);
-    }
+    det.bind_heap(&heap);
     (mem, heap, det)
 }
 
@@ -112,6 +110,26 @@ fn uaf_trap_is_attributed_to_the_right_free() {
     assert!(text.contains("3 location(s)"), "{text}");
 }
 
+/// The heap shares the detector's tracer with no call by hand: hooking a
+/// `Full`-level detector in front of a heap folds its span carves into
+/// the same rings.
+#[test]
+fn a_hooked_heap_records_its_carves_in_the_detector_rings() {
+    let mem = Arc::new(AddressSpace::new());
+    let heap = Heap::new(Arc::clone(&mem));
+    let cfg = Config::default().with_trace_level(TraceLevel::Full);
+    let hh = HookedHeap::new(heap, DangSan::new(mem, cfg));
+    let obj = hh.malloc(64).expect("obj");
+    hh.free(obj.base).expect("free");
+    let tracer = hh.detector().tracer().expect("tracer");
+    let carves = tracer
+        .events()
+        .iter()
+        .filter(|e| e.code == EventCode::HeapCarve)
+        .count();
+    assert!(carves > 0, "the first malloc carves a span");
+}
+
 /// One free, one sweep: a deferred free of an object logged from 20
 /// holder pages records a single `FreeSweep` span covering the whole
 /// walk, so the free-size histogram, the span and a trap's report all
@@ -129,7 +147,6 @@ fn deferred_free_of_a_wide_object_records_one_sweep_span() {
             .with_deferred_sweep(true),
     );
     let tracer = Arc::clone(det.tracer().expect("tracer"));
-    heap.set_tracer(&tracer);
     let hh = HookedHeap::new(heap, Arc::clone(&det));
     let holders = hh.malloc(PAGES * PAGE_SIZE).expect("holders");
     let obj = hh.malloc(128).expect("obj");
