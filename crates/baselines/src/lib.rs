@@ -21,7 +21,7 @@
 //! A third detector, [`DangSanLocked`], is the paper's implicit ablation:
 //! DangSan's exact data structures behind one global lock, isolating how
 //! much of the scalability comes from lock-freedom rather than logging.
-//! [`QuarantineHeap`] models the §9 *secure allocator* class (DieHard /
+//! [`QuarantineDetector`] models the §9 *secure allocator* class (DieHard /
 //! Cling / ASan quarantines) together with the heap-massaging bypass that
 //! disqualifies it against deliberate attacks.
 
@@ -48,5 +48,5 @@ pub use dangnull::DangNull;
 pub use freesentry::FreeSentry;
 pub use locked::DangSanLocked;
 pub use oracle::{OracleMode, ShadowOracle};
-pub use quarantine::{QuarantineDetector, QuarantineHeap};
+pub use quarantine::QuarantineDetector;
 pub use tagging::{TagDetector, TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};

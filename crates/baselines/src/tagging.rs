@@ -81,6 +81,32 @@ pub enum TagScheme {
 }
 
 impl TagScheme {
+    /// The three schemes at their default widths and keys, in the order
+    /// every harness lists them: xTag, implicit identifiers, PA-style
+    /// MACs.
+    pub const DEFAULTS: [TagScheme; 3] = [
+        TagScheme::XTag {
+            bits: DEFAULT_TAG_BITS,
+        },
+        TagScheme::ImplicitId {
+            bits: DEFAULT_TAG_BITS,
+            key: DEFAULT_TAG_KEY,
+        },
+        TagScheme::PaMac {
+            bits: DEFAULT_TAG_BITS,
+            key: DEFAULT_TAG_KEY,
+        },
+    ];
+
+    /// The scheme's arm name: `xtag`, `implicit-id` or `pa-mac`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TagScheme::XTag { .. } => "xtag",
+            TagScheme::ImplicitId { .. } => "implicit-id",
+            TagScheme::PaMac { .. } => "pa-mac",
+        }
+    }
+
     /// The configured tag width in bits.
     pub fn bits(&self) -> u32 {
         match *self {
@@ -185,29 +211,6 @@ impl TagDetector {
             stats: Stats::default(),
             meta_bytes: AtomicU64::new(0),
             wraps: AtomicU64::new(0),
-        })
-    }
-
-    /// An xTag arm with the default (full-width) generation tag.
-    pub fn xtag() -> Arc<TagDetector> {
-        TagDetector::new(TagScheme::XTag {
-            bits: DEFAULT_TAG_BITS,
-        })
-    }
-
-    /// An implicit-ID arm with the default width and key.
-    pub fn implicit_id() -> Arc<TagDetector> {
-        TagDetector::new(TagScheme::ImplicitId {
-            bits: DEFAULT_TAG_BITS,
-            key: DEFAULT_TAG_KEY,
-        })
-    }
-
-    /// A pa-mac arm with the default width and key.
-    pub fn pa_mac() -> Arc<TagDetector> {
-        TagDetector::new(TagScheme::PaMac {
-            bits: DEFAULT_TAG_BITS,
-            key: DEFAULT_TAG_KEY,
         })
     }
 
@@ -387,25 +390,9 @@ mod tests {
         HookedHeap::new(heap, TagDetector::new(scheme))
     }
 
-    fn schemes() -> [TagScheme; 3] {
-        [
-            TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS,
-            },
-            TagScheme::ImplicitId {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-            TagScheme::PaMac {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-        ]
-    }
-
     #[test]
     fn stale_tag_faults_like_an_invalidated_pointer() {
-        for scheme in schemes() {
+        for scheme in TagScheme::DEFAULTS {
             let hh = setup(scheme);
             let obj = hh.malloc(48).unwrap();
             let holder = hh.malloc(8).unwrap();
@@ -425,7 +412,7 @@ mod tests {
 
     #[test]
     fn live_pointers_and_interior_pointers_pass() {
-        for scheme in schemes() {
+        for scheme in TagScheme::DEFAULTS {
             let hh = setup(scheme);
             let obj = hh.malloc(64).unwrap();
             hh.store_untracked(obj.base + 24, 0xFEED).unwrap();
@@ -436,7 +423,7 @@ mod tests {
 
     #[test]
     fn free_through_stale_tag_aborts_like_a_masked_pointer() {
-        for scheme in schemes() {
+        for scheme in TagScheme::DEFAULTS {
             let hh = setup(scheme);
             let obj = hh.malloc(48).unwrap();
             let stale = obj.base;
@@ -451,7 +438,7 @@ mod tests {
 
     #[test]
     fn untagged_and_wild_values_keep_their_natural_fault_class() {
-        for scheme in schemes() {
+        for scheme in TagScheme::DEFAULTS {
             let hh = setup(scheme);
             let _obj = hh.malloc(48).unwrap();
             // An unmapped canonical address is outside every slot: it
@@ -466,7 +453,7 @@ mod tests {
 
     #[test]
     fn realloc_in_place_keeps_outstanding_pointers_valid() {
-        for scheme in schemes() {
+        for scheme in TagScheme::DEFAULTS {
             let hh = setup(scheme);
             let obj = hh.malloc(40).unwrap();
             let holder = hh.malloc(8).unwrap();
@@ -592,7 +579,7 @@ mod tests {
 
     #[test]
     fn works_from_multiple_threads() {
-        for scheme in schemes() {
+        for scheme in TagScheme::DEFAULTS {
             let hh = setup(scheme);
             let mut handles = Vec::new();
             for _ in 0..4 {

@@ -1,7 +1,7 @@
 //! Hot-path microbenchmarks: the per-operation cost of the instrumented
 //! store and its supporting walks, with the per-thread caches off
 //! ("before": every access pays the full tree walks) and on ("after":
-//! the software-TLB / ptr2obj / last-object fast paths).
+//! the software-TLB / last-object / registration-memo fast paths).
 //!
 //! Emits `BENCH_hotpath.json`, with the machine's core count, so
 //! subsequent changes have a machine-readable perf trajectory
@@ -20,8 +20,7 @@ use dangsan::{Config, DangSan, Detector, TraceLevel};
 use dangsan_bench::report::Json;
 use dangsan_bench::{cores, Args, HOTPATH_BENCHES, HOTPATH_SCHEMA};
 use dangsan_heap::Heap;
-use dangsan_shadow::MetaPageTable;
-use dangsan_vmem::{AddressSpace, PAGE_SIZE};
+use dangsan_vmem::AddressSpace;
 
 /// The `metrics_off` row's sampler cadence.
 const SAMPLE_EVERY: Duration = Duration::from_millis(5);
@@ -195,28 +194,6 @@ fn bench_registerptr(iters: u64, caches: bool) -> Measurement {
         det.register_ptr(loc, val);
     }
     let t = start.elapsed().as_secs_f64();
-    Measurement {
-        ops_per_sec: iters as f64 / t,
-        ops: iters,
-    }
-}
-
-/// `ptr2obj`: the raw metapagetable lookup in isolation (two dependent
-/// loads cold, one cached-entry check warm).
-fn bench_ptr2obj(iters: u64, caches: bool) -> Measurement {
-    let table = MetaPageTable::new();
-    table.set_cache_enabled(caches);
-    let base = dangsan_vmem::HEAP_BASE;
-    table.register_span(base, 4, 6);
-    table.set_object(base, 4 * PAGE_SIZE, 0x51);
-    let start = Instant::now();
-    let mut sum = 0u64;
-    for i in 0..iters {
-        let addr = base + (i % 512) * 8;
-        sum = sum.wrapping_add(table.lookup(addr).unwrap_or(0));
-    }
-    let t = start.elapsed().as_secs_f64();
-    std::hint::black_box(sum);
     Measurement {
         ops_per_sec: iters as f64 / t,
         ops: iters,
@@ -506,7 +483,6 @@ fn main() {
     // One row per `HOTPATH_BENCHES` entry, in its order.
     let runs: [(Bench, u64); HOTPATH_BENCHES.len()] = [
         (bench_registerptr, 400_000 * scale),
-        (bench_ptr2obj, 800_000 * scale),
         (bench_malloc_free, 20_000 * scale),
         (bench_invalidate, 4_000 * scale),
         (bench_free_many_ptrs, 200 * scale),

@@ -78,8 +78,6 @@ fn main() {
         ("ptrs_invalidated".into(), snap.ptrs_invalidated),
         ("tlb_hits".into(), snap.tlb_hits),
         ("tlb_misses".into(), snap.tlb_misses),
-        ("ptr2obj_cache_hits".into(), snap.ptr2obj_cache_hits),
-        ("ptr2obj_cache_misses".into(), snap.ptr2obj_cache_misses),
         ("frees_deferred".into(), snap.frees_deferred),
         ("sweeps_backpressure".into(), snap.sweeps_backpressure),
         ("sweep_steals".into(), snap.sweep_steals),

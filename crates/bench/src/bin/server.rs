@@ -24,10 +24,9 @@
 //! cargo run --release -p dangsan-bench --bin server [-- --quick] [--out PATH]
 //! ```
 
+use dangsan_baselines::TagScheme;
 use dangsan_bench::report::Json;
-use dangsan_bench::{
-    cores, detector_config, production_profile, Args, SERVER_SCHEMA, TAGGING_SCHEMES,
-};
+use dangsan_bench::{cores, detector_config, production_profile, Args, SERVER_SCHEMA};
 use dangsan_workloads::{run_server, run_server_opts, DetectorKind, ServerOptions, ServerResult};
 
 /// Best-of closed-loop capacity for one arm.
@@ -131,7 +130,7 @@ fn main() {
     // cross-defense table and the schema lint can read. Open loop stays
     // a two-arm comparison: the tail study is about the invalidation
     // pipeline, the tagging arms have no deferred machinery to stress.
-    let tag_caps = TAGGING_SCHEMES.map(|scheme| {
+    let tag_caps = TagScheme::DEFAULTS.map(|scheme| {
         let kind = DetectorKind::Tagging(scheme);
         let name = kind.label();
         let cap = capacity(kind, workers, requests, reps);

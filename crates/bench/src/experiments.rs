@@ -648,11 +648,11 @@ pub fn ablations() -> String {
     out
 }
 
-/// Hot-path cache effectiveness: hit rates of the three per-thread
-/// caches (software TLB, ptr2obj page cache, last-object log cache +
-/// registration memo) across the SPEC profiles. The companion to the
-/// `hotpath` binary's throughput numbers — throughput says what the
-/// fast paths buy, this says how often each one actually fires.
+/// Hot-path cache effectiveness: hit rates of the per-thread caches
+/// (software TLB, last-object log cache + registration memo) across the
+/// SPEC profiles. The companion to the `hotpath` binary's throughput
+/// numbers — throughput says what the fast paths buy, this says how
+/// often each one actually fires.
 pub fn cache_rates() -> String {
     let scale = spec_scale();
     let mut out = String::new();
@@ -667,13 +667,7 @@ pub fn cache_rates() -> String {
             format!("{:.1}%", 100.0 * h as f64 / total as f64)
         }
     };
-    let mut table = Table::new(&[
-        "benchmark",
-        "tlb hit",
-        "ptr2obj hit",
-        "log-cache hit",
-        "#ptrs",
-    ]);
+    let mut table = Table::new(&["benchmark", "tlb hit", "log-cache hit", "#ptrs"]);
     let mut free_table = Table::new(&[
         "benchmark",
         "frees",
@@ -682,7 +676,7 @@ pub fn cache_rates() -> String {
         "dup locs",
         "walk hist (0/≤8/≤64/≤512/>512)",
     ]);
-    let mut tot = [0u64; 6];
+    let mut tot = [0u64; 4];
     let mut ptrs = 0u64;
     let mut ftot = [0u64; 4];
     let mut htot = [0u64; 5];
@@ -692,8 +686,6 @@ pub fn cache_rates() -> String {
         for (acc, v) in tot.iter_mut().zip([
             s.tlb_hits,
             s.tlb_misses,
-            s.ptr2obj_cache_hits,
-            s.ptr2obj_cache_misses,
             s.log_cache_hits,
             s.log_cache_misses,
         ]) {
@@ -703,7 +695,6 @@ pub fn cache_rates() -> String {
         table.row(vec![
             p.name.to_string(),
             rate(s.tlb_hits, s.tlb_misses),
-            rate(s.ptr2obj_cache_hits, s.ptr2obj_cache_misses),
             rate(s.log_cache_hits, s.log_cache_misses),
             human(s.ptrs_registered),
         ]);
@@ -731,7 +722,6 @@ pub fn cache_rates() -> String {
         "total".into(),
         rate(tot[0], tot[1]),
         rate(tot[2], tot[3]),
-        rate(tot[4], tot[5]),
         human(ptrs),
     ]);
     free_table.row(free_shape_row(

@@ -13,7 +13,7 @@
 //!   `cores` ≥ 1;
 //! - hotpath: every bench's same-run `speedup` present, and ≥ 1.0 for
 //!   the benches whose on/off pair exists to win — the core benches
-//!   (registerptr, ptr2obj, malloc_free, invalidate) and the deferred-free
+//!   (registerptr, malloc_free, invalidate) and the deferred-free
 //!   benches (free_many_objs, free_while_reg: the deferred sweep must
 //!   keep mutator-visible free cheaper than the inline walk);
 //! - scaling: the 4t/1t speedup at least the floor keyed on the file's
@@ -29,7 +29,7 @@
 //!   floor (0.12 / 0.10 / 0.08 — instrumentation costs throughput, but
 //!   only so much); the open-loop p50/p99/p999 measured (≥ 1) and the
 //!   dangsan arm's `offered_rps` and `sessions_churned` present; every
-//!   tagging arm ([`TAGGING_SCHEMES`]) carrying `capacity_rps` and
+//!   tagging arm ([`TagScheme::DEFAULTS`]) carrying `capacity_rps` and
 //!   `overhead_vs_baseline`.
 //!
 //! Presence gates use floor 0: those magnitudes are machine- or
@@ -58,12 +58,11 @@
 //! shows in the output.
 
 use dangsan::Config;
+use dangsan_baselines::TagScheme;
 use dangsan_workloads::DetectorKind;
 
 use crate::report::Json;
-use crate::{
-    defense_arms, HOTPATH_BENCHES, HOTPATH_SCHEMA, SCALING_SCHEMA, SERVER_SCHEMA, TAGGING_SCHEMES,
-};
+use crate::{defense_arms, HOTPATH_BENCHES, HOTPATH_SCHEMA, SCALING_SCHEMA, SERVER_SCHEMA};
 
 /// A committed baseline, named after the bin that writes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,7 +135,7 @@ const SCALING_4T: [f64; 3] = [1.8, 0.9, 0.7];
 /// The server dangsan/baseline capacity-ratio floors, keyed likewise.
 const SERVER_RPS: [f64; 3] = [0.12, 0.10, 0.08];
 
-/// The gate table: 53 lint gates, then 18 compare gates.
+/// The gate table: 51 lint gates, then 17 compare gates.
 #[rustfmt::skip]
 fn gates() -> Vec<Gate> {
     use {Bench::*, Kind::*, Mode::*};
@@ -167,7 +166,7 @@ fn gates() -> Vec<Gate> {
     add(Server, Lint, Floor(1.0), derived("dangsan_p999_ns"));
     add(Server, Lint, Floor(0.0), "arms.dangsan.open_loop.offered_rps".into());
     add(Server, Lint, Floor(0.0), "arms.dangsan.open_loop.sessions_churned".into());
-    for scheme in TAGGING_SCHEMES {
+    for scheme in TagScheme::DEFAULTS {
         let arm = DetectorKind::Tagging(scheme).label();
         add(Server, Lint, Floor(0.0), format!("arms.{arm}.capacity_rps"));
         add(Server, Lint, Floor(0.0), format!("arms.{arm}.overhead_vs_baseline"));
@@ -314,9 +313,9 @@ mod tests {
             .filter(|g| g.mode == Mode::Lint)
             .collect();
         let per_bench = Bench::ALL.map(|b| lint.iter().filter(|g| g.bench == b).count());
-        assert_eq!(per_bench, [18, 21, 14]);
+        assert_eq!(per_bench, [16, 21, 14]);
         let outcomes = check_all(&base, Some(&base), 20.0);
-        assert_eq!(outcomes.len(), 53 + 18);
+        assert_eq!(outcomes.len(), 51 + 17);
         for o in &outcomes {
             assert!(o.ok, "{}", o.line);
         }

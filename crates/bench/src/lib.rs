@@ -24,7 +24,7 @@
 //! `scripts/verify.sh` runs it.
 
 use dangsan::Config;
-use dangsan_baselines::{TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
+use dangsan_baselines::TagScheme;
 use dangsan_workloads::{DetectorKind, ServerProfile};
 
 pub mod experiments;
@@ -44,8 +44,8 @@ pub const SERVER_SCHEMA: &str = "dangsan-server-v1";
 /// speedups to ≥ 1.0): the core benches and the deferred-free benches
 /// (`free_many_objs`, `free_while_reg`).
 #[rustfmt::skip]
-pub const HOTPATH_BENCHES: [(&str, bool); 10] = [
-    ("registerptr", true), ("ptr2obj", true), ("malloc_free", true), ("invalidate", true),
+pub const HOTPATH_BENCHES: [(&str, bool); 9] = [
+    ("registerptr", true), ("malloc_free", true), ("invalidate", true),
     ("free_many_ptrs", false), ("free_many_objs", true), ("free_while_reg", true),
     ("sweep_total", false), ("trace_off", false), ("metrics_off", false),
 ];
@@ -82,26 +82,16 @@ pub fn production_profile(workers: usize) -> ServerProfile {
     }
 }
 
-/// The pointer-tagging arms at their default widths and keys, in the
-/// order `server` writes their capacity rows (keyed by
-/// [`DetectorKind::label`]).
-#[rustfmt::skip]
-pub const TAGGING_SCHEMES: [TagScheme; 3] = [
-    TagScheme::XTag { bits: DEFAULT_TAG_BITS },
-    TagScheme::ImplicitId { bits: DEFAULT_TAG_BITS, key: DEFAULT_TAG_KEY },
-    TagScheme::PaMac { bits: DEFAULT_TAG_BITS, key: DEFAULT_TAG_KEY },
-];
-
 /// The cross-defense comparison's arms, in the order `scaling` writes
 /// its `defenses` rows (keyed by [`DetectorKind::label`]): one
 /// representative per defense class, DangSan configured as `dangsan`,
-/// then [`TAGGING_SCHEMES`]. Each comes with its detection guarantee,
+/// then [`TagScheme::DEFAULTS`]. Each comes with its detection guarantee,
 /// the contract the fuzz relation enforces analytically.
 /// `scaling` runs them single-threaded, so the numbers isolate
 /// per-operation cost, not scalability (its thread sweep covers that).
 #[rustfmt::skip]
 pub fn defense_arms(dangsan: Config) -> [(DetectorKind, &'static str); 6] {
-    let [xtag, implicit_id, pa_mac] = TAGGING_SCHEMES.map(DetectorKind::Tagging);
+    let [xtag, implicit_id, pa_mac] = TagScheme::DEFAULTS.map(DetectorKind::Tagging);
     [
         (DetectorKind::Baseline, "none (uninstrumented)"),
         (DetectorKind::DangSan(dangsan),

@@ -37,12 +37,11 @@ pub struct Config {
     /// tracked object at its new location. Closes the realloc-move false
     /// negative at the cost of scanning every copied word.
     pub hook_memcpy: bool,
-    /// Enable the per-thread hot-path caches (software TLB, ptr2obj
-    /// memoization, last-object→log). Off turns every instrumented store
-    /// back into the three full tree walks — the before/after baseline for
-    /// the hot-path micro-benchmarks. Behaviour is identical either way.
-    /// [`crate::DangSan::new`] applies it to the address space's TLB and
-    /// the shadow map's cache.
+    /// Enable the per-thread hot-path caches (software TLB, last-object→log,
+    /// registration memo). Off turns every instrumented store back into the
+    /// full walks — the before/after baseline for the hot-path
+    /// micro-benchmarks. Behaviour is identical either way.
+    /// [`crate::DangSan::new`] applies it to the address space's TLB.
     pub hot_path_caches: bool,
     /// Serve the allocator's malloc/free from the heap's TLS magazines
     /// (tcmalloc's per-thread caches). Off routes every operation through

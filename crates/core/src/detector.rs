@@ -11,7 +11,7 @@ use dangsan_trace::{
     forensics, pack_size_site, pack_sweep_mode, EventCode, Trace, TraceLevel, Tracer,
     SWEEP_MODE_BACKPRESSURE, SWEEP_MODE_INLINE,
 };
-use dangsan_vmem::{Addr, AddressSpace, FaultKind, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SIZE};
+use dangsan_vmem::{Addr, AddressSpace, FaultKind, INVALID_BIT, PAGE_SIZE};
 
 use crate::api::{Detector, InvalidationReport};
 use crate::config::Config;
@@ -97,8 +97,8 @@ impl LogCacheSlot {
 
 /// The detector's per-thread caches, bundled into one thread-local so the
 /// registration fast path pays a single TLS round trip for both (plus one
-/// each for the shadow cache and the stats slab — TLS accesses are the
-/// dominant fixed cost of the cached path, so they are rationed).
+/// for the stats slab — TLS accesses are the dominant fixed cost of the
+/// cached path, so they are rationed).
 struct DetCaches {
     /// Last-object → log slots (see [`LogCacheSlot`]).
     log: [Cell<LogCacheSlot>; LOG_CACHE_SLOTS],
@@ -237,12 +237,11 @@ pub struct DangSan {
 impl DangSan {
     /// Creates a detector for objects in `mem`'s heap segment and applies
     /// `cfg` to `mem` and the detector's shadow map: the hot-path caches
-    /// to the TLB and the ptr2obj cache, the trace level to a tracer
-    /// shared with both. [`Detector::bind_heap`] applies the rest to the
-    /// heap. Starts no thread.
+    /// to the TLB, the trace level to a tracer shared with both.
+    /// [`Detector::bind_heap`] applies the rest to the heap. Starts no
+    /// thread.
     pub fn new(mem: Arc<AddressSpace>, cfg: Config) -> Arc<DangSan> {
         let map = MetaPageTable::new();
-        map.set_cache_enabled(cfg.hot_path_caches);
         mem.set_tlb_enabled(cfg.hot_path_caches);
         let trace = Trace::new();
         if cfg.trace_level != TraceLevel::Off {
@@ -326,8 +325,6 @@ impl DangSan {
         c.counter("ptrs_invalidated", snap.ptrs_invalidated);
         c.counter("tlb_hits", snap.tlb_hits);
         c.counter("tlb_misses", snap.tlb_misses);
-        c.counter("ptr2obj_cache_hits", snap.ptr2obj_cache_hits);
-        c.counter("ptr2obj_cache_misses", snap.ptr2obj_cache_misses);
         c.counter("frees_deferred", snap.frees_deferred);
         c.counter("sweeps_backpressure", snap.sweeps_backpressure);
         c.counter("sweep_steals", snap.sweep_steals);
@@ -354,30 +351,14 @@ impl DangSan {
     }
 
     /// `ptr2obj`: resolves a (possibly interior) pointer to its object's
-    /// metadata, if tracked.
+    /// metadata, if tracked. A value outside the heap resolves to nothing
+    /// in the metapagetable's own walk.
     #[inline]
     fn ptr2obj(&self, value: u64) -> Option<&ObjectMeta> {
-        if !(HEAP_BASE..HEAP_BASE + HEAP_SIZE).contains(&value) {
-            return None;
-        }
         let meta_val = self.map.lookup(value)?;
         // SAFETY: metapagetable values are written exclusively by
         // `on_alloc` from `as_meta_value` on records owned by `meta_pool`,
         // which lives as long as `self`.
-        Some(unsafe { ObjectMeta::from_meta_value(meta_val) })
-    }
-
-    /// [`Self::ptr2obj`] for one-shot resolutions (a free, a realloc):
-    /// skips the per-thread shadow cache, whose probe-and-fill can only
-    /// cost here — the entry is touched once and caching it may evict a
-    /// slot a store loop is using.
-    #[inline]
-    fn ptr2obj_cold(&self, value: u64) -> Option<&ObjectMeta> {
-        if !(HEAP_BASE..HEAP_BASE + HEAP_SIZE).contains(&value) {
-            return None;
-        }
-        let meta_val = self.map.lookup_cold(value)?;
-        // SAFETY: as in `ptr2obj`.
         Some(unsafe { ObjectMeta::from_meta_value(meta_val) })
     }
 
@@ -829,7 +810,7 @@ impl Detector for DangSan {
     }
 
     fn on_free(&self, base: Addr) -> InvalidationReport {
-        let Some(meta) = self.ptr2obj_cold(base) else {
+        let Some(meta) = self.ptr2obj(base) else {
             // With deferred sweeping the heap quarantined the block before
             // calling in; an untracked base has no sweep to retire it, so
             // the block must re-enter circulation here or it would leak.
@@ -886,7 +867,7 @@ impl Detector for DangSan {
     }
 
     fn on_realloc_in_place(&self, base: Addr, new_size: u64) {
-        if let Some(meta) = self.ptr2obj_cold(base) {
+        if let Some(meta) = self.ptr2obj(base) {
             // The mapping (stride) is unchanged; only the valid range
             // grows or shrinks. This is the paper's "createobj again"
             // for in-place growth.
@@ -1002,9 +983,6 @@ impl Detector for DangSan {
         let tlb = self.mem.tlb_stats();
         snap.tlb_hits = tlb.hits;
         snap.tlb_misses = tlb.misses;
-        let p2o = self.map.cache_stats();
-        snap.ptr2obj_cache_hits = p2o.hits;
-        snap.ptr2obj_cache_misses = p2o.misses;
         if let Some(queue) = self.sweep.as_ref() {
             snap.sweep_shard_peaks = queue.shard_peaks();
         }

@@ -197,10 +197,11 @@ pub struct StatsSnapshot {
     pub tlb_hits: u64,
     /// Software-TLB misses in the underlying address space.
     pub tlb_misses: u64,
-    /// Per-thread `ptr2obj` cache hits in the metapagetable (filled in by
-    /// `DangSan`'s [`crate::Detector::stats`]).
+    /// Always zero: the metapagetable's `ptr2obj` walk is inline and has
+    /// no per-thread cache to hit. Kept while the `e2ebench` benchmark's
+    /// traced `shadow.p2o_hit_rate` row still reads it.
     pub ptr2obj_cache_hits: u64,
-    /// Per-thread `ptr2obj` cache misses in the metapagetable.
+    /// Always zero, like [`Self::ptr2obj_cache_hits`].
     pub ptr2obj_cache_misses: u64,
     /// See [`Counter::FreeLocsWalked`].
     pub free_locs_walked: u64,
@@ -365,8 +366,6 @@ impl StatsSnapshot {
         self.log_cache_misses = 0;
         self.tlb_hits = 0;
         self.tlb_misses = 0;
-        self.ptr2obj_cache_hits = 0;
-        self.ptr2obj_cache_misses = 0;
         // Sweep scheduling (deferred vs inline, steals) is a placement
         // choice, not behaviour: the invalidation outcome is identical
         // whichever thread runs the sweep.

@@ -194,11 +194,6 @@ impl Heap {
         self.heap_pages.load(Ordering::Relaxed) * PAGE_SIZE
     }
 
-    /// Returns whether `addr` is inside the heap segment.
-    pub fn contains(&self, addr: Addr) -> bool {
-        (HEAP_BASE..HEAP_BASE + HEAP_SIZE).contains(&addr)
-    }
-
     fn carve_pages(&self, pages: u64) -> Result<Addr, AllocError> {
         // CAS rather than fetch_add: an oversized request must fail
         // without advancing the bump pointer, or it would permanently
@@ -581,7 +576,7 @@ mod tests {
     fn malloc_free_roundtrip() {
         let (mem, heap) = setup();
         let a = heap.malloc(100).unwrap();
-        assert!(heap.contains(a.base));
+        assert!((HEAP_BASE..HEAP_BASE + HEAP_SIZE).contains(&a.base));
         assert!(a.usable >= 100);
         mem.write_word(a.base, 42).unwrap();
         let info = heap.free(a.base).unwrap();

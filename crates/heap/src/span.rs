@@ -2,13 +2,13 @@
 //!
 //! A span is a run of whole pages dedicated to one size class. The registry
 //! maps every heap page to its span's metadata through a lock-free
-//! two-level radix, so `free(ptr)` can recover the owning span — and hence
-//! the object's base, stride and liveness bit — without taking a lock.
+//! two-level page directory ([`Dir`]), so `free(ptr)` can recover the
+//! owning span — and hence the object's base, stride and liveness bit —
+//! without taking a lock.
 
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::ptr;
 
-use dangsan_vmem::{Addr, HEAP_BASE, HEAP_SIZE, PAGE_SHIFT};
+use dangsan_vmem::{heap_page, Addr, Dir, Zeroed, DIR_FANOUT, PAGE_SIZE};
 
 /// Metadata of one span. Created when the page heap carves out the span and
 /// kept alive for the lifetime of the `SpanRegistry` (spans are
@@ -95,23 +95,21 @@ impl SpanInfo {
     }
 }
 
-const FANOUT: usize = 1 << 12;
-const L2_COUNT: usize = (HEAP_SIZE >> PAGE_SHIFT) as usize / FANOUT;
-
+/// One registry leaf: the span of each of [`DIR_FANOUT`] heap pages.
 struct Leaf {
-    spans: [AtomicPtr<SpanInfo>; FANOUT],
+    spans: [AtomicPtr<SpanInfo>; DIR_FANOUT],
 }
 
-/// Lock-free map from heap page index to [`SpanInfo`].
+// SAFETY: a leaf is all `AtomicPtr`s, for which zero is null.
+unsafe impl Zeroed for Leaf {}
+
+/// Lock-free map from heap page to [`SpanInfo`].
+///
+/// A span is registered at every page it covers and owned by its first
+/// page's slot, which frees it when the registry drops.
 pub struct SpanRegistry {
-    l1: Box<[AtomicPtr<Leaf>]>,
+    leaves: Box<Dir<Leaf>>,
 }
-
-// SAFETY: interior mutability is exclusively through atomics; `SpanInfo`
-// pointers are installed once and freed only in `Drop` with `&mut self`.
-unsafe impl Send for SpanRegistry {}
-// SAFETY: as above.
-unsafe impl Sync for SpanRegistry {}
 
 impl Default for SpanRegistry {
     fn default() -> Self {
@@ -122,75 +120,31 @@ impl Default for SpanRegistry {
 impl SpanRegistry {
     /// Creates an empty registry covering the whole simulated heap.
     pub fn new() -> Self {
-        let l1 = (0..L2_COUNT)
-            .map(|_| AtomicPtr::new(ptr::null_mut()))
-            .collect();
-        SpanRegistry { l1 }
-    }
-
-    fn page_index(addr: Addr) -> Option<usize> {
-        if !(HEAP_BASE..HEAP_BASE + HEAP_SIZE).contains(&addr) {
-            return None;
-        }
-        Some(((addr - HEAP_BASE) >> PAGE_SHIFT) as usize)
-    }
-
-    fn leaf(&self, l1_idx: usize, create: bool) -> Option<&Leaf> {
-        let slot = &self.l1[l1_idx];
-        let mut cur = slot.load(Ordering::Acquire);
-        if cur.is_null() {
-            if !create {
-                return None;
-            }
-            // SAFETY: a `Leaf` is an array of atomics for which all-zero
-            // (null) is valid; allocation uses the leaf's own layout.
-            let fresh = unsafe {
-                let layout = std::alloc::Layout::new::<Leaf>();
-                let raw = std::alloc::alloc_zeroed(layout) as *mut Leaf;
-                if raw.is_null() {
-                    std::alloc::handle_alloc_error(layout);
-                }
-                raw
-            };
-            match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => cur = fresh,
-                Err(winner) => {
-                    // SAFETY: `fresh` lost the race and was never shared.
-                    unsafe { drop(Box::from_raw(fresh)) };
-                    cur = winner;
-                }
-            }
-        }
-        // SAFETY: non-null leaves are valid and live as long as `self`.
-        Some(unsafe { &*cur })
+        SpanRegistry { leaves: Dir::new() }
     }
 
     /// Registers `span` (an owning pointer) for all of its pages.
     ///
     /// Takes ownership of the box; the registry frees it on drop.
     pub fn insert(&self, span: Box<SpanInfo>) -> &SpanInfo {
+        let (start, pages) = (span.start, span.pages);
         let raw = Box::into_raw(span);
-        // SAFETY: just created from a box; valid for the registry lifetime.
-        let span = unsafe { &*raw };
-        let first = Self::page_index(span.start).expect("span inside heap");
-        for p in first..first + span.pages as usize {
-            let leaf = self.leaf(p / FANOUT, true).expect("created");
-            leaf.spans[p % FANOUT].store(raw, Ordering::Release);
+        for p in 0..pages {
+            let (leaf, slot) = heap_page(start + p * PAGE_SIZE).expect("span inside heap");
+            let leaf = self.leaves.get_or_install(leaf, Leaf::zeroed_box).0;
+            leaf.spans[slot].store(raw, Ordering::Release);
         }
-        span
+        // SAFETY: the registry owns the record from here on and frees it
+        // only when it drops.
+        unsafe { &*raw }
     }
 
     /// Looks up the span covering `addr`, if any.
     pub fn lookup(&self, addr: Addr) -> Option<&SpanInfo> {
-        let p = Self::page_index(addr)?;
-        let leaf = self.leaf(p / FANOUT, false)?;
-        let raw = leaf.spans[p % FANOUT].load(Ordering::Acquire);
-        if raw.is_null() {
-            return None;
-        }
-        // SAFETY: span pointers are never freed while the registry lives.
-        Some(unsafe { &*raw })
+        let (leaf, slot) = heap_page(addr)?;
+        let span = self.leaves.get(leaf)?.spans[slot].load(Ordering::Acquire);
+        // SAFETY: a registered record lives as long as the registry.
+        unsafe { span.as_ref() }
     }
 
     /// Resolves an arbitrary interior pointer to its live object, used by
@@ -205,28 +159,28 @@ impl SpanRegistry {
 
 impl Drop for SpanRegistry {
     fn drop(&mut self) {
-        // Multi-page spans appear in one slot per page; dedup so each
-        // record is freed exactly once.
-        let mut unique = std::collections::HashSet::new();
-        for slot in self.l1.iter() {
-            let leaf = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-            if leaf.is_null() {
+        // Pages are walked top down, so a span is freed at its first page
+        // only after every other page naming it was passed, and no freed
+        // record is read again.
+        for l in (0..DIR_FANOUT).rev() {
+            let Some(leaf) = self.leaves.get(l) else {
                 continue;
-            }
-            // SAFETY: `&mut self` guarantees exclusive access in drop.
-            let leaf = unsafe { Box::from_raw(leaf) };
-            for s in leaf.spans.iter() {
-                let raw = s.swap(ptr::null_mut(), Ordering::AcqRel);
-                if !raw.is_null() {
-                    unique.insert(raw as usize);
+            };
+            for (s, slot) in leaf.spans.iter().enumerate().rev() {
+                let span = slot.load(Ordering::Relaxed);
+                // SAFETY: `&mut self` excludes every reader. A non-null
+                // slot names a record from `insert` whose first page is at
+                // or below this one, so it is not yet freed; it is freed
+                // here, at its first page, exactly once.
+                unsafe {
+                    if span
+                        .as_ref()
+                        .is_some_and(|sp| heap_page(sp.start) == Some((l, s)))
+                    {
+                        drop(Box::from_raw(span));
+                    }
                 }
             }
-        }
-        for raw in unique {
-            // SAFETY: each unique record was created by `Box::into_raw` in
-            // `insert` and is freed exactly once here, under exclusive
-            // access to the registry.
-            unsafe { drop(Box::from_raw(raw as *mut SpanInfo)) };
         }
     }
 }
@@ -234,7 +188,19 @@ impl Drop for SpanRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dangsan_vmem::PAGE_SIZE;
+    use dangsan_vmem::{HEAP_BASE, HEAP_SIZE};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Span records dropped on this thread.
+        static SPANS_DROPPED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    impl Drop for SpanInfo {
+        fn drop(&mut self) {
+            SPANS_DROPPED.with(|n| n.set(n.get() + 1));
+        }
+    }
 
     #[test]
     fn insert_and_lookup_interior_pointers() {
@@ -286,5 +252,22 @@ mod tests {
         assert!(reg.lookup(0x1000).is_none());
         assert!(reg.lookup(HEAP_BASE - 8).is_none());
         assert!(reg.lookup(HEAP_BASE + HEAP_SIZE).is_none());
+    }
+
+    #[test]
+    fn span_straddling_two_leaves_resolves_from_both_and_is_freed_once() {
+        let reg = SpanRegistry::new();
+        let start = HEAP_BASE + (DIR_FANOUT as u64 - 1) * PAGE_SIZE;
+        reg.insert(SpanInfo::new(start, 2, 64, 128, 6, false));
+        assert_ne!(
+            heap_page(start).unwrap().0,
+            heap_page(start + PAGE_SIZE).unwrap().0
+        );
+        for addr in [start + 8, start + PAGE_SIZE + 8] {
+            assert_eq!(reg.lookup(addr).expect("registered").start, start);
+        }
+        let before = SPANS_DROPPED.with(Cell::get);
+        drop(reg);
+        assert_eq!(SPANS_DROPPED.with(Cell::get) - before, 1);
     }
 }

@@ -49,7 +49,7 @@ use std::time::Duration;
 use dangsan::{Config, DangSan, Detector, HookedHeap};
 use dangsan_baselines::{
     DangNull, DangSanLocked, FreeSentry, OracleMode, QuarantineDetector, ShadowOracle, TagDetector,
-    TagScheme, DEFAULT_TAG_BITS, DEFAULT_TAG_KEY,
+    TagScheme,
 };
 use dangsan_heap::{AllocError, Heap};
 use dangsan_vmem::rng::SmallRng;
@@ -898,7 +898,8 @@ pub fn check_program_full(prog: &Program) -> FullReport {
     }
     {
         let (_, heap) = env();
-        let det = QuarantineDetector::new();
+        // A capacity no program reaches: nothing ages out mid-run.
+        let det = QuarantineDetector::new(usize::MAX);
         let run = run_arm(prog, threaded, HookedHeap::new(heap, det), false);
         compare_strict(&mut divs, "quarantine", &run, &lazy, false);
     }
@@ -909,34 +910,18 @@ pub fn check_program_full(prog: &Program) -> FullReport {
         expected_misses: Vec::new(),
         extra_detections: Vec::new(),
     };
-    let tag_arms: [(&'static str, TagScheme); 3] = [
-        (
-            "xtag",
-            TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS,
-            },
-        ),
-        (
-            "implicit-id",
-            TagScheme::ImplicitId {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-        ),
-        (
-            "pa-mac",
-            TagScheme::PaMac {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-        ),
-    ];
-    for (name, scheme) in tag_arms {
+    for scheme in TagScheme::DEFAULTS {
         let (run, det) = run_tag_arm(prog, threaded, scheme);
         let rekeyed = rekey(scheme);
-        compare_tagged(&mut report, name, &run, &eager, &det, &eager_det, || {
-            run_tag_arm(prog, threaded, rekeyed)
-        });
+        compare_tagged(
+            &mut report,
+            scheme.name(),
+            &run,
+            &eager,
+            &det,
+            &eager_det,
+            || run_tag_arm(prog, threaded, rekeyed),
+        );
     }
 
     report
@@ -1164,19 +1149,7 @@ mod tests {
     fn full_width_tagging_arms_trap_the_canonical_uaf() {
         let (prog, eager, oracle) = uaf_prog_and_oracle();
         assert!(matches!(eager.verdicts[0], Err(Trap::UseAfterFree(_))));
-        for scheme in [
-            TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS,
-            },
-            TagScheme::ImplicitId {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-            TagScheme::PaMac {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            },
-        ] {
+        for scheme in TagScheme::DEFAULTS {
             let (run, det) = run_tag_arm(&prog, false, scheme);
             // Bit-identical trap: same phase, same UAF payload as the
             // invalidation sweep produces.

@@ -1,9 +1,8 @@
-//! Batched hit counting for per-thread translation caches.
+//! Batched hit counting for the software TLB.
 //!
-//! The software TLB here and the metapagetable's `ptr2obj` cache both sit
-//! on paths too hot for even a per-thread slab store per hit, and both
-//! count hits the same way: a per-thread countdown, credited to a shared
-//! counter once per batch.
+//! The TLB sits on a path too hot for even a per-thread slab store per
+//! hit, so it counts hits with a per-thread countdown, credited to a
+//! shared counter once per batch.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::cell::Cell;
@@ -13,32 +12,25 @@ use std::cell::Cell;
 /// deterministic amount.
 const HIT_FLUSH_EVERY: u64 = 64;
 
-/// A per-thread hit batch for one cache, owned by the cache's thread
-/// local.
+/// A per-thread hit batch, owned by the TLB's thread local.
 ///
 /// Hit accounting is a countdown, not a tally: the hit path only loads,
 /// decrements and stores `left`, and every `HIT_FLUSH_EVERY`th hit takes
 /// a branch that credits the whole batch to its owner. Checking *which*
 /// owner got each hit on every access (a compare plus a second cell
 /// store) measurably slowed the very paths being counted, so attribution
-/// waits for batch boundaries. The owner is the cache instance that last
-/// missed on this thread, named by a never-reused id. A batch whose owner
-/// is not the instance flushing it — lookups of two live instances
+/// waits for batch boundaries. The owner is the address space that last
+/// missed on this thread, named by its never-reused TLB stamp. A batch
+/// whose owner is not the space flushing it — accesses to two live spaces
 /// interleaved on one thread with no miss in between — is dropped rather
-/// than credited, so a counter is never inflated by an instance that may
+/// than credited, so a counter is never inflated by a space that may
 /// already be gone. In the single-owner steady state the counts are exact.
-pub struct HitCountdown {
+pub(crate) struct HitCountdown {
     /// Hits remaining before the batch flushes; starts (and resets to)
     /// `HIT_FLUSH_EVERY`.
     left: Cell<u64>,
     /// Id of the instance the in-flight batch is credited to.
     owner: Cell<u64>,
-}
-
-impl Default for HitCountdown {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl HitCountdown {

@@ -19,16 +19,19 @@
 //!
 //! The page table is a lock-free three-level radix over the 48-bit canonical
 //! user address space, so concurrent accesses from workload threads and the
-//! detector never contend on a lock.
+//! detector never contend on a lock. Its node, [`Dir`], is the crate's one
+//! page directory: the heap's span registry and the shadow metapagetable
+//! are built on it too.
 
 mod bump;
+mod dir;
 mod hits;
 mod layout;
 pub mod rng;
 mod space;
 
 pub use bump::BumpSegment;
-pub use hits::HitCountdown;
+pub use dir::{heap_page, Dir, Zeroed, DIR_FANOUT};
 pub use layout::{
     canonical, is_canonical_user, page_of, tag_of, untag, with_tag, word_index, Addr, GLOBALS_BASE,
     GLOBALS_SIZE, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SHIFT, PAGE_SIZE, STACKS_BASE,

@@ -1,19 +1,21 @@
 //! The sparse, thread-safe address space.
 //!
 //! Implemented as a three-level radix tree over the 48-bit canonical user
-//! space (12 bits per level, 4 KiB leaf pages). Interior nodes and pages are
-//! installed with compare-and-swap, so all accesses — including page-table
-//! population — are lock-free. This matters for the reproduction: DangSan's
-//! entire point is that pointer tracking adds no locks, so the substrate
+//! space (12 bits per level, 4 KiB leaf pages), built from the crate's
+//! page directory ([`Dir`]): interior nodes and pages are installed with
+//! compare-and-swap, so all accesses — including page-table population —
+//! are lock-free. This matters for the reproduction: DangSan's entire
+//! point is that pointer tracking adds no locks, so the substrate
 //! underneath it must not add any either.
 
-use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::cell::Cell;
 use std::ptr;
 use std::sync::Arc;
 
 use dangsan_trace::{EventCode, Trace, TraceLevel, Tracer};
 
+use crate::dir::{Dir, Zeroed};
 use crate::hits::HitCountdown;
 use crate::layout::{
     is_canonical_user, page_of, word_index, Addr, PAGE_SHIFT, PAGE_SIZE, WORDS_PER_PAGE,
@@ -25,25 +27,8 @@ struct Page {
     words: [AtomicU64; WORDS_PER_PAGE],
 }
 
-impl Page {
-    fn new_zeroed() -> Box<Page> {
-        // A page is 4 KiB of zero bytes; AtomicU64 is repr(transparent) over
-        // u64 so an all-zero allocation is a valid Page.
-        // SAFETY: `Page` consists solely of `AtomicU64`s, for which the
-        // all-zero bit pattern is a valid value, and `alloc_zeroed` returns
-        // memory with the alignment of `Page`.
-        unsafe {
-            let layout = std::alloc::Layout::new::<Page>();
-            let raw = std::alloc::alloc_zeroed(layout) as *mut Page;
-            if raw.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            Box::from_raw(raw)
-        }
-    }
-}
-
-const FANOUT: usize = 1 << 12;
+// SAFETY: a page is all `AtomicU64`s, for which zero is a valid value.
+unsafe impl Zeroed for Page {}
 
 /// Number of entries in the per-thread software TLB (a power of two).
 ///
@@ -109,52 +94,6 @@ pub struct TlbStats {
     pub hits: u64,
     /// Word accesses that walked the radix tree (including faulting ones).
     pub misses: u64,
-}
-
-/// Interior radix node: 4096 child pointers.
-struct Node<C> {
-    children: [AtomicPtr<C>; FANOUT],
-}
-
-impl<C> Node<C> {
-    fn new() -> Box<Node<C>> {
-        // SAFETY: the node is an array of `AtomicPtr`, for which the
-        // all-zero (null) pattern is valid, and the allocation is made with
-        // the node's own layout.
-        unsafe {
-            let layout = std::alloc::Layout::new::<Node<C>>();
-            let raw = std::alloc::alloc_zeroed(layout) as *mut Node<C>;
-            if raw.is_null() {
-                std::alloc::handle_alloc_error(layout);
-            }
-            Box::from_raw(raw)
-        }
-    }
-
-    /// Returns the child at `idx`, installing a new one created by `make`
-    /// if none is present. Lock-free; on a lost race the loser's node is
-    /// freed and the winner's returned.
-    fn get_or_install(&self, idx: usize, make: impl FnOnce() -> *mut C) -> *mut C {
-        let slot = &self.children[idx];
-        let cur = slot.load(Ordering::Acquire);
-        if !cur.is_null() {
-            return cur;
-        }
-        let fresh = make();
-        match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => fresh,
-            Err(winner) => {
-                // SAFETY: `fresh` was just created by `make`, never shared,
-                // and lost the race, so we are its only owner.
-                unsafe { drop(Box::from_raw(fresh)) };
-                winner
-            }
-        }
-    }
-
-    fn get(&self, idx: usize) -> *mut C {
-        self.children[idx].load(Ordering::Acquire)
-    }
 }
 
 /// A page translated once, for batched word operations — the bulk
@@ -264,7 +203,7 @@ impl PageRef<'_> {
 /// assert_eq!(mem.read_word(HEAP_BASE + 8).unwrap(), 0xdead_beef);
 /// ```
 pub struct AddressSpace {
-    root: Box<Node<Node<Node<Page>>>>,
+    root: Box<Dir<Dir<Dir<Page>>>>,
     mapped_pages: AtomicUsize,
     /// This space's current TLB validity stamp (see [`TlbSlot`]): globally
     /// unique, replaced with a fresh one on every `unmap`, so entries
@@ -282,13 +221,6 @@ pub struct AddressSpace {
     trace: Trace,
 }
 
-// SAFETY: all interior mutability is through atomics; raw child pointers are
-// only written via CAS and only freed in `Drop` (when `&mut self` guarantees
-// exclusive access).
-unsafe impl Send for AddressSpace {}
-// SAFETY: as above; shared references only perform atomic operations.
-unsafe impl Sync for AddressSpace {}
-
 impl Default for AddressSpace {
     fn default() -> Self {
         Self::new()
@@ -299,7 +231,7 @@ impl AddressSpace {
     /// Creates an empty address space with nothing mapped.
     pub fn new() -> Self {
         AddressSpace {
-            root: Node::new(),
+            root: Dir::new(),
             mapped_pages: AtomicUsize::new(0),
             tlb_stamp: AtomicU64::new(dangsan_trace::fresh_id()),
             tlb_enabled: AtomicBool::new(true),
@@ -344,27 +276,7 @@ impl AddressSpace {
 
     fn lookup_page(&self, addr: Addr) -> Option<&Page> {
         let (i0, i1, i2) = Self::indices(page_of(addr));
-        let l1 = self.root.get(i0);
-        if l1.is_null() {
-            return None;
-        }
-        // SAFETY: non-null children are valid `Node`s installed by
-        // `get_or_install` and never freed while `self` is alive.
-        let l1 = unsafe { &*l1 };
-        let l2 = l1.get(i1);
-        if l2.is_null() {
-            return None;
-        }
-        // SAFETY: as above.
-        let l2 = unsafe { &*l2 };
-        let page = l2.get(i2);
-        if page.is_null() {
-            return None;
-        }
-        // SAFETY: as above; pages are only freed in `Drop`/`unmap`, and
-        // `unmap` requires the caller to guarantee no concurrent access to
-        // the unmapped range (mirroring real munmap semantics).
-        Some(unsafe { &*page })
+        self.root.get(i0)?.get(i1)?.get(i2)
     }
 
     /// [`Self::lookup_page`] with a per-thread software TLB in front of
@@ -387,7 +299,7 @@ impl AddressSpace {
                 // proves this very space (alive through `&self`) filled
                 // the slot and no `unmap` intervened — the page is still
                 // mapped. The space never frees a page before `Drop`
-                // (`unmap` quarantines), so the pointer is live.
+                // (`unmap` leaks it), so the pointer is live.
                 return Some(unsafe { &*slot.ptr });
             }
             self.tlb_fill(tlb, addr, page_no, idx, stamp)
@@ -455,25 +367,12 @@ impl AddressSpace {
         let (first, last) = range_pages(addr, len)?;
         for p in first..=last {
             let (i0, i1, i2) = Self::indices(p);
-            let l1 = self.root.get_or_install(i0, || Box::into_raw(Node::new()));
-            // SAFETY: `get_or_install` returns a valid node owned by the tree.
-            let l1 = unsafe { &*l1 };
-            let l2 = l1.get_or_install(i1, || Box::into_raw(Node::new()));
-            // SAFETY: as above.
-            let l2 = unsafe { &*l2 };
-            let slot = &l2.children[i2];
-            let fresh = Box::into_raw(Page::new_zeroed());
-            match slot.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    self.mapped_pages.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    // SAFETY: `fresh` lost the race and was never shared.
-                    unsafe { drop(Box::from_raw(fresh)) };
-                    return Err(MapError::AlreadyMapped(p << PAGE_SHIFT));
-                }
+            let l1 = self.root.get_or_install(i0, Dir::new).0;
+            let l2 = l1.get_or_install(i1, Dir::new).0;
+            if !l2.get_or_install(i2, Page::zeroed_box).1 {
+                return Err(MapError::AlreadyMapped(p << PAGE_SHIFT));
             }
+            self.mapped_pages.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -483,8 +382,8 @@ impl AddressSpace {
     ///
     /// Like real `munmap`, racing an unmap against accesses to the same
     /// range is a program bug; here it is memory-safe (accesses fault or
-    /// succeed) because pages are retired to a quarantine list rather than
-    /// freed immediately.
+    /// succeed) because unmapped pages are leaked ([`Dir::leak`]), not
+    /// freed.
     pub fn unmap(&self, addr: Addr, len: u64) -> Result<(), MapError> {
         let (first, last) = range_pages(addr, len)?;
         // Invalidate every thread's cached translations for this space
@@ -495,27 +394,16 @@ impl AddressSpace {
             .store(dangsan_trace::fresh_id(), Ordering::Release);
         for p in first..=last {
             let (i0, i1, i2) = Self::indices(p);
-            let l1 = self.root.get(i0);
-            if l1.is_null() {
-                return Err(MapError::NotMapped(p << PAGE_SHIFT));
-            }
-            // SAFETY: non-null children are valid nodes owned by the tree.
-            let l1 = unsafe { &*l1 };
-            let l2 = l1.get(i1);
-            if l2.is_null() {
-                return Err(MapError::NotMapped(p << PAGE_SHIFT));
-            }
-            // SAFETY: as above.
-            let l2 = unsafe { &*l2 };
-            let old = l2.children[i2].swap(ptr::null_mut(), Ordering::AcqRel);
-            if old.is_null() {
-                return Err(MapError::NotMapped(p << PAGE_SHIFT));
-            }
             // Leak the page instead of freeing it: a concurrent reader that
-            // resolved the pointer just before the swap may still touch it.
-            // The simulation never unmaps enough pages for this to matter,
-            // and it exactly reproduces the "stale TLB entry" window real
-            // hardware has. The count still goes down for accounting.
+            // resolved the pointer just before the detach may still touch
+            // it. The simulation never unmaps enough pages for this to
+            // matter, and it exactly reproduces the "stale TLB entry"
+            // window real hardware has. The count still goes down for
+            // accounting.
+            let l2 = self.root.get(i0).and_then(|l1| l1.get(i1));
+            if !l2.is_some_and(|l2| l2.leak(i2)) {
+                return Err(MapError::NotMapped(p << PAGE_SHIFT));
+            }
             self.mapped_pages.fetch_sub(1, Ordering::Relaxed);
         }
         Ok(())
@@ -637,35 +525,6 @@ impl AddressSpace {
             i += span;
         }
         Ok(())
-    }
-}
-
-impl Drop for AddressSpace {
-    fn drop(&mut self) {
-        for c0 in self.root.children.iter() {
-            let l1 = c0.swap(ptr::null_mut(), Ordering::AcqRel);
-            if l1.is_null() {
-                continue;
-            }
-            // SAFETY: `&mut self` in `drop` guarantees exclusive access, so
-            // every non-null child pointer is uniquely owned here.
-            let l1 = unsafe { Box::from_raw(l1) };
-            for c1 in l1.children.iter() {
-                let l2 = c1.swap(ptr::null_mut(), Ordering::AcqRel);
-                if l2.is_null() {
-                    continue;
-                }
-                // SAFETY: as above.
-                let l2 = unsafe { Box::from_raw(l2) };
-                for c2 in l2.children.iter() {
-                    let page = c2.swap(ptr::null_mut(), Ordering::AcqRel);
-                    if !page.is_null() {
-                        // SAFETY: as above.
-                        unsafe { drop(Box::from_raw(page)) };
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -848,7 +707,7 @@ mod tests {
         mem.unmap(HEAP_BASE, PAGE_SIZE).unwrap();
         mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
         // The new page starts zeroed; a stale translation would still see
-        // 0xAA in the quarantined old page.
+        // 0xAA in the leaked old page.
         assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 0);
         mem.write_word(HEAP_BASE, 0xBB).unwrap();
         assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 0xBB);

@@ -33,9 +33,7 @@ impl DetectorKind {
             DetectorKind::DangSanLocked(_) => "dangsan-locked",
             DetectorKind::DangNull => "dangnull",
             DetectorKind::FreeSentry => "freesentry",
-            DetectorKind::Tagging(TagScheme::XTag { .. }) => "xtag",
-            DetectorKind::Tagging(TagScheme::ImplicitId { .. }) => "implicit-id",
-            DetectorKind::Tagging(TagScheme::PaMac { .. }) => "pa-mac",
+            DetectorKind::Tagging(scheme) => scheme.name(),
         }
     }
 }
@@ -83,22 +81,8 @@ pub fn shared_env(kind: DetectorKind) -> HookedHeap<dyn Detector + Send + Sync> 
 mod tests {
     use super::*;
 
-    use dangsan_baselines::{DEFAULT_TAG_BITS, DEFAULT_TAG_KEY};
-
     fn tagging_kinds() -> [DetectorKind; 3] {
-        [
-            DetectorKind::Tagging(TagScheme::XTag {
-                bits: DEFAULT_TAG_BITS,
-            }),
-            DetectorKind::Tagging(TagScheme::ImplicitId {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            }),
-            DetectorKind::Tagging(TagScheme::PaMac {
-                bits: DEFAULT_TAG_BITS,
-                key: DEFAULT_TAG_KEY,
-            }),
-        ]
+        TagScheme::DEFAULTS.map(DetectorKind::Tagging)
     }
 
     #[test]

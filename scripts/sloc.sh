@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Non-test Rust lines per package and in total: the one rule behind the
-# line counts quoted in CHANGES.md and ROADMAP.md.
+# line counts quoted in CHANGES.md and ROADMAP.md. Next to each count, the
+# package's non-test `unsafe` blocks by the same rule: each `unsafe {` on
+# a counted line (string literals and trailing comments stripped), so
+# `unsafe impl`, `unsafe trait` and `unsafe fn` items are not blocks.
 #
 # Counted: every `.rs` file under a package's `src/` (binaries included)
 # and the root package's `examples/`. Left out: `tests/` and `benches/`
@@ -17,10 +20,11 @@ root=${1:-"$(dirname "$0")/.."}
 cd "$root"
 
 count() {
-    # Prints the counted lines of the files named on stdin.
+    # Prints the counted lines and unsafe blocks of the files named on
+    # stdin.
     local files
     files=$(cat)
-    [[ -z "$files" ]] && { echo 0; return; }
+    [[ -z "$files" ]] && { echo 0 0; return; }
     # shellcheck disable=SC2086
     awk '
         FNR == 1 { skip = 0; block = 0 }
@@ -44,18 +48,25 @@ count() {
             if (t ~ /^#\[cfg\(test\)\]/) { skip = 1; depth = 0; started = 0; next }
             if (t == "" || t ~ /^\/\//) next
             n++
+            code = t
+            gsub(/"([^"\\]|\\.)*"/, "", code)
+            sub(/\/\/.*/, "", code)
+            u += gsub(/unsafe[ \t]*\{/, "", code)
         }
-        END { print n + 0 }
+        END { print n + 0, u + 0 }
     ' $files
 }
 
 total=0
+total_unsafe=0
+printf '%-20s %6s %6s\n' package lines unsafe
 report() {
-    local name=$1 n
+    local name=$1 n u
     shift
-    n=$(find "$@" -name '*.rs' -type f 2>/dev/null | sort | count)
-    printf '%-20s %6d\n' "$name" "$n"
+    read -r n u < <(find "$@" -name '*.rs' -type f 2>/dev/null | sort | count)
+    printf '%-20s %6d %6d\n' "$name" "$n" "$u"
     total=$((total + n))
+    total_unsafe=$((total_unsafe + u))
 }
 
 for dir in crates/*/; do
@@ -63,4 +74,4 @@ for dir in crates/*/; do
 done
 report root src examples
 [[ -d e2ebench/src ]] && report e2ebench e2ebench/src
-printf '%-20s %6d\n' total "$total"
+printf '%-20s %6d %6d\n' total "$total" "$total_unsafe"
