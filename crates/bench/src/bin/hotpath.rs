@@ -1,7 +1,10 @@
-//! Hot-path microbenchmarks: the per-operation cost of the instrumented
-//! store and its supporting walks, with the per-thread caches off
-//! ("before": every access pays the full tree walks) and on ("after":
-//! the software-TLB / last-object / registration-memo fast paths).
+//! Hot-path microbenchmarks: same-run off/on pairs for the free path and
+//! the observability planes. Each row runs a baseline arm ("off") and the
+//! arm under test ("on") interleaved in one process: the inline free walk
+//! against the deferred sweep (`free_many_objs`, `free_while_reg`,
+//! `sweep_total`), and tracing or telemetry on against off (`trace_off`,
+//! `metrics_off`). The file keeps its schema's names for the two arms,
+//! `ops_per_sec_caches_off` and `ops_per_sec_caches_on`.
 //!
 //! Emits `BENCH_hotpath.json`, with the machine's core count, so
 //! subsequent changes have a machine-readable perf trajectory
@@ -54,23 +57,12 @@ fn best_pair(reps: u32, mut bench: impl FnMut(bool) -> Measurement) -> (Measurem
     (off, on)
 }
 
-/// A fresh detector environment with the hot-path caches on or off.
-fn env(caches: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
-    let mem = Arc::new(AddressSpace::new());
-    let heap = Heap::new(Arc::clone(&mem));
-    let det = DangSan::new(
-        Arc::clone(&mem),
-        Config::default().with_hot_path_caches(caches),
-    );
-    (mem, heap, det)
-}
-
-/// [`env()`] plus the deferred sweep on the optimised arm: the "on" side
-/// of the mutator-visible free benchmarks frees into the quarantine
-/// (`Heap::quarantine` + an O(1) `on_free`) and the walks run at the
-/// drain, outside the timed region — the throughput a mutator actually
-/// observes. The caps are unbounded, so no backpressure batch runs in
-/// the timed loop; the drain does every walk the inline arm did,
+/// A fresh detector environment with the deferred sweep on the optimised
+/// arm: the "on" side of the mutator-visible free benchmarks frees into
+/// the quarantine (`Heap::quarantine` + an O(1) `on_free`) and the walks
+/// run at the drain, outside the timed region — the throughput a mutator
+/// actually observes. The caps are unbounded, so no backpressure batch
+/// runs in the timed loop; the drain does every walk the inline arm did,
 /// checked by the stats asserts.
 fn deferred_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
     let mem = Arc::new(AddressSpace::new());
@@ -78,7 +70,6 @@ fn deferred_env(opt: bool) -> (Arc<AddressSpace>, Arc<Heap>, Arc<DangSan>) {
     let det = DangSan::new(
         Arc::clone(&mem),
         Config::default()
-            .with_hot_path_caches(opt)
             .with_deferred_sweep(opt)
             .with_quarantine_caps(u64::MAX, u64::MAX),
     );
@@ -131,7 +122,7 @@ fn lifecycle_loop(rounds: u64, cfg: Config) -> Measurement {
 /// same-run ratio so the 2%-budget gate survives machine noise that
 /// cross-run absolute comparisons do not. The "off" side runs the
 /// [`lifecycle_loop`] with `trace_level=Lifecycles` (every lifecycle
-/// records birth, free and epoch events into a ring); the "on" side runs
+/// records its birth and free events into a ring); the "on" side runs
 /// it with `trace_level=Off`, where each record site is one relaxed load
 /// and an untaken branch. The speedup column is therefore
 /// Off-throughput / traced-throughput: below ~1.0 means disabling
@@ -162,128 +153,9 @@ fn bench_metrics_off(rounds: u64, unmetered: bool) -> Measurement {
     lifecycle_loop(rounds, cfg)
 }
 
-/// `registerptr` repeated-store: the pattern the caches target — a loop
-/// repeatedly storing pointers to one long-lived object into a reused
-/// window of locations (a pointer array being rewritten). 256 distinct
-/// locations push the log past its array tiers into the hash table, the
-/// steady state the paper's hash fallback exists for; from then on every
-/// store is a duplicate, answered by the hash probe (caches off) or the
-/// per-thread registration memo (caches on).
-fn bench_registerptr(iters: u64, caches: bool) -> Measurement {
-    const LOCS: u64 = 256;
-    let (mem, heap, det) = env(caches);
-    let obj = heap.malloc(256).expect("obj");
-    det.on_alloc(&obj);
-    let holder = heap.malloc(LOCS * 8).expect("holder");
-    det.on_alloc(&holder);
-    // Warm-up pass: drive the log into its steady state (hash tier) so the
-    // timed loop measures the repeated-store regime in both configurations.
-    for i in 0..2 * LOCS {
-        let s = i % LOCS;
-        let loc = holder.base + s * 8;
-        let val = obj.base + (s % 32) * 8;
-        mem.write_word(loc, val).expect("store");
-        det.register_ptr(loc, val);
-    }
-    let start = Instant::now();
-    for i in 0..iters {
-        let s = i % LOCS;
-        let loc = holder.base + s * 8;
-        let val = obj.base + (s % 32) * 8;
-        mem.write_word(loc, val).expect("store");
-        det.register_ptr(loc, val);
-    }
-    let t = start.elapsed().as_secs_f64();
-    Measurement {
-        ops_per_sec: iters as f64 / t,
-        ops: iters,
-    }
-}
-
-/// `malloc_free`: the allocator round-trip with detector hooks (span
-/// registration, metadata set/clear, quarantine) — mostly off the cached
-/// fast paths, included to catch regressions the caches could cause.
-fn bench_malloc_free(iters: u64, caches: bool) -> Measurement {
-    let (_mem, heap, det) = env(caches);
-    let start = Instant::now();
-    for _ in 0..iters {
-        let obj = heap.malloc(96).expect("obj");
-        det.on_alloc(&obj);
-        det.on_free(obj.base);
-        heap.free(obj.base).expect("free");
-    }
-    let t = start.elapsed().as_secs_f64();
-    Measurement {
-        ops_per_sec: iters as f64 / t,
-        ops: iters,
-    }
-}
-
-/// `invalidate`: `invalptrs` throughput — walk a log of 64 locations and
-/// CAS each one. The walk's page translation goes through the TLB, so
-/// the caches help here too. Ops are counted in pointers invalidated.
-fn bench_invalidate(rounds: u64, caches: bool) -> Measurement {
-    const PTRS: u64 = 64;
-    let (mem, heap, det) = env(caches);
-    let holder = heap.malloc(PTRS * 8).expect("holder");
-    det.on_alloc(&holder);
-    let start = Instant::now();
-    let mut invalidated = 0u64;
-    for _ in 0..rounds {
-        let obj = heap.malloc(128).expect("obj");
-        det.on_alloc(&obj);
-        for s in 0..PTRS {
-            let loc = holder.base + s * 8;
-            mem.write_word(loc, obj.base).expect("store");
-            det.register_ptr(loc, obj.base);
-        }
-        let r = det.on_free(obj.base);
-        invalidated += r.invalidated;
-        heap.free(obj.base).expect("free");
-    }
-    let t = start.elapsed().as_secs_f64();
-    assert_eq!(invalidated, rounds * PTRS, "invalidation must be complete");
-    Measurement {
-        ops_per_sec: invalidated as f64 / t,
-        ops: invalidated,
-    }
-}
-
-/// `free_many_ptrs`: one object, many pointers — the invalidation walk at
-/// its widest. 1024 distinct locations span two vmem pages, so the walk
-/// pays two translations per free. Off/on toggles the hot-path caches.
-/// Ops are counted in pointers invalidated.
-fn bench_free_many_ptrs(rounds: u64, caches: bool) -> Measurement {
-    const LOCS: u64 = 1024;
-    let (mem, heap, det) = env(caches);
-    let holder = heap.malloc(LOCS * 8).expect("holder");
-    det.on_alloc(&holder);
-    let start = Instant::now();
-    let mut invalidated = 0u64;
-    for _ in 0..rounds {
-        let obj = heap.malloc(256).expect("obj");
-        det.on_alloc(&obj);
-        for s in 0..LOCS {
-            let loc = holder.base + s * 8;
-            let val = obj.base + (s % 16) * 8;
-            mem.write_word(loc, val).expect("store");
-            det.register_ptr(loc, val);
-        }
-        let r = det.on_free(obj.base);
-        invalidated += r.invalidated;
-        heap.free(obj.base).expect("free");
-    }
-    let t = start.elapsed().as_secs_f64();
-    assert_eq!(invalidated, rounds * LOCS, "invalidation must be complete");
-    Measurement {
-        ops_per_sec: invalidated as f64 / t,
-        ops: invalidated,
-    }
-}
-
 /// `free_many_objs`: many objects, one pointer each — the per-free fixed
-/// overhead (epoch retire, scratch round-trip, shadow clear, pool
-/// recycling) with almost no walk to amortise it. The optimised arm
+/// overhead (scratch round-trip, shadow clear, pool recycling) with
+/// almost no walk to amortise it. The optimised arm
 /// frees into the quarantine and the timer stops before the drain, so
 /// the figure is the free latency a mutator observes; the drain then
 /// runs every deferred walk and the stats asserts prove nothing was
@@ -333,12 +205,12 @@ fn bench_free_many_objs(rounds: u64, opt: bool) -> Measurement {
     }
 }
 
-/// `free_while_reg`: frees racing a registering thread — the scenario the
-/// per-object epochs exist for. A background thread keeps storing
-/// pointers to its own long-lived object while the timed thread churns
-/// malloc/register/free; under the old detector-global stamp every free
-/// flushed the registrar's caches, so the two workloads serialised on
-/// cache refills. Ops are the timed thread's frees.
+/// `free_while_reg`: frees racing a registering thread. A background
+/// thread keeps storing pointers to its own long-lived object while the
+/// timed thread churns malloc/register/free, so the free path shares the
+/// detector with a busy registrar. The "on" side frees into the
+/// quarantine, as in [`bench_free_many_objs`]. Ops are the timed
+/// thread's frees.
 fn bench_free_while_registering(rounds: u64, opt: bool) -> Measurement {
     use std::sync::atomic::{AtomicBool, Ordering};
     let (mem, heap, det) = deferred_env(opt);
@@ -430,9 +302,7 @@ fn bench_sweep_total(rounds: u64, deferred: bool) -> Measurement {
     let heap = Heap::new(Arc::clone(&mem));
     let det = DangSan::new(
         Arc::clone(&mem),
-        Config::default()
-            .with_hot_path_caches(true)
-            .with_deferred_sweep(deferred),
+        Config::default().with_deferred_sweep(deferred),
     );
     det.bind_heap(&heap);
     let holder = heap.malloc(OBJS * 8).expect("holder");
@@ -482,10 +352,6 @@ fn main() {
     type Bench = fn(u64, bool) -> Measurement;
     // One row per `HOTPATH_BENCHES` entry, in its order.
     let runs: [(Bench, u64); HOTPATH_BENCHES.len()] = [
-        (bench_registerptr, 400_000 * scale),
-        (bench_malloc_free, 20_000 * scale),
-        (bench_invalidate, 4_000 * scale),
-        (bench_free_many_ptrs, 200 * scale),
         (bench_free_many_objs, 2_000 * scale),
         (bench_free_while_registering, 5_000 * scale),
         (bench_sweep_total, 2_000 * scale),
@@ -507,7 +373,7 @@ fn main() {
         "bench", "off (ops/s)", "on (ops/s)", "speedup"
     );
     for ((name, _), (f, iters)) in HOTPATH_BENCHES.into_iter().zip(runs) {
-        let (off, on) = best_pair(reps, |caches| f(iters, caches));
+        let (off, on) = best_pair(reps, |on| f(iters, on));
         let speedup = on.ops_per_sec / off.ops_per_sec;
         println!(
             "{name:<15} {:>16.0} {:>16.0} {speedup:>7.2}x",

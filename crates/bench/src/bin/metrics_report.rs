@@ -76,8 +76,6 @@ fn main() {
         ("objects_freed".into(), snap.objects_freed),
         ("ptrs_registered".into(), snap.ptrs_registered),
         ("ptrs_invalidated".into(), snap.ptrs_invalidated),
-        ("tlb_hits".into(), snap.tlb_hits),
-        ("tlb_misses".into(), snap.tlb_misses),
         ("frees_deferred".into(), snap.frees_deferred),
         ("sweeps_backpressure".into(), snap.sweeps_backpressure),
         ("sweep_steals".into(), snap.sweep_steals),

@@ -12,7 +12,7 @@ fn main() {
         ("table1", e::table1),
         ("servers", e::servers),
         ("ablations", e::ablations),
-        ("cache_rates", e::cache_rates),
+        ("free_shape", e::free_shape),
     ] {
         eprintln!("[reproduce_all] running {name}...");
         println!("{}", f());

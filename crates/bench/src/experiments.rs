@@ -648,27 +648,17 @@ pub fn ablations() -> String {
     out
 }
 
-/// Hot-path cache effectiveness: hit rates of the per-thread caches
-/// (software TLB, last-object log cache + registration memo) across the
-/// SPEC profiles. The companion to the `hotpath` binary's throughput
-/// numbers — throughput says what the fast paths buy, this says how
-/// often each one actually fires.
-pub fn cache_rates() -> String {
+/// Free-path shape across the SPEC profiles: per free, how many logged
+/// locations the sweep drained, how many pages it translated, what share
+/// of the drained locations were duplicates, and a histogram of walk
+/// widths.
+pub fn free_shape() -> String {
     let scale = spec_scale();
     let mut out = String::new();
     out.push_str(&format!(
-        "== Hot-path cache effectiveness == (DangSan defaults, scale 1/{scale})\n\n"
+        "== Free-path shape == (what each on_free walked; DangSan defaults, scale 1/{scale})\n\n"
     ));
-    let rate = |h: u64, m: u64| -> String {
-        let total = h + m;
-        if total == 0 {
-            "-".into()
-        } else {
-            format!("{:.1}%", 100.0 * h as f64 / total as f64)
-        }
-    };
-    let mut table = Table::new(&["benchmark", "tlb hit", "log-cache hit", "#ptrs"]);
-    let mut free_table = Table::new(&[
+    let mut table = Table::new(&[
         "benchmark",
         "frees",
         "locs/free",
@@ -677,28 +667,11 @@ pub fn cache_rates() -> String {
         "walk hist (0/≤8/≤64/≤512/>512)",
     ]);
     let mut tot = [0u64; 4];
-    let mut ptrs = 0u64;
-    let mut ftot = [0u64; 4];
     let mut htot = [0u64; 5];
     for p in SPEC {
         let pscale = scale.min((p.ptrs / 500_000).max(1));
         let (_, s, _, _) = spec_seconds(DetectorKind::DangSan(Config::default()), p, pscale, 0, 23);
         for (acc, v) in tot.iter_mut().zip([
-            s.tlb_hits,
-            s.tlb_misses,
-            s.log_cache_hits,
-            s.log_cache_misses,
-        ]) {
-            *acc += v;
-        }
-        ptrs += s.ptrs_registered;
-        table.row(vec![
-            p.name.to_string(),
-            rate(s.tlb_hits, s.tlb_misses),
-            rate(s.log_cache_hits, s.log_cache_misses),
-            human(s.ptrs_registered),
-        ]);
-        for (acc, v) in ftot.iter_mut().zip([
             s.objects_freed,
             s.free_locs_walked,
             s.free_pages_touched,
@@ -709,7 +682,7 @@ pub fn cache_rates() -> String {
         for (acc, v) in htot.iter_mut().zip(s.free_locs_hist) {
             *acc += v;
         }
-        free_table.row(free_shape_row(
+        table.row(free_shape_row(
             p.name,
             s.objects_freed,
             s.free_locs_walked,
@@ -718,25 +691,10 @@ pub fn cache_rates() -> String {
             s.free_locs_hist,
         ));
     }
-    table.row(vec![
-        "total".into(),
-        rate(tot[0], tot[1]),
-        rate(tot[2], tot[3]),
-        human(ptrs),
-    ]);
-    free_table.row(free_shape_row(
-        "total", ftot[0], ftot[1], ftot[2], ftot[3], htot,
+    table.row(free_shape_row(
+        "total", tot[0], tot[1], tot[2], tot[3], htot,
     ));
     out.push_str(&table.render());
-    out.push_str(
-        "\nA miss on any layer is benign: the access falls back to the full\n\
-         walk (page tree / metapagetable / log list). Invalidation is\n\
-         per-object: every free retires the object's epoch, so only slots\n\
-         naming that object stop hitting (see DESIGN.md, \"Hot path\n\
-         anatomy\").\n",
-    );
-    out.push_str("\n== Free-path shape == (what each on_free walked)\n\n");
-    out.push_str(&free_table.render());
     out.push_str(
         "\nlocs/free counts every logged location examined (before dedup);\n\
          pages/free counts page translations the batched walk paid; dup\n\

@@ -12,8 +12,7 @@
 //! - each file's `schema` string being its writer's, and a recorded
 //!   `cores` ≥ 1;
 //! - hotpath: every bench's same-run `speedup` present, and ≥ 1.0 for
-//!   the benches whose on/off pair exists to win — the core benches
-//!   (registerptr, malloc_free, invalidate) and the deferred-free
+//!   the benches whose off/on pair exists to win — the deferred-free
 //!   benches (free_many_objs, free_while_reg: the deferred sweep must
 //!   keep mutator-visible free cheaper than the inline walk);
 //! - scaling: the 4t/1t speedup at least the floor keyed on the file's
@@ -39,7 +38,7 @@
 //! hold the current run to floors scaled by the tolerance
 //! `t = 1 − VERIFY_BENCH_TOL/100` (default 20%, t = 0.8):
 //!
-//! - every hotpath bench's speedup now/base ≥ t (same-run on/off ratios,
+//! - every hotpath bench's speedup now/base ≥ t (same-run off/on ratios,
 //!   so machine noise largely cancels);
 //! - `trace_off` and `metrics_off` ≥ 0.98, unscaled: the flight
 //!   recorder's and the telemetry plane's Off modes must stay free;
@@ -135,7 +134,7 @@ const SCALING_4T: [f64; 3] = [1.8, 0.9, 0.7];
 /// The server dangsan/baseline capacity-ratio floors, keyed likewise.
 const SERVER_RPS: [f64; 3] = [0.12, 0.10, 0.08];
 
-/// The gate table: 51 lint gates, then 17 compare gates.
+/// The gate table: 44 lint gates, then 13 compare gates.
 #[rustfmt::skip]
 fn gates() -> Vec<Gate> {
     use {Bench::*, Kind::*, Mode::*};
@@ -313,9 +312,9 @@ mod tests {
             .filter(|g| g.mode == Mode::Lint)
             .collect();
         let per_bench = Bench::ALL.map(|b| lint.iter().filter(|g| g.bench == b).count());
-        assert_eq!(per_bench, [16, 21, 14]);
+        assert_eq!(per_bench, [9, 21, 14]);
         let outcomes = check_all(&base, Some(&base), 20.0);
-        assert_eq!(outcomes.len(), 51 + 17);
+        assert_eq!(outcomes.len(), 44 + 13);
         for o in &outcomes {
             assert!(o.ok, "{}", o.line);
         }
@@ -323,10 +322,10 @@ mod tests {
 
     #[test]
     fn dropped_fields_fail_naming_their_key_path() {
-        // The line-scanning lint read ptr2obj's speedup and implicit-id's
-        // overhead in place of these and passed.
+        // The line-scanning lint read a neighbouring bench's speedup and
+        // implicit-id's overhead in place of these and passed.
         for (bench, path) in [
-            (Bench::Hotpath, "benches.registerptr.speedup"),
+            (Bench::Hotpath, "benches.free_many_objs.speedup"),
             (Bench::Server, "arms.xtag.overhead_vs_baseline"),
         ] {
             let mut base = committed();

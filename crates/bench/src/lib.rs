@@ -13,7 +13,7 @@
 //! | `servers` | §8.2/§8.3 — web-server throughput and memory |
 //! | `effectiveness` | §8.1 — exploit scenarios |
 //! | `ablations` | §4.4/§6 design-choice sweeps |
-//! | `cache_rates` | hot-path cache hit rates across the SPEC profiles |
+//! | `free_shape` | free-path shape (locations, pages, duplicates per free) across the SPEC profiles |
 //! | `reproduce_all` | everything above, in order |
 //! | `bench_gate` | the bench gates ([`gate`]) on the committed `BENCH_*.json` and a current run |
 //!
@@ -40,14 +40,13 @@ pub const SCALING_SCHEMA: &str = "dangsan-scaling-v1";
 pub const SERVER_SCHEMA: &str = "dangsan-server-v1";
 
 /// The hotpath benches, in the order `hotpath` runs and writes them, each
-/// with whether its on/off pair exists to win (the gates hold those
-/// speedups to ≥ 1.0): the core benches and the deferred-free benches
-/// (`free_many_objs`, `free_while_reg`).
+/// with whether its off/on pair exists to win (the gates hold those
+/// speedups to ≥ 1.0): the deferred-free benches (`free_many_objs`,
+/// `free_while_reg`).
 #[rustfmt::skip]
-pub const HOTPATH_BENCHES: [(&str, bool); 9] = [
-    ("registerptr", true), ("malloc_free", true), ("invalidate", true),
-    ("free_many_ptrs", false), ("free_many_objs", true), ("free_while_reg", true),
-    ("sweep_total", false), ("trace_off", false), ("metrics_off", false),
+pub const HOTPATH_BENCHES: [(&str, bool); 5] = [
+    ("free_many_objs", true), ("free_while_reg", true), ("sweep_total", false),
+    ("trace_off", false), ("metrics_off", false),
 ];
 
 /// The DangSan configuration the `scaling` and `server` harnesses

@@ -129,7 +129,7 @@ impl Json {
         }
     }
 
-    /// The value at a dotted key path (`benches.registerptr.speedup`):
+    /// The value at a dotted key path (`benches.trace_off.speedup`):
     /// each key is looked up in the object the previous one named, so a
     /// missing key is an error naming it, never a neighbour's value.
     pub fn at(&self, path: &str) -> Result<&Json, String> {

@@ -37,12 +37,6 @@ pub struct Config {
     /// tracked object at its new location. Closes the realloc-move false
     /// negative at the cost of scanning every copied word.
     pub hook_memcpy: bool,
-    /// Enable the per-thread hot-path caches (software TLB, last-object→log,
-    /// registration memo). Off turns every instrumented store back into the
-    /// full walks — the before/after baseline for the hot-path
-    /// micro-benchmarks. Behaviour is identical either way.
-    /// [`crate::DangSan::new`] applies it to the address space's TLB.
-    pub hot_path_caches: bool,
     /// Serve the allocator's malloc/free from the heap's TLS magazines
     /// (tcmalloc's per-thread caches). Off routes every operation through
     /// the locked central free lists — the "locked allocator" baseline the
@@ -51,15 +45,15 @@ pub struct Config {
     /// [`crate::Detector::bind_heap`] applies it to the heap, so a
     /// `HookedHeap` over the detector runs with it.
     pub thread_cached_heap: bool,
-    /// Defer the free-time invalidation sweep: `on_free` retires the
-    /// object's epoch, detaches its logs, and enqueues a sweep job on the
-    /// sharded quarantine queue, returning after O(1) bookkeeping. No
-    /// thread sweeps in the background: a free that leaves a quarantine
-    /// cap exceeded sweeps one batch on the freeing thread, and
-    /// [`crate::DangSan::drain`] (or detector drop) sweeps the rest. The
-    /// block stays quarantined in the heap (unallocatable) until its
-    /// sweep retires it. Off (the default) keeps the synchronous sweep.
-    /// Counters and reports are exact after a drain either way.
+    /// Defer the free-time invalidation sweep: `on_free` detaches the
+    /// object's logs and enqueues a sweep job on the sharded quarantine
+    /// queue, returning after O(1) bookkeeping. No thread sweeps in the
+    /// background: a free that leaves a quarantine cap exceeded sweeps
+    /// one batch on the freeing thread, and [`crate::DangSan::drain`] (or
+    /// detector drop) sweeps the rest. The block stays quarantined in the
+    /// heap (unallocatable) until its sweep retires it. Off (the default)
+    /// keeps the synchronous sweep. Counters and reports are exact after
+    /// a drain either way.
     pub deferred_sweep: bool,
     /// Quarantine byte cap: once the estimated bytes held by pending
     /// sweep jobs exceed this, the freeing thread sweeps one batch of
@@ -80,7 +74,7 @@ pub struct Config {
     /// Enable the live telemetry plane (DESIGN.md §6): [`crate::DangSan::new`]
     /// creates a pull-based metrics hub and registers the detector's
     /// gauge and counter sources (quarantine levels, sweep-shard depths,
-    /// cache hit rates), and [`crate::Detector::bind_heap`] the heap's.
+    /// metadata bytes), and [`crate::Detector::bind_heap`] the heap's.
     /// The detector starts no thread: a caller that wants a JSONL time
     /// series starts one with [`dangsan_telemetry::MetricsHub::start_sampler`]
     /// at its own cadence.
@@ -99,7 +93,6 @@ impl Default for Config {
             compression: true,
             hash_fallback: true,
             hook_memcpy: false,
-            hot_path_caches: true,
             thread_cached_heap: true,
             deferred_sweep: false,
             quarantine_max_bytes: 64 << 20,
@@ -137,12 +130,6 @@ impl Config {
     /// Returns a copy with the §7 memcpy-hook extension toggled.
     pub fn with_memcpy_hook(mut self, on: bool) -> Self {
         self.hook_memcpy = on;
-        self
-    }
-
-    /// Returns a copy with the hot-path caches toggled.
-    pub fn with_hot_path_caches(mut self, on: bool) -> Self {
-        self.hot_path_caches = on;
         self
     }
 

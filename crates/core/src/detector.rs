@@ -16,7 +16,7 @@ use dangsan_vmem::{Addr, AddressSpace, FaultKind, INVALID_BIT, PAGE_SIZE};
 use crate::api::{Detector, InvalidationReport};
 use crate::config::Config;
 use crate::log::{Overflow, ThreadLog};
-use crate::object::{fresh_epoch, ObjectMeta};
+use crate::object::ObjectMeta;
 use crate::pool::Pool;
 use crate::stats::{Counter, MetadataLedger, Stats, StatsSnapshot};
 use crate::sweep::{FreedObject, LogChain, MetaRef, ObjectSweep, SweepQueue};
@@ -36,132 +36,7 @@ pub use dangsan_trace::current_thread_id;
 /// it across the sweeps themselves). This bounds a free's sweep work.
 const BACKPRESSURE_BATCH: usize = 32;
 
-/// Entries in the per-thread last-object → log cache (power of two).
-///
-/// Programs store runs of pointers into the same few objects (the paper's
-/// locality argument for the lookback window), so even a small cache
-/// removes most log-list walks. Slots are indexed by the *pointer value*
-/// being stored (bits above the typical object alignment), so a hit
-/// resolves value → log directly and the shadow lookup is skipped
-/// altogether; 16 slots tolerate a handful of hot objects plus values
-/// spanning a few 64-byte lines within each.
-const LOG_CACHE_SLOTS: usize = 16;
-
-/// One cached (pointer value → this thread's log) association.
-///
-/// A hit must establish that the stored value points into the same object
-/// lifetime that filled the slot, *without* consulting the metapagetable —
-/// skipping that lookup is the point of the cache. Validation is
-/// three-staged, and the order is load-bearing:
-///
-/// 1. `det_id == self.id` proves the record belongs to the calling
-///    detector's live, type-stable pool — only then may `meta_val` be
-///    dereferenced (a slot left by a since-dropped detector would point
-///    into freed memory).
-/// 2. `meta.in_range(value)` checks the value against the record's
-///    *current* range: the interior-pointer map invariant (§4.4) says a
-///    value inside a live object's range resolves to that object.
-/// 3. The epoch compare (see [`ObjectMeta::epoch`]) proves the record is
-///    still in the lifetime that filled the slot: the range just checked
-///    belongs to the same object, the cached log is still linked into its
-///    list and still tagged with this thread's id.
-///
-/// Epochs are globally never reused and retired at both ends of a
-/// lifetime, so freeing any *other* object costs this slot nothing; the
-/// detector-global flush-on-free this replaces was the main regression in
-/// the free-heavy benchmarks. The residual race — a free on another
-/// thread between the epoch load and the append — is the same benign one
-/// the uncached walk already has: logs are pool-owned type-stable memory,
-/// and the value check at free time discards any entry that landed in a
-/// recycled log.
-#[derive(Clone, Copy)]
-struct LogCacheSlot {
-    /// The filling detector's never-reused id; 0 never issued.
-    det_id: u64,
-    /// The object's packed metadata value (`ObjectMeta::as_meta_value`).
-    meta_val: u64,
-    /// The record's epoch at fill time; 0 is never issued.
-    epoch: u64,
-    /// The calling thread's log for that object.
-    log: *const ThreadLog,
-}
-
-impl LogCacheSlot {
-    const EMPTY: LogCacheSlot = LogCacheSlot {
-        det_id: 0,
-        meta_val: 0,
-        epoch: 0,
-        log: ptr::null(),
-    };
-}
-
-/// The detector's per-thread caches, bundled into one thread-local so the
-/// registration fast path pays a single TLS round trip for both (plus one
-/// for the stats slab — TLS accesses are the dominant fixed cost of the
-/// cached path, so they are rationed).
-struct DetCaches {
-    /// Last-object → log slots (see [`LogCacheSlot`]).
-    log: [Cell<LogCacheSlot>; LOG_CACHE_SLOTS],
-    /// Memoized hash-tier registrations (see [`RegCacheSlot`]).
-    reg: [Cell<RegCacheSlot>; REG_CACHE_SLOTS],
-    /// Whether any memo slot was ever filled on this thread. Workloads
-    /// that never drive a log into its hash tier skip the memo probe on
-    /// this one test instead of a five-field compare per store.
-    reg_used: Cell<bool>,
-}
-
-/// Entries in the per-thread registration memo (power of two).
-///
-/// The memo short-circuits `register_ptr` itself: once a (location, value)
-/// pair has been pushed into the *hash tier* of this thread's log for the
-/// target object, re-registering the identical pair is a guaranteed
-/// duplicate until a free intervenes (hash membership only grows — see
-/// [`ThreadLog::hash_active`]). 256 slots cover a 2 KiB window of
-/// locations being stored to in a loop, the pattern that drives a log into
-/// its hash tier in the first place.
-const REG_CACHE_SLOTS: usize = 256;
-
-/// One memoized (location, value) registration known to be a duplicate.
-///
-/// Validation is two-staged, and the order is load-bearing: the
-/// `det_id` compare must pass *before* `meta_val` is dereferenced — a
-/// matching id proves the record belongs to the calling detector's live,
-/// type-stable pool, whereas a slot left by a since-dropped detector
-/// would point into freed memory. Only then is the record's current
-/// epoch compared against the captured one, proving the memoized hash
-/// membership is from the object's current lifetime.
-#[derive(Clone, Copy)]
-struct RegCacheSlot {
-    /// The filling detector's never-reused id; 0 never issued.
-    det_id: u64,
-    /// The target object's packed metadata value at fill time.
-    meta_val: u64,
-    /// The record's epoch at fill time.
-    epoch: u64,
-    /// The stored-to location.
-    loc: u64,
-    /// The pointer value stored there.
-    value: u64,
-}
-
-impl RegCacheSlot {
-    const EMPTY: RegCacheSlot = RegCacheSlot {
-        det_id: 0,
-        meta_val: 0,
-        epoch: 0,
-        loc: 0,
-        value: 0,
-    };
-}
-
 thread_local! {
-    static DET_CACHES: DetCaches = const {
-        DetCaches {
-            log: [const { Cell::new(LogCacheSlot::EMPTY) }; LOG_CACHE_SLOTS],
-            reg: [const { Cell::new(RegCacheSlot::EMPTY) }; REG_CACHE_SLOTS],
-            reg_used: Cell::new(false),
-        }
-    };
     /// The sweep engine's location buffer, taken and put back by every
     /// [`DangSan::run_object_sweep`] on this thread. It keeps its
     /// capacity, so a steady-state workload reaches its high-water mark
@@ -206,12 +81,6 @@ pub struct DangSan {
     log_pool: Pool<ThreadLog>,
     /// The logs' indirect-block bytes and hash-table pools.
     overflow: Overflow,
-    /// This detector's never-reused id, burned into registration-memo
-    /// slots so a slot is only ever interpreted against the pool that
-    /// filled it (see [`RegCacheSlot`]). Cache *validity* is per object
-    /// lifetime via [`ObjectMeta::epoch`]; nothing detector-global is
-    /// touched on free.
-    id: u64,
     /// The detector's flight-recorder attach point. Holds the level and
     /// (once attached) the tracer; with `Config::trace_level` at `Off`
     /// every record site is a relaxed load + untaken branch.
@@ -236,13 +105,11 @@ pub struct DangSan {
 
 impl DangSan {
     /// Creates a detector for objects in `mem`'s heap segment and applies
-    /// `cfg` to `mem` and the detector's shadow map: the hot-path caches
-    /// to the TLB, the trace level to a tracer shared with both.
-    /// [`Detector::bind_heap`] applies the rest to the heap. Starts no
-    /// thread.
+    /// `cfg`'s trace level to `mem` and the detector's shadow map: one
+    /// tracer shared with both. [`Detector::bind_heap`] applies the rest
+    /// to the heap. Starts no thread.
     pub fn new(mem: Arc<AddressSpace>, cfg: Config) -> Arc<DangSan> {
         let map = MetaPageTable::new();
-        mem.set_tlb_enabled(cfg.hot_path_caches);
         let trace = Trace::new();
         if cfg.trace_level != TraceLevel::Off {
             // One tracer spans the stack: detector, shadow mapper,
@@ -265,7 +132,6 @@ impl DangSan {
             meta_pool: Pool::new(),
             log_pool: Pool::new(),
             overflow: Overflow::default(),
-            id: dangsan_trace::fresh_id(),
             trace,
             sweep,
             heap: Arc::new(Mutex::new(Weak::new())),
@@ -323,8 +189,6 @@ impl DangSan {
         c.counter("objects_freed", snap.objects_freed);
         c.counter("ptrs_registered", snap.ptrs_registered);
         c.counter("ptrs_invalidated", snap.ptrs_invalidated);
-        c.counter("tlb_hits", snap.tlb_hits);
-        c.counter("tlb_misses", snap.tlb_misses);
         c.counter("frees_deferred", snap.frees_deferred);
         c.counter("sweeps_backpressure", snap.sweeps_backpressure);
         c.counter("sweep_steals", snap.sweep_steals);
@@ -409,125 +273,6 @@ impl DangSan {
         }
     }
 
-    /// The fully cached `register_ptr` path.
-    ///
-    /// Consults the per-thread registration memo first: a hit means this
-    /// thread already pushed the identical (location, value) pair into the
-    /// hash tier of its log for the target object, and the epoch match
-    /// proves that object is still in the lifetime that filled the slot —
-    /// its shadow slots still resolve to it, its logs are still attached,
-    /// and hash membership only grows within a lifetime. The uncached walk
-    /// would therefore take the hash tier's duplicate exit, so the walk is
-    /// skipped and only its counter effects are applied.
-    ///
-    /// On a memo miss, the last-object cache replaces the log-list walk.
-    /// An epoch match proves the slot was filled for `meta`'s *current*
-    /// lifetime (epochs are globally never reused, and every lifetime of
-    /// every record gets its own), which implies the fill was made through
-    /// this very detector — `meta` is owned by `self.meta_pool` — and that
-    /// no `on_free` of this object ran since: the cached log is still
-    /// linked into the object's list and still tagged with this thread's
-    /// id. The residual race — a free on another thread between the epoch
-    /// load and the append — is the same benign one the uncached walk
-    /// already has: logs are pool-owned type-stable memory, and the value
-    /// check at free time discards any entry that landed in a recycled
-    /// log.
-    ///
-    /// Everything observable (log contents, invalidation behaviour,
-    /// Table 1 counters) is identical to the uncached
-    /// [`Self::find_or_create_log`] + append.
-    fn register_ptr_cached(&self, loc: Addr, value: u64) {
-        // The caches are reached through a raw pointer fetched by a
-        // closure small enough for `LocalKey::with` to inline. With this
-        // whole body as the closure, `with` stays out of line and every
-        // store pays an indirect call to the thread-local accessor.
-        let caches = DET_CACHES.with(ptr::from_ref);
-        // SAFETY: `DET_CACHES` is const-initialised and needs no
-        // destructor, so its storage lives as long as this thread; the
-        // borrow ends with this call.
-        let caches = unsafe { &*caches };
-        if caches.reg_used.get() {
-            let slot = caches.reg[((loc >> 3) as usize) & (REG_CACHE_SLOTS - 1)].get();
-            let memo_hit = slot.det_id == self.id && slot.loc == loc && slot.value == value && {
-                // SAFETY: the det_id compare just passed, so `meta_val`
-                // names a record in this detector's live, type-stable
-                // pool (see [`RegCacheSlot`] — the order matters).
-                let meta = unsafe { ObjectMeta::from_meta_value(slot.meta_val) };
-                meta.epoch.load(Ordering::Acquire) == slot.epoch
-            };
-            if memo_hit {
-                // Counter effects of the skipped walk: one registration,
-                // one hash-tier duplicate, plus the cache diagnostic.
-                self.stats.bump(&[
-                    Counter::PtrsRegistered,
-                    Counter::DupPtrs,
-                    Counter::LogCacheHits,
-                ]);
-                return;
-            }
-        }
-        // Values pointing into the same 64-byte line of the same
-        // object share a slot; see [`LogCacheSlot`] for why the hit
-        // test below needs no metapagetable lookup.
-        let lidx = ((value >> 6) as usize) & (LOG_CACHE_SLOTS - 1);
-        let lslot = caches.log[lidx].get();
-        let (log, meta_val, epoch) = if lslot.det_id == self.id && {
-            // SAFETY: the det_id compare just passed, so `meta_val`
-            // names a record in this detector's live, type-stable
-            // pool (see [`LogCacheSlot`] — the order matters).
-            let meta = unsafe { ObjectMeta::from_meta_value(lslot.meta_val) };
-            meta.in_range(value) && meta.epoch.load(Ordering::Acquire) == lslot.epoch
-        } {
-            self.stats
-                .bump(&[Counter::PtrsRegistered, Counter::LogCacheHits]);
-            // SAFETY: the validated slot holds this detector's
-            // pool-owned log; see [`LogCacheSlot`].
-            (unsafe { &*lslot.log }, lslot.meta_val, lslot.epoch)
-        } else {
-            let Some(meta) = self.ptr2obj(value) else {
-                return;
-            };
-            // Load the epoch before touching the log: if a free runs
-            // concurrently, every slot filled below captures an
-            // already retired epoch and can never validate —
-            // conservative, never unsafe.
-            let epoch = meta.epoch.load(Ordering::Acquire);
-            let meta_val = meta.as_meta_value();
-            self.stats
-                .bump(&[Counter::PtrsRegistered, Counter::LogCacheMisses]);
-            let log = self.find_or_create_log(meta);
-            caches.log[lidx].set(LogCacheSlot {
-                det_id: self.id,
-                meta_val,
-                epoch,
-                log: log as *const ThreadLog,
-            });
-            (log as &ThreadLog, meta_val, epoch)
-        };
-        log.append(
-            loc,
-            &self.cfg,
-            &self.stats,
-            &self.overflow,
-            &self.trace,
-            epoch,
-        );
-        if log.hash_active() {
-            // `loc` is now a member of the log's hash set, and members
-            // are never removed while the object lives: memoize the
-            // pair so identical re-registrations skip the walk until
-            // the object dies.
-            caches.reg[((loc >> 3) as usize) & (REG_CACHE_SLOTS - 1)].set(RegCacheSlot {
-                det_id: self.id,
-                meta_val,
-                epoch,
-                loc,
-                value,
-            });
-            caches.reg_used.set(true);
-        }
-    }
-
     /// The deferred `on_free` tail: O(1) bookkeeping, no log walk.
     ///
     /// Enqueues the object's sweep: its already-detached log chain (the
@@ -589,18 +334,7 @@ impl DangSan {
         // scratch buffer (no host allocation in steady state), recycling
         // each drained log on the way...
         let mut locs = SWEEP_SCRATCH.try_with(Cell::take).unwrap_or_default();
-        let mut cur = logs.0;
-        while !cur.is_null() {
-            // SAFETY: the chain was detached from its record with a
-            // `swap`, making this sweep its sole owner; logs are
-            // pool-owned type-stable memory.
-            let log = unsafe { &*cur };
-            log.for_each_location(|loc| locs.push(loc));
-            let next = log.next.load(Ordering::Acquire);
-            log.reset(&self.overflow);
-            self.log_pool.recycle(log);
-            cur = next;
-        }
+        self.recycle_chain(logs, |log| log.for_each_location(|loc| locs.push(loc)));
         let walked = locs.len() as u64;
         // ...then collapse duplicates (cross-thread repeats plus
         // same-thread repeats the lookback window missed) so each
@@ -621,10 +355,27 @@ impl DangSan {
         report
     }
 
+    /// Shows each log of a detached chain to `visit`, then resets it and
+    /// returns it to the pool.
+    fn recycle_chain(&self, chain: LogChain, mut visit: impl FnMut(&ThreadLog)) {
+        let mut cur = chain.0;
+        while !cur.is_null() {
+            // SAFETY: the chain was detached from its record with a
+            // `swap`, making the caller its sole owner; logs are
+            // pool-owned type-stable memory.
+            let log = unsafe { &*cur };
+            visit(log);
+            let next = log.next.load(Ordering::Acquire);
+            log.reset(&self.overflow);
+            self.log_pool.recycle(log);
+            cur = next;
+        }
+    }
+
     /// Invalidates a sorted, deduped location slice against `obj`'s
     /// inclusive range, one page run at a time: each run translates its
-    /// page once (TLB-accelerated) and its adjacent slots coalesce into
-    /// one [`dangsan_vmem::PageRef::invalidate_run`] masked CAS loop.
+    /// page once and its adjacent slots coalesce into one
+    /// [`dangsan_vmem::PageRef::invalidate_run`] masked CAS loop.
     /// Each word gets its own CAS, so a pointer the program overwrote
     /// concurrently is never clobbered (§4.4), and only the MSB is set,
     /// so the address stays recoverable and arithmetic on a freed
@@ -702,6 +453,15 @@ impl DangSan {
         // detach to retire this free was the record's sole owner.
         let meta = unsafe { &*obj.meta.0 };
         self.map.clear_object(obj.base, obj.covered);
+        // A store of the freed value between the free's detach and the
+        // clear above resolved to this record and may have hung a fresh
+        // log on it. Its entries are post-free registrations, dropped
+        // like any the detach raced (§4.4), but its logs go back to the
+        // pool: `init` overwrites `head` at the record's next use.
+        if !meta.head.load(Ordering::Acquire).is_null() {
+            let late = meta.head.swap(ptr::null_mut(), Ordering::AcqRel);
+            self.recycle_chain(LogChain(late), |_| {});
+        }
         self.meta_pool.recycle(meta);
         self.release_quarantined(obj.base);
     }
@@ -817,21 +577,6 @@ impl Detector for DangSan {
             self.release_quarantined(base);
             return InvalidationReport::default();
         };
-        // Retire this object's epoch before any of its logs are detached
-        // or recycled: every cache slot keyed on (this record, old epoch)
-        // — on any thread, in any layer — stops matching from here on.
-        // Slots naming *other* objects are untouched, which is the whole
-        // point: a free costs only the object being freed.
-        let obj_id = meta.epoch.load(Ordering::Acquire);
-        let new_epoch = fresh_epoch();
-        meta.epoch.store(new_epoch, Ordering::Release);
-        self.trace.record(
-            TraceLevel::Full,
-            EventCode::EpochRetire,
-            obj_id,
-            new_epoch,
-            0,
-        );
         // Detach the log chain up front: the free owns it from here, and
         // a registration racing the detach is dropped — the
         // §4.4-sanctioned race.
@@ -839,7 +584,7 @@ impl Detector for DangSan {
         let obj = FreedObject {
             base: meta.base.load(Ordering::Acquire),
             end: meta.end.load(Ordering::Acquire),
-            obj_id,
+            obj_id: meta.epoch.load(Ordering::Acquire),
             covered: meta.covered.load(Ordering::Acquire),
             meta: MetaRef(meta),
             charge: None,
@@ -877,9 +622,6 @@ impl Detector for DangSan {
 
     #[inline]
     fn register_ptr(&self, loc: Addr, value: u64) {
-        if self.cfg.hot_path_caches {
-            return self.register_ptr_cached(loc, value);
-        }
         let Some(meta) = self.ptr2obj(value) else {
             return;
         };
@@ -980,9 +722,6 @@ impl Detector for DangSan {
 
     fn stats(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
-        let tlb = self.mem.tlb_stats();
-        snap.tlb_hits = tlb.hits;
-        snap.tlb_misses = tlb.misses;
         if let Some(queue) = self.sweep.as_ref() {
             snap.sweep_shard_peaks = queue.shard_peaks();
         }
@@ -1274,20 +1013,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_log_cache_does_not_survive_free_and_reuse() {
+    fn registrations_after_free_and_reuse_land_in_the_new_lifetime() {
         let (mem, heap, det) = setup();
         let holder = alloc(&heap, &det, &mem, 8 * 4);
-        // Warm the last-object cache with many stores into object A.
+        // Many stores into object A, so A's record carries a log.
         let a = alloc(&heap, &det, &mem, 48);
         for i in 0..16u64 {
             mem.write_word(holder.base + (i % 4) * 8, a.base).unwrap();
             det.register_ptr(holder.base + (i % 4) * 8, a.base);
         }
-        assert!(det.stats().log_cache_hits >= 10, "cache warmed");
         det.on_free(a.base);
         heap.free(a.base).unwrap();
-        // Object B reuses A's slot (and, via the pool, typically A's very
-        // metadata record — the case the generation check exists for).
+        // Object B reuses A's slot and, via the pool, typically A's very
+        // metadata record and log.
         let b = alloc(&heap, &det, &mem, 48);
         assert_eq!(b.base, a.base, "allocator reuses the freed slot");
         mem.write_word(holder.base, b.base).unwrap();
@@ -1300,173 +1038,16 @@ mod tests {
         assert_eq!(
             mem.read_word(holder.base).unwrap(),
             b.base | INVALID_BIT,
-            "pointer to the reused object is invalidated through the cache"
+            "pointer to the reused object is invalidated"
         );
     }
 
     #[test]
-    fn freeing_one_object_keeps_other_objects_caches_warm() {
-        // The point of per-object epochs: freeing A retires only A's
-        // epoch, so cached state for B — filled before the free, on any
-        // thread — keeps validating. Under the old detector-global stamp
-        // the free below flushed everything and the post-free stores all
-        // missed.
-        let (mem, heap, det) = setup();
-        let holder = alloc(&heap, &det, &mem, 8 * 2);
-        let a = alloc(&heap, &det, &mem, 48);
-        let b = alloc(&heap, &det, &mem, 48);
-        // Warm the log cache for both objects.
-        for obj in [a.base, b.base] {
-            for _ in 0..4 {
-                mem.write_word(holder.base, obj).unwrap();
-                det.register_ptr(holder.base, obj);
-            }
-        }
-        let warmed = det.stats();
-        det.on_free(a.base);
-        // Stores into B after A's free must still hit B's cached log.
-        for _ in 0..8 {
-            mem.write_word(holder.base + 8, b.base).unwrap();
-            det.register_ptr(holder.base + 8, b.base);
-        }
-        let after = det.stats();
-        assert_eq!(
-            after.log_cache_misses, warmed.log_cache_misses,
-            "freeing A must not evict B's log-cache slot"
-        );
-        assert_eq!(after.log_cache_hits, warmed.log_cache_hits + 8);
-        // And B's log really did receive the entries: free proves it
-        // (both holder slots point at B by now).
-        let r = det.on_free(b.base);
-        assert_eq!(
-            r.invalidated, 2,
-            "post-free registrations landed in B's log"
-        );
-    }
-
-    #[test]
-    fn freeing_one_object_keeps_another_threads_cache_for_b_valid() {
-        // Cross-thread variant of the acceptance criterion: thread T warms
-        // its per-thread caches for object B, the main thread frees object
-        // A, and T's next burst of stores into B still validates against
-        // its cached slots (epochs are per object, caches are per thread —
-        // neither axis is flushed by an unrelated free).
-        let (mem, heap, det) = setup();
-        let holder = alloc(&heap, &det, &mem, 8 * 2);
-        let a = alloc(&heap, &det, &mem, 48);
-        let b = alloc(&heap, &det, &mem, 48);
-        let (warm_tx, warm_rx) = std::sync::mpsc::channel();
-        let (freed_tx, freed_rx) = std::sync::mpsc::channel();
-        let worker = {
-            let (mem, det) = (Arc::clone(&mem), Arc::clone(&det));
-            let (loc, b_base) = (holder.base, b.base);
-            std::thread::spawn(move || {
-                for _ in 0..4 {
-                    mem.write_word(loc, b_base).unwrap();
-                    det.register_ptr(loc, b_base);
-                }
-                let warmed = det.stats();
-                warm_tx.send(()).unwrap();
-                freed_rx.recv().unwrap();
-                for _ in 0..8 {
-                    mem.write_word(loc, b_base).unwrap();
-                    det.register_ptr(loc, b_base);
-                }
-                let after = det.stats();
-                (warmed, after)
-            })
-        };
-        warm_rx.recv().unwrap();
-        // Main thread registers into A and frees it while T waits.
-        mem.write_word(holder.base + 8, a.base).unwrap();
-        det.register_ptr(holder.base + 8, a.base);
-        let r = det.on_free(a.base);
-        assert_eq!(r.invalidated, 1);
-        freed_tx.send(()).unwrap();
-        let (warmed, after) = worker.join().unwrap();
-        // Stats are detector-global, and the main thread's registration
-        // into A (a cold cache on its own thread: one miss) happened
-        // between the two snapshots — so exactly one miss is expected,
-        // and none of it came from T's post-free stores into B.
-        assert_eq!(
-            after.log_cache_misses,
-            warmed.log_cache_misses + 1,
-            "only the main thread's A registration may miss"
-        );
-        assert_eq!(after.log_cache_hits, warmed.log_cache_hits + 8);
-        let r = det.on_free(b.base);
-        assert_eq!(r.invalidated, 1);
-    }
-
-    #[test]
-    fn caches_do_not_change_reports_or_table1_counters() {
-        // Run the identical sequence with the hot-path caches on and off;
-        // every InvalidationReport and every paper-visible counter must
-        // match exactly.
-        let run = |caches: bool| {
-            let mem = Arc::new(AddressSpace::new());
-            let heap = Heap::new(Arc::clone(&mem));
-            let det = DangSan::new(
-                Arc::clone(&mem),
-                Config::default().with_hot_path_caches(caches),
-            );
-            let holder = heap.malloc(8 * 8).unwrap();
-            det.on_alloc(&holder);
-            let mut reports = Vec::new();
-            for round in 0..10u64 {
-                let obj = heap.malloc(40 + round * 8).unwrap();
-                det.on_alloc(&obj);
-                for s in 0..8u64 {
-                    let loc = holder.base + s * 8;
-                    let val = obj.base + (s % 5) * 8;
-                    mem.write_word(loc, val).unwrap();
-                    det.register_ptr(loc, val);
-                }
-                // Overwrite one slot so a stale entry exists too.
-                mem.write_word(holder.base, 7).unwrap();
-                reports.push(det.on_free(obj.base));
-                heap.free(obj.base).unwrap();
-            }
-            // Only the cache-effectiveness counters themselves may differ.
-            (reports, det.stats().behavioural())
-        };
-        let (rep_on, stats_on) = run(true);
-        let (rep_off, stats_off) = run(false);
-        assert_eq!(rep_on, rep_off, "invalidation reports diverge");
-        assert_eq!(stats_on, stats_off, "Table 1 counters diverge");
-    }
-
-    #[test]
-    fn caches_off_turns_the_tlb_off() {
-        // `hot_path_caches` covers the software TLB: with the caches off
-        // every access walks the page tree, with no toggle on the
-        // address space by hand.
-        let tlb_hits = |caches: bool| {
-            let mem = Arc::new(AddressSpace::new());
-            let heap = Heap::new(Arc::clone(&mem));
-            let det = DangSan::new(
-                Arc::clone(&mem),
-                Config::default().with_hot_path_caches(caches),
-            );
-            let holder = alloc(&heap, &det, &mem, 8 * 8);
-            let obj = alloc(&heap, &det, &mem, 64);
-            for s in 0..8u64 {
-                mem.write_word(holder.base + s * 8, obj.base).unwrap();
-                det.register_ptr(holder.base + s * 8, obj.base);
-            }
-            assert_eq!(det.on_free(obj.base).invalidated, 8);
-            det.stats().tlb_hits
-        };
-        assert!(tlb_hits(true) > 0, "caches on: repeated pages hit");
-        assert_eq!(tlb_hits(false), 0, "caches off: no TLB hits");
-    }
-
-    #[test]
-    fn memoized_registrations_die_with_the_object() {
-        // Drive a log into its hash tier so the registration memo fills,
-        // then free the object and let the allocator hand out the same
-        // base again. The memoized (loc, value) pairs must not swallow
-        // registrations for the new object.
+    fn hash_tier_registrations_die_with_the_object() {
+        // Drive a log into its hash tier, then free the object and let
+        // the allocator hand out the same base again. The (loc, value)
+        // pairs A's table held must not swallow registrations for the
+        // new object.
         let mem = Arc::new(AddressSpace::new());
         let heap = Heap::new(Arc::clone(&mem));
         // Tiny array tiers: the hash activates after a handful of appends.
@@ -1495,7 +1076,7 @@ mod tests {
         heap.free(a.base).unwrap();
         let b = alloc(&heap, &det, &mem, 64);
         assert_eq!(b.base, a.base, "allocator reuses the freed slot");
-        // Identical (loc, value) pairs to the ones memoized for A: they
+        // Identical (loc, value) pairs to the ones A's table held: they
         // must be appended to B's fresh log, not dropped as duplicates.
         for s in 0..32u64 {
             let loc = holder.base + s * 8;
@@ -1503,66 +1084,76 @@ mod tests {
             det.register_ptr(loc, b.base);
         }
         let r = det.on_free(b.base);
-        assert_eq!(r.invalidated, 32, "no registration lost to a stale memo");
+        assert_eq!(r.invalidated, 32, "no registration lost to A's table");
     }
 
     #[test]
-    fn caches_equivalent_in_the_hash_tier_regime() {
-        // Same as `caches_do_not_change_reports_or_table1_counters`, but
-        // with enough distinct locations (> embedded + indirect capacity,
-        // compressed) to push logs into the hash tier, the regime where
-        // the registration memo short-circuits the whole walk.
+    fn hash_tier_lifetimes_invalidate_every_location() {
+        // Enough distinct locations (> embedded + indirect capacity,
+        // compressed) to push each lifetime's log into the hash tier,
+        // then a small object on the recycled log.
         const LOCS: u64 = 300;
-        let run = |caches: bool| {
-            let mem = Arc::new(AddressSpace::new());
-            let heap = Heap::new(Arc::clone(&mem));
-            let det = DangSan::new(
-                Arc::clone(&mem),
-                Config::default().with_hot_path_caches(caches),
-            );
-            let holder = heap.malloc(LOCS * 8).unwrap();
-            det.on_alloc(&holder);
-            let mut reports = Vec::new();
-            for round in 0..3u64 {
-                let obj = heap.malloc(128).unwrap();
-                det.on_alloc(&obj);
-                for pass in 0..4u64 {
-                    for s in 0..LOCS {
-                        let loc = holder.base + s * 8;
-                        let val = obj.base + (s % 16) * 8;
-                        mem.write_word(loc, val).unwrap();
-                        det.register_ptr(loc, val);
-                        let _ = pass;
-                    }
+        let (mem, heap, det) = setup();
+        let holder = alloc(&heap, &det, &mem, LOCS * 8);
+        for round in 0..3u64 {
+            let obj = alloc(&heap, &det, &mem, 128);
+            for _pass in 0..4u64 {
+                for s in 0..LOCS {
+                    let loc = holder.base + s * 8;
+                    let val = obj.base + (s % 16) * 8;
+                    mem.write_word(loc, val).unwrap();
+                    det.register_ptr(loc, val);
                 }
-                reports.push((round, det.on_free(obj.base)));
-                heap.free(obj.base).unwrap();
             }
-            // A small object on the recycled log: its 3 pointers land in
-            // the embedded tier, not the table the last lifetime grew, so
-            // nothing is memoized and both arms must still agree.
-            let obj = heap.malloc(32).unwrap();
-            det.on_alloc(&obj);
-            for s in 0..3u64 {
-                let loc = holder.base + s * 8;
-                mem.write_word(loc, obj.base).unwrap();
-                det.register_ptr(loc, obj.base);
-                det.register_ptr(loc, obj.base);
-            }
-            reports.push((3, det.on_free(obj.base)));
+            let r = det.on_free(obj.base);
+            assert_eq!((r.invalidated, r.stale), (LOCS, 0), "round {round}");
             heap.free(obj.base).unwrap();
-            (reports, det.stats().behavioural())
+        }
+        // Its 3 pointers land in the embedded tier, not the table the
+        // last lifetime grew: every one is found.
+        let obj = alloc(&heap, &det, &mem, 32);
+        for s in 0..3u64 {
+            let loc = holder.base + s * 8;
+            mem.write_word(loc, obj.base).unwrap();
+            det.register_ptr(loc, obj.base);
+            det.register_ptr(loc, obj.base);
+        }
+        let r = det.on_free(obj.base);
+        assert_eq!((r.invalidated, r.stale), (3, 0));
+        heap.free(obj.base).unwrap();
+        // Each of the three large lifetimes reached the hash tier.
+        let s = det.stats();
+        assert_eq!(s.hash_promotions, 3, "{s:?}");
+    }
+
+    #[test]
+    fn post_free_registrations_do_not_strand_logs() {
+        // In deferred mode a freed block's shadow slots still name its
+        // record until the sweep retires it, so a store of the still-raw
+        // value after the free hangs a fresh log on the record. The
+        // retire must hand that log back to the pool: the log bytes stay
+        // at the arm without late stores, plus at most the late log.
+        let log_bytes = |late: bool| {
+            let cfg = Config::default().with_deferred_sweep(true);
+            let mem = Arc::new(AddressSpace::new());
+            let hh = crate::HookedHeap::new(Heap::new(Arc::clone(&mem)), DangSan::new(mem, cfg));
+            let holders = hh.malloc(16).unwrap();
+            for _ in 0..1000 {
+                let obj = hh.malloc(48).unwrap();
+                hh.store_ptr(holders.base, obj.base).unwrap();
+                hh.free(obj.base).unwrap();
+                if late {
+                    hh.store_ptr(holders.base + 8, obj.base).unwrap();
+                }
+                hh.detector().drain();
+            }
+            hh.detector().metadata_ledger().logs
         };
-        let (rep_on, stats_on) = run(true);
-        let (rep_off, stats_off) = run(false);
-        assert_eq!(rep_on, rep_off, "invalidation reports diverge");
-        assert_eq!(stats_on, stats_off, "Table 1 counters diverge");
-        assert_eq!(rep_on[3].1.invalidated, 3, "{rep_on:?}");
-        // One allocation serves all rounds: reset returns the table to
-        // the detector's table pools, and the next promotion takes it.
+        let (clean, late) = (log_bytes(false), log_bytes(true));
+        assert!(clean > 0);
         assert!(
-            stats_on.hashtables >= 1,
-            "workload must exercise the hash tier: {stats_on:?}"
+            late <= 2 * clean,
+            "late stores stranded logs: {late} B against {clean} B"
         );
     }
 

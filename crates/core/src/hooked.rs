@@ -367,13 +367,12 @@ mod tests {
     }
 
     #[test]
-    fn grown_in_place_realloc_keeps_warm_caches_coherent() {
+    fn grown_in_place_realloc_tracks_the_grown_tail() {
         // malloc(40) carves from the 48-byte class, so growing to
         // `usable` (47) stays in place and widens the object's inclusive
-        // end. The first store warms the per-thread epoch caches for
-        // this object; the post-realloc store into the *grown tail* (a
-        // value in range only after the realloc) rides those warm caches
-        // and must still land in the log — the free masks both.
+        // end. The post-realloc store into the *grown tail* (a value in
+        // range only after the realloc) must land in the same log as the
+        // first store — the free masks both.
         let (_, hh) = setup_dangsan();
         let obj = hh.malloc(40).unwrap();
         assert!(obj.usable > 40, "class stride leaves room to grow");

@@ -525,18 +525,11 @@ impl ThreadLog {
         }
     }
 
-    /// Whether the hash-table tier is active in this lifetime.
-    ///
-    /// Only a lifetime that filled its indirect block activates it
-    /// ([`Self::reset`] leaves the log without a table). Once active, every
-    /// location appended from then on is a member of the hash set, and
-    /// members are never removed while the log belongs to its current
-    /// object — membership only grows until the object is freed. The
-    /// detector's registration memo relies on this monotonicity: a
-    /// location observed in the hash stays a duplicate until a free
-    /// invalidates the memo.
-    #[inline]
-    pub fn hash_active(&self) -> bool {
+    /// Whether the hash-table tier is active in this lifetime. Only a
+    /// lifetime that filled its indirect block activates it
+    /// ([`Self::reset`] leaves the log without a table).
+    #[cfg(test)]
+    fn hash_active(&self) -> bool {
         !self.hash.load(Ordering::Acquire).is_null()
     }
 

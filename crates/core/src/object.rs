@@ -8,19 +8,9 @@ use dangsan_vmem::Addr;
 use crate::log::ThreadLog;
 use crate::pool::PoolItem;
 
-/// Epochs are drawn from this global counter and never reused: every
-/// *lifetime* of every record — in any pool, in any detector — gets a
-/// value no other lifetime ever had. A cache slot keyed on
-/// `(record, epoch)` can therefore only validate during the exact
-/// allocation lifetime that filled it; pool recycling, detector teardown
-/// and address reuse by the host allocator all make the key a mismatch
-/// instead of an ABA hazard.
+/// The source of [`ObjectMeta::epoch`]: one counter for every record in
+/// every detector, so no two lifetimes ever share a value.
 static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// Returns a never-before-issued epoch (see [`ObjectMeta::epoch`]).
-pub fn fresh_epoch() -> u64 {
-    NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Metadata for one tracked heap object: its range plus the head of its
 /// lock-free list of per-thread logs (paper Figure 6).
@@ -38,14 +28,11 @@ pub struct ObjectMeta {
     pub covered: AtomicU64,
     /// Head of the per-thread log list.
     pub head: AtomicPtr<ThreadLog>,
-    /// The record's current lifetime, from [`fresh_epoch`]. Replaced at
-    /// *both* ends of the lifetime — on [`ObjectMeta::init`] and again at
-    /// the start of the detector's free path — so hot-path cache slots
-    /// that captured `(record, epoch)` stop matching the instant the
-    /// object dies, without any cross-object or cross-thread flush. The
-    /// double replacement closes the mid-free window: a slot filled while
-    /// a free is in flight holds the free's epoch, which `init` then
-    /// retires before the record can be reused.
+    /// The record's current lifetime, stamped once by
+    /// [`ObjectMeta::init`] from a process-wide counter that never
+    /// repeats. It is the object's id in the flight recorder (birth, free
+    /// and sweep events), so a forensics pass can tell apart lifetimes
+    /// that shared a base address or a recycled record.
     pub epoch: AtomicU64,
     pool_next: AtomicPtr<ObjectMeta>,
 }
@@ -77,15 +64,10 @@ impl ObjectMeta {
         self.end.store(base + size, Ordering::Release);
         self.covered.store(covered, Ordering::Release);
         self.head.store(ptr::null_mut(), Ordering::Release);
-        self.epoch.store(fresh_epoch(), Ordering::Release);
-    }
-
-    /// Whether `value` points into the object (inclusive end, see `end`).
-    #[inline]
-    pub fn in_range(&self, value: u64) -> bool {
-        let base = self.base.load(Ordering::Acquire);
-        let end = self.end.load(Ordering::Acquire);
-        value >= base && value <= end
+        self.epoch.store(
+            NEXT_EPOCH.fetch_add(1, Ordering::Relaxed),
+            Ordering::Release,
+        );
     }
 
     /// Encodes this record as the `u64` stored in the metapagetable.
@@ -112,16 +94,6 @@ mod tests {
     use super::*;
     use crate::pool::Pool;
     use dangsan_vmem::HEAP_BASE;
-
-    #[test]
-    fn range_check_is_inclusive_of_guard() {
-        let m = ObjectMeta::default();
-        m.init(HEAP_BASE, 24, 32);
-        assert!(m.in_range(HEAP_BASE));
-        assert!(m.in_range(HEAP_BASE + 24), "one past the end is inside");
-        assert!(!m.in_range(HEAP_BASE + 25));
-        assert!(!m.in_range(HEAP_BASE - 1));
-    }
 
     #[test]
     fn meta_value_roundtrip() {

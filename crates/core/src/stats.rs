@@ -54,10 +54,6 @@ pub enum Counter {
     IndirectBlocks,
     /// Log entries that ended up sharing a compressed slot (Figure 8 wins).
     CompressedMerges,
-    /// `registerptr` calls answered by the per-thread caches.
-    LogCacheHits,
-    /// `registerptr` calls that took the uncached walk while caches were on.
-    LogCacheMisses,
     /// Locations drained from all log tiers at free time, duplicates
     /// included (the size of the invalidation walk before dedup).
     FreeLocsWalked,
@@ -188,14 +184,19 @@ pub struct StatsSnapshot {
     pub indirect_blocks: u64,
     /// See [`Counter::CompressedMerges`].
     pub compressed_merges: u64,
-    /// See [`Counter::LogCacheHits`].
+    /// Always zero: `registerptr` walks the object's log list on every
+    /// call, with no per-thread log cache in front. Kept while the
+    /// `e2ebench` benchmark's traced `core.log_cache_hit_rate` row still
+    /// reads it.
     pub log_cache_hits: u64,
-    /// See [`Counter::LogCacheMisses`].
+    /// Always zero, like [`Self::log_cache_hits`].
     pub log_cache_misses: u64,
-    /// Software-TLB hits in the underlying address space (filled in by
-    /// `DangSan`'s [`crate::Detector::stats`]; zero for detectors without one).
+    /// Always zero: every word access walks the address space's page
+    /// directory, with no software TLB in front. Kept while the
+    /// `e2ebench` benchmark's traced `vmem.tlb_hit_rate` row still reads
+    /// it.
     pub tlb_hits: u64,
-    /// Software-TLB misses in the underlying address space.
+    /// Always zero, like [`Self::tlb_hits`].
     pub tlb_misses: u64,
     /// Always zero: the metapagetable's `ptr2obj` walk is inline and has
     /// no per-thread cache to hit. Kept while the `e2ebench` benchmark's
@@ -260,10 +261,8 @@ impl Stats {
             logs_created: n(Counter::LogsCreated),
             indirect_blocks: n(Counter::IndirectBlocks),
             compressed_merges: n(Counter::CompressedMerges),
-            log_cache_hits: n(Counter::LogCacheHits),
-            log_cache_misses: n(Counter::LogCacheMisses),
-            // The memory-layer counters live in the address space and the
-            // metapagetable; detectors that own those fill them in.
+            log_cache_hits: 0,
+            log_cache_misses: 0,
             tlb_hits: 0,
             tlb_misses: 0,
             ptr2obj_cache_hits: 0,
@@ -287,10 +286,9 @@ impl Stats {
     }
 
     /// Increments each of `counters` by one in a single slab access
-    /// (e.g. the cached registration path's registration, duplicate and
-    /// cache hit): an uncontended load + store per counter on a
-    /// thread-private line, where a shared `fetch_add` would bounce a line
-    /// between every counting thread.
+    /// (e.g. a deferred free's free and deferral): an uncontended load +
+    /// store per counter on a thread-private line, where a shared
+    /// `fetch_add` would bounce a line between every counting thread.
     #[inline]
     pub fn bump(&self, counters: &[Counter]) {
         Binding::with(&SLABS, &self.counts, |s, _| {
@@ -353,19 +351,10 @@ impl MetadataLedger {
 }
 
 impl StatsSnapshot {
-    /// Copy with the cache-effectiveness diagnostics zeroed, leaving only
-    /// the behavioural (Table 1) counters.
-    ///
-    /// The hot-path caches are correctness-transparent, but their hit/miss
-    /// *split* depends on where object metadata happens to be allocated
-    /// (the cache slot index hashes the metadata address), so it is not
-    /// stable across detector instances. Tests asserting two detector
+    /// Copy with the sweep-scheduling counters zeroed, leaving only the
+    /// behavioural (Table 1) counters. Tests asserting two detector
     /// histories are behaviourally identical should compare this.
     pub fn behavioural(mut self) -> Self {
-        self.log_cache_hits = 0;
-        self.log_cache_misses = 0;
-        self.tlb_hits = 0;
-        self.tlb_misses = 0;
         // Sweep scheduling (deferred vs inline, steals) is a placement
         // choice, not behaviour: the invalidation outcome is identical
         // whichever thread runs the sweep.

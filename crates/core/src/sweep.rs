@@ -1,13 +1,13 @@
 //! Deferred free sweep: a bounded quarantine behind a sharded work queue.
 //!
-//! With `Config::deferred_sweep` on, `on_free` retires the object's epoch,
-//! detaches its pointer logs, and enqueues an [`ObjectSweep`] here instead
-//! of walking the logs at once. No thread sweeps in the background: a
-//! free that leaves a quarantine cap exceeded sweeps one batch on the
-//! freeing thread, and `drain` (or detector drop) sweeps the rest. The
-//! freed block stays quarantined in the heap — on no free list — until
-//! its sweep retires, so its address range can never be recarved while
-//! stale pointers to it are still being masked.
+//! With `Config::deferred_sweep` on, `on_free` detaches the object's
+//! pointer logs and enqueues an [`ObjectSweep`] here instead of walking
+//! them at once. No thread sweeps in the background: a free that leaves
+//! a quarantine cap exceeded sweeps one batch on the freeing thread, and
+//! `drain` (or detector drop) sweeps the rest. The freed block stays
+//! quarantined in the heap — on no free list — until its sweep retires,
+//! so its address range can never be recarved while stale pointers to it
+//! are still being masked.
 //!
 //! The queue copies `heap::magazine`'s central-list discipline: four
 //! shards, each a mutex around a deque, with a home shard per thread and

@@ -50,7 +50,6 @@ fn random_config(rng: &mut SmallRng) -> Config {
         compression: rng.gen_bool(0.5),
         hash_fallback: rng.gen_bool(0.5),
         indirect_capacity: rng.gen_range(4usize..64),
-        hot_path_caches: rng.gen_bool(0.5),
         ..Config::default()
     }
 }
@@ -58,8 +57,7 @@ fn random_config(rng: &mut SmallRng) -> Config {
 /// Soundness: after any operation sequence, for every freed object, every
 /// slot that still held an in-range pointer to it at free time is
 /// invalidated, and no slot holding a pointer to a *different live* object
-/// is ever corrupted — under every detector configuration, with the
-/// hot-path caches both on and off.
+/// is ever corrupted — under every detector configuration.
 #[test]
 fn invalidation_is_sound_and_precise() {
     for case in 0..CASES {
@@ -146,26 +144,24 @@ fn invalidation_is_sound_and_precise() {
     }
 }
 
-/// Concurrency: per-object epochs must make every per-thread cache slot
-/// die with the object lifetime that filled it. Worker threads register
-/// pointers through the cached hot path while the main thread frees and
+/// Concurrency: a registration belongs to the object lifetime it was made
+/// in. Worker threads register pointers while the main thread frees and
 /// reallocates the *same* heap slot over and over — recycling the same
-/// metadata record and logs through the pools, and re-creating the exact
-/// (location, value) pairs the workers' registration memos captured in the
-/// previous lifetime. A stale slot that validated across lifetimes would
-/// swallow a registration (memo) or append into a recycled log (log
-/// cache); either way the next free's invalidation count comes up short,
-/// which is what this test pins.
+/// metadata record, logs and hash tables through the pools, and
+/// re-creating the exact (location, value) pairs the previous lifetime's
+/// logs held. A registration swallowed as a duplicate of the previous
+/// lifetime's, or appended into a recycled log, makes the next free's
+/// invalidation count come up short, which is what this test pins.
 #[test]
-fn concurrent_free_recycle_never_validates_stale_cache_slots() {
+fn concurrent_free_recycle_never_loses_a_registration() {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
     const WORKERS: usize = 4;
     /// Distinct pointer slots per worker.
     const PER: usize = 16;
-    /// Identical re-registrations, so the memo engages once a log reaches
-    /// its hash tier.
+    /// Identical re-registrations, so they reach the hash tier's
+    /// duplicate check once a log is promoted.
     const PASSES: usize = 3;
     #[cfg(not(feature = "heavy-tests"))]
     const ROUNDS: usize = 40;
@@ -235,7 +231,7 @@ fn concurrent_free_recycle_never_validates_stale_cache_slots() {
             assert_eq!(
                 r.invalidated as usize,
                 WORKERS * PER,
-                "round {round}: a stale cache slot swallowed a registration"
+                "round {round}: a registration was lost"
             );
             heap.free(obj.base).unwrap();
         }

@@ -79,8 +79,8 @@ pub enum TraceLevel {
     /// Record nothing; every record call is one relaxed load + branch.
     #[default]
     Off = 0,
-    /// Object birth/free, epoch retirements and vmem faults — everything
-    /// [`uaf_report`] needs to attribute a trap.
+    /// Object birth/free and vmem faults — everything [`uaf_report`]
+    /// needs to attribute a trap.
     Lifecycles = 1,
     /// Everything: sweep spans, log-tier promotions, shadow remaps,
     /// heap span carving.
@@ -101,9 +101,7 @@ pub enum EventCode {
     /// `b`=[`pack_sweep`] of (locations walked, pages touched),
     /// `c`=duration in nanoseconds.
     FreeSweep = 3,
-    /// A cache-epoch retirement at free start. `a`=retired epoch (the
-    /// object id), `b`=replacement epoch.
-    EpochRetire = 4,
+    // Code 4 is unassigned.
     /// A per-thread log grew a tier. `a`=object id, `b`=tier
     /// (1=indirect block, 2=hash table, 3=chained indirect block,
     /// 4=hash grow), `c`=new capacity in entries.
@@ -136,7 +134,6 @@ impl EventCode {
             1 => EventCode::ObjectAlloc,
             2 => EventCode::ObjectFree,
             3 => EventCode::FreeSweep,
-            4 => EventCode::EpochRetire,
             5 => EventCode::TierPromote,
             6 => EventCode::ShadowSet,
             7 => EventCode::ShadowClear,
@@ -154,7 +151,6 @@ impl EventCode {
             EventCode::ObjectAlloc => "object_alloc",
             EventCode::ObjectFree => "object_free",
             EventCode::FreeSweep => "free_sweep",
-            EventCode::EpochRetire => "epoch_retire",
             EventCode::TierPromote => "tier_promote",
             EventCode::ShadowSet => "shadow_set",
             EventCode::ShadowClear => "shadow_clear",

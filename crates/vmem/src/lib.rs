@@ -25,7 +25,6 @@
 
 mod bump;
 mod dir;
-mod hits;
 mod layout;
 pub mod rng;
 mod space;
@@ -37,7 +36,7 @@ pub use layout::{
     GLOBALS_SIZE, HEAP_BASE, HEAP_SIZE, INVALID_BIT, PAGE_SHIFT, PAGE_SIZE, STACKS_BASE,
     STACKS_SIZE, TAG_BITS, TAG_MASK, TAG_SHIFT, WORDS_PER_PAGE,
 };
-pub use space::{AddressSpace, PageRef, TlbStats};
+pub use space::{AddressSpace, PageRef};
 
 /// The kind of memory fault produced by an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -8,15 +8,12 @@
 //! point is that pointer tracking adds no locks, so the substrate
 //! underneath it must not add any either.
 
-use core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::cell::Cell;
-use std::ptr;
+use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dangsan_trace::{EventCode, Trace, TraceLevel, Tracer};
 
 use crate::dir::{Dir, Zeroed};
-use crate::hits::HitCountdown;
 use crate::layout::{
     is_canonical_user, page_of, word_index, Addr, PAGE_SHIFT, PAGE_SIZE, WORDS_PER_PAGE,
 };
@@ -30,81 +27,14 @@ struct Page {
 // SAFETY: a page is all `AtomicU64`s, for which zero is a valid value.
 unsafe impl Zeroed for Page {}
 
-/// Number of entries in the per-thread software TLB (a power of two).
-///
-/// 64 direct-mapped entries cover 256 KiB of working set per thread, which
-/// captures the instrumented-store hot path (the pointer slab, the log
-/// arena and the object being written all live on a handful of pages)
-/// while keeping the whole structure inside two cache lines of metadata.
-const TLB_SLOTS: usize = 64;
-
-/// One direct-mapped TLB entry: (validity stamp, page number) → raw page
-/// pointer.
-///
-/// The stamp fuses the space's identity and its invalidation generation
-/// into one word: stamps are drawn from the never-reused id source
-/// ([`dangsan_trace::fresh_id`]), and a space takes a fresh stamp on every
-/// `unmap`. A slot whose stamp equals the space's *current* stamp was
-/// therefore filled by this very space with no unmap since — one compare
-/// where an (id, generation) pair would need two.
-#[derive(Clone, Copy)]
-struct TlbSlot {
-    /// The filling space's `tlb_stamp` at fill time; 0 is never issued, so
-    /// zeroed slots can never hit.
-    stamp: u64,
-    /// Virtual page number the entry translates.
-    page: u64,
-    /// The translation itself.
-    ptr: *const Page,
-}
-
-impl TlbSlot {
-    const EMPTY: TlbSlot = TlbSlot {
-        stamp: 0,
-        page: 0,
-        ptr: ptr::null(),
-    };
-}
-
-/// Per-thread translation state: the direct-mapped slot array plus a small
-/// batch of hit counts not yet flushed to the owning space's atomic
-/// counter (flushing every hit would put a contended `fetch_add` back on
-/// the path the TLB exists to shorten).
-struct ThreadTlb {
-    slots: [Cell<TlbSlot>; TLB_SLOTS],
-    /// Hits not yet credited, owned by the stamp of the last space that
-    /// took a miss on this thread.
-    hits: HitCountdown,
-}
-
-thread_local! {
-    static TLB: ThreadTlb = const {
-        ThreadTlb {
-            slots: [const { Cell::new(TlbSlot::EMPTY) }; TLB_SLOTS],
-            hits: HitCountdown::new(),
-        }
-    };
-}
-
-/// Hit/miss counters for a space's software TLB (see
-/// [`AddressSpace::tlb_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TlbStats {
-    /// Word accesses resolved from the calling threads' TLBs.
-    pub hits: u64,
-    /// Word accesses that walked the radix tree (including faulting ones).
-    pub misses: u64,
-}
-
 /// A page translated once, for batched word operations — the bulk
 /// counterpart of [`AddressSpace::read_word`]/[`AddressSpace::write_word`],
 /// obtained from [`AddressSpace::with_page`].
 ///
-/// Every access through a `PageRef` skips the page-directory walk (and the
-/// TLB) entirely: the translation was paid once for the whole page — TLB
-/// accelerated, like any other access — which is what makes walking a
-/// free-time pointer log by page cheaper than translating every location
-/// individually.
+/// Every access through a `PageRef` skips the page-directory walk
+/// entirely: the translation was paid once for the whole page, which is
+/// what makes walking a free-time pointer log by page cheaper than
+/// translating every location individually.
 pub struct PageRef<'a> {
     page: &'a Page,
     base: Addr,
@@ -205,16 +135,6 @@ impl PageRef<'_> {
 pub struct AddressSpace {
     root: Box<Dir<Dir<Dir<Page>>>>,
     mapped_pages: AtomicUsize,
-    /// This space's current TLB validity stamp (see [`TlbSlot`]): globally
-    /// unique, replaced with a fresh one on every `unmap`, so entries
-    /// filled before the unmap stop matching — restoring fault-on-access
-    /// semantics without touching other threads' TLBs.
-    tlb_stamp: AtomicU64,
-    /// Runtime kill switch for the TLB, used by the hot-path benchmarks to
-    /// measure the uncached walk on the same binary.
-    tlb_enabled: AtomicBool,
-    tlb_hits: AtomicU64,
-    tlb_misses: AtomicU64,
     /// Flight-recorder attach point; faults are recorded here. Detached
     /// (free) until [`AddressSpace::set_tracer`], and only fault paths
     /// consult it — word-access fast paths never touch it.
@@ -233,10 +153,6 @@ impl AddressSpace {
         AddressSpace {
             root: Dir::new(),
             mapped_pages: AtomicUsize::new(0),
-            tlb_stamp: AtomicU64::new(dangsan_trace::fresh_id()),
-            tlb_enabled: AtomicBool::new(true),
-            tlb_hits: AtomicU64::new(0),
-            tlb_misses: AtomicU64::new(0),
             trace: Trace::new(),
         }
     }
@@ -274,88 +190,12 @@ impl AddressSpace {
         )
     }
 
+    /// The translation every word access and [`Self::with_page`] runs:
+    /// three dependent loads down the page directory, no cache in front.
+    #[inline]
     fn lookup_page(&self, addr: Addr) -> Option<&Page> {
         let (i0, i1, i2) = Self::indices(page_of(addr));
         self.root.get(i0)?.get(i1)?.get(i2)
-    }
-
-    /// [`Self::lookup_page`] with a per-thread software TLB in front of
-    /// the radix walk. This is the translation used by every word access:
-    /// on a hit, the three dependent tree loads collapse into one slot
-    /// compare plus one generation load.
-    #[inline]
-    fn lookup_page_fast(&self, addr: Addr) -> Option<&Page> {
-        if !self.tlb_enabled.load(Ordering::Relaxed) {
-            return self.lookup_page(addr);
-        }
-        let page_no = page_of(addr);
-        let idx = (page_no as usize) & (TLB_SLOTS - 1);
-        TLB.with(|tlb| {
-            let slot = tlb.slots[idx].get();
-            let stamp = self.tlb_stamp.load(Ordering::Acquire);
-            if slot.stamp == stamp && slot.page == page_no {
-                tlb.hits.hit(stamp, &self.tlb_hits);
-                // SAFETY: stamps are never reused, so a matching stamp
-                // proves this very space (alive through `&self`) filled
-                // the slot and no `unmap` intervened — the page is still
-                // mapped. The space never frees a page before `Drop`
-                // (`unmap` leaks it), so the pointer is live.
-                return Some(unsafe { &*slot.ptr });
-            }
-            self.tlb_fill(tlb, addr, page_no, idx, stamp)
-        })
-    }
-
-    /// The TLB miss path: flush the hit batch, count the miss, walk the
-    /// radix tree, and (on success) install the translation. Out of line
-    /// so the hit path above compiles to a compare and a countdown.
-    #[cold]
-    fn tlb_fill(
-        &self,
-        tlb: &ThreadTlb,
-        addr: Addr,
-        page_no: u64,
-        idx: usize,
-        stamp: u64,
-    ) -> Option<&Page> {
-        tlb.hits.restart(stamp, &self.tlb_hits);
-        self.tlb_misses.fetch_add(1, Ordering::Relaxed);
-        let page = self.lookup_page(addr)?;
-        // Negative results are never cached: a later `map` must be
-        // visible immediately. `stamp` was read before the walk, so a
-        // racing unmap at worst stores an entry that can no longer
-        // match.
-        tlb.slots[idx].set(TlbSlot {
-            stamp,
-            page: page_no,
-            ptr: page as *const Page,
-        });
-        Some(page)
-    }
-
-    /// Software-TLB hit/miss counters for this space.
-    ///
-    /// The calling thread's pending hit batch is flushed first, so after a
-    /// single-threaded, single-space workload the numbers are exact; with
-    /// concurrent threads, up to one unflushed batch per other thread may
-    /// be missing, and a batch whose hits straddle several spaces is
-    /// credited entirely to the space that started it (the one that last
-    /// missed on that thread).
-    pub fn tlb_stats(&self) -> TlbStats {
-        let stamp = self.tlb_stamp.load(Ordering::Acquire);
-        TLB.with(|tlb| tlb.hits.flush(stamp, &self.tlb_hits));
-        TlbStats {
-            hits: self.tlb_hits.load(Ordering::Relaxed),
-            misses: self.tlb_misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Enables or disables the software TLB at runtime (it starts
-    /// enabled). Disabling sends every access back through the full radix
-    /// walk; behaviour is identical either way. The detector sets it from
-    /// its `Config::hot_path_caches` when it is created over this space.
-    pub fn set_tlb_enabled(&self, on: bool) {
-        self.tlb_enabled.store(on, Ordering::Relaxed);
     }
 
     /// Maps `len` bytes starting at `addr` (rounded out to page boundaries),
@@ -386,12 +226,6 @@ impl AddressSpace {
     /// freed.
     pub fn unmap(&self, addr: Addr, len: u64) -> Result<(), MapError> {
         let (first, last) = range_pages(addr, len)?;
-        // Invalidate every thread's cached translations for this space
-        // before any page is detached: a fresh stamp makes every existing
-        // slot a mismatch, so no thread that observes it can still reach a
-        // page this call unmaps.
-        self.tlb_stamp
-            .store(dangsan_trace::fresh_id(), Ordering::Release);
         for p in first..=last {
             let (i0, i1, i2) = Self::indices(p);
             // Leak the page instead of freeing it: a concurrent reader that
@@ -430,7 +264,7 @@ impl AddressSpace {
             return Err(self.fault(FaultKind::Unaligned, addr));
         }
         let page = self
-            .lookup_page_fast(addr)
+            .lookup_page(addr)
             .ok_or_else(|| self.fault(FaultKind::Unmapped, addr))?;
         Ok(&page.words[word_index(addr)])
     }
@@ -452,15 +286,15 @@ impl AddressSpace {
     /// [`FaultKind::Unmapped`] — alignment is per word, checked by the
     /// `PageRef` accessors).
     ///
-    /// The translation goes through the software TLB like any word
-    /// access (and counts in its hit rates), once per call: batched
-    /// callers amortise it over every word they touch on the page.
+    /// The translation is the same directory walk a word access runs,
+    /// once per call: batched callers amortise it over every word they
+    /// touch on the page.
     #[inline]
     pub fn with_page(&self, addr: Addr) -> Result<PageRef<'_>, MemFault> {
         if !is_canonical_user(addr) {
             return Err(self.fault(FaultKind::NonCanonical, addr));
         }
-        match self.lookup_page_fast(addr) {
+        match self.lookup_page(addr) {
             Some(page) => Ok(PageRef {
                 page,
                 base: addr & !(PAGE_SIZE - 1),
@@ -673,54 +507,27 @@ mod tests {
     }
 
     #[test]
-    fn tlb_hits_on_repeated_access() {
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        for i in 0..1000u64 {
-            mem.write_word(HEAP_BASE, i).unwrap();
-        }
-        let s = mem.tlb_stats();
-        assert!(s.hits >= 990, "repeated same-page stores should hit: {s:?}");
-        assert!(s.misses >= 1);
-    }
-
-    #[test]
-    fn unmap_then_access_through_warm_tlb_faults() {
-        let mem = AddressSpace::new();
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        // Warm the TLB entry for the page.
-        mem.write_word(HEAP_BASE, 7).unwrap();
-        assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 7);
-        mem.unmap(HEAP_BASE, PAGE_SIZE).unwrap();
-        // The warm entry must not resurrect the unmapped page.
-        assert_eq!(
-            mem.read_word(HEAP_BASE).unwrap_err().kind,
-            FaultKind::Unmapped
-        );
-    }
-
-    #[test]
     fn remap_after_unmap_reaches_fresh_page() {
         let mem = AddressSpace::new();
         mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        mem.write_word(HEAP_BASE, 0xAA).unwrap(); // warm entry, old page
+        mem.write_word(HEAP_BASE, 0xAA).unwrap();
         mem.unmap(HEAP_BASE, PAGE_SIZE).unwrap();
         mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        // The new page starts zeroed; a stale translation would still see
-        // 0xAA in the leaked old page.
+        // The new page starts zeroed; reaching the leaked old page would
+        // still see 0xAA.
         assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 0);
         mem.write_word(HEAP_BASE, 0xBB).unwrap();
         assert_eq!(mem.read_word(HEAP_BASE).unwrap(), 0xBB);
     }
 
     #[test]
-    fn tlb_entries_do_not_leak_across_spaces() {
+    fn pages_do_not_leak_across_spaces() {
         let a = AddressSpace::new();
         let b = AddressSpace::new();
         a.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        a.write_word(HEAP_BASE, 1).unwrap(); // warm A's translation
-                                             // Same thread, same page number, different space: must fault, not
-                                             // hit A's cached page.
+        a.write_word(HEAP_BASE, 1).unwrap();
+        // Same thread, same page number, different space: must fault, not
+        // reach A's page.
         assert_eq!(
             b.read_word(HEAP_BASE).unwrap_err().kind,
             FaultKind::Unmapped
@@ -729,39 +536,6 @@ mod tests {
         b.write_word(HEAP_BASE, 2).unwrap();
         assert_eq!(a.read_word(HEAP_BASE).unwrap(), 1);
         assert_eq!(b.read_word(HEAP_BASE).unwrap(), 2);
-    }
-
-    #[test]
-    fn disabled_tlb_counts_nothing_and_stays_correct() {
-        let mem = AddressSpace::new();
-        mem.set_tlb_enabled(false);
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        for i in 0..100u64 {
-            mem.write_word(HEAP_BASE + (i % 8) * 8, i).unwrap();
-        }
-        let s = mem.tlb_stats();
-        assert_eq!(s, TlbStats::default());
-        // Re-enabling resumes caching without correctness loss.
-        mem.set_tlb_enabled(true);
-        assert_eq!(mem.read_word(HEAP_BASE + 56).unwrap(), 95);
-        assert!(mem.tlb_stats().misses >= 1);
-    }
-
-    #[test]
-    fn tlb_survives_conflict_evictions() {
-        let mem = AddressSpace::new();
-        // Two pages that collide in the direct-mapped array (same index
-        // modulo TLB_SLOTS) keep evicting each other; values must stay
-        // correct throughout.
-        let far = HEAP_BASE + (TLB_SLOTS as u64) * PAGE_SIZE;
-        mem.map(HEAP_BASE, PAGE_SIZE).unwrap();
-        mem.map(far, PAGE_SIZE).unwrap();
-        for i in 0..200u64 {
-            mem.write_word(HEAP_BASE, i).unwrap();
-            mem.write_word(far, i + 1_000_000).unwrap();
-            assert_eq!(mem.read_word(HEAP_BASE).unwrap(), i);
-            assert_eq!(mem.read_word(far).unwrap(), i + 1_000_000);
-        }
     }
 
     #[test]

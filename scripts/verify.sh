@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build/lint/tests, the workspace's rustdoc
 # with warnings denied, the e2ebench benchmark package's lint, every
-# workspace crate's tests (the three substrate crates' a second time in
-# the debug profile), a differential-fuzz slice, the e2ebench
+# workspace crate's tests (the three substrate crates' and the core
+# detector's a second time in the debug profile), a differential-fuzz
+# slice, the e2ebench
 # benchmark's own test and 1-second smoke runs of its two
 # deferred-sweep workloads, the repo-hygiene guard, and the
 # bench gates: `bench_gate` lints the committed BENCH_*.json baselines
@@ -26,7 +27,7 @@
 # tests), a rustdoc warning in the workspace, the e2ebench package's
 # rustfmt check or clippy -D warnings, any
 # workspace crate's tests (tier-1 `cargo test` runs only the root
-# package's) in release or, for vmem, heap and shadow, debug, a fuzz
+# package's) in release or, for vmem, heap, shadow and core, debug, a fuzz
 # divergence, the e2ebench build or test, a
 # failed correctness check in an e2ebench smoke run, a
 # tracked file matching .gitignore (stale artifacts must stay untracked
@@ -62,10 +63,12 @@ echo "== workspace: cargo test --workspace --release -q =="
 cargo test --workspace --release -q
 
 # The lock-free substrate (the page directory and its install races, the
-# span registry, the metapagetable) once more with debug assertions and
-# overflow checks, which the release run above compiles out.
-echo "== substrate: cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow (debug) =="
-cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow
+# span registry, the metapagetable) and the core detector (the log tiers,
+# the pools, the sweep engine: most of the repo's `unsafe`) once more with
+# debug assertions and overflow checks, which the release run above
+# compiles out.
+echo "== debug: cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow -p dangsan =="
+cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow -p dangsan
 
 # The fixed-seed corpus replay and a bounded fixed-seed campaign already
 # ran inside cargo test (tests/fuzz_corpus.rs, instr prop_fuzz_diff); this
