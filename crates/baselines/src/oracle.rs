@@ -42,9 +42,9 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use dangsan::{Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{bind_once, Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::{Allocation, Heap};
 use dangsan_vmem::{Addr, AddressSpace, INVALID_BIT};
 
@@ -86,7 +86,7 @@ struct State {
 pub struct ShadowOracle {
     mem: Arc<AddressSpace>,
     mode: OracleMode,
-    heap: Mutex<Weak<Heap>>,
+    heap: OnceLock<Arc<Heap>>,
     state: Mutex<State>,
     stats: Stats,
     meta_bytes: AtomicU64,
@@ -98,7 +98,7 @@ impl ShadowOracle {
         Arc::new(ShadowOracle {
             mem,
             mode,
-            heap: Mutex::new(Weak::new()),
+            heap: OnceLock::new(),
             state: Mutex::new(State::default()),
             stats: Stats::default(),
             meta_bytes: AtomicU64::new(0),
@@ -177,7 +177,7 @@ impl Detector for ShadowOracle {
             // Unknown base with a deferred heap: requeue or the block
             // leaks in quarantine (mirrors DangSan's untracked-base path).
             if self.mode == OracleMode::Lazy {
-                if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
+                if let Some(heap) = self.heap.get() {
                     heap.requeue_batch(&[base]);
                 }
             }
@@ -245,13 +245,13 @@ impl Detector for ShadowOracle {
             bases.push(*base);
         }
         drop(st);
-        if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
+        if let Some(heap) = self.heap.get() {
             heap.requeue_batch(&bases);
         }
     }
 
     fn bind_heap(&self, heap: &Arc<Heap>) {
-        *self.heap.lock().expect("not poisoned") = Arc::downgrade(heap);
+        bind_once(&self.heap, heap);
     }
 
     fn stats(&self) -> StatsSnapshot {

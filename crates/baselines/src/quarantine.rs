@@ -15,9 +15,9 @@
 //! prevented, deliberate massaging defeats it.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use dangsan::{Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
+use dangsan::{bind_once, Counter, Detector, InvalidationReport, Stats, StatsSnapshot};
 use dangsan_heap::{Allocation, Heap};
 use dangsan_vmem::Addr;
 
@@ -33,7 +33,7 @@ use dangsan_vmem::Addr;
 /// this arm behaves exactly like the "delay reuse, detect nothing" class
 /// the paper's §9 argues against.
 pub struct QuarantineDetector {
-    heap: Mutex<Weak<Heap>>,
+    heap: OnceLock<Arc<Heap>>,
     parked: Mutex<VecDeque<Addr>>,
     capacity: usize,
     stats: Stats,
@@ -44,7 +44,7 @@ impl QuarantineDetector {
     /// the heap arrives via [`Detector::bind_heap`].
     pub fn new(capacity: usize) -> Arc<QuarantineDetector> {
         Arc::new(QuarantineDetector {
-            heap: Mutex::new(Weak::new()),
+            heap: OnceLock::new(),
             parked: Mutex::new(VecDeque::new()),
             capacity,
             stats: Stats::default(),
@@ -57,7 +57,7 @@ impl QuarantineDetector {
         if addrs.is_empty() {
             return;
         }
-        if let Some(heap) = self.heap.lock().expect("not poisoned").upgrade() {
+        if let Some(heap) = self.heap.get() {
             heap.requeue_batch(addrs);
         }
     }
@@ -108,7 +108,7 @@ impl Detector for QuarantineDetector {
     }
 
     fn bind_heap(&self, heap: &Arc<Heap>) {
-        *self.heap.lock().expect("not poisoned") = Arc::downgrade(heap);
+        bind_once(&self.heap, heap);
     }
 
     fn stats(&self) -> StatsSnapshot {

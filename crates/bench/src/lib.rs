@@ -33,7 +33,7 @@ pub mod ir_suite;
 pub mod report;
 
 /// The `schema` string `hotpath` writes into `BENCH_hotpath.json`.
-pub const HOTPATH_SCHEMA: &str = "dangsan-hotpath-v1";
+pub const HOTPATH_SCHEMA: &str = "dangsan-hotpath-v2";
 /// The `schema` string `scaling` writes into `BENCH_scaling.json`.
 pub const SCALING_SCHEMA: &str = "dangsan-scaling-v1";
 /// The `schema` string `server` writes into `BENCH_server.json`.

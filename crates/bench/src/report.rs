@@ -395,7 +395,7 @@ mod tests {
         inner.set("ops_per_sec", Json::Num(1234567.25));
         inner.set("speedup", Json::Num(2.0));
         let mut doc = Json::obj();
-        doc.set("schema", Json::Str("dangsan-hotpath-v1".into()));
+        doc.set("schema", Json::Str("dangsan-hotpath-v2".into()));
         doc.set("quick", Json::Bool(false));
         doc.set("registerptr", inner);
         doc.set("list", Json::Arr(vec![Json::Num(1.0), Json::Num(2.0)]));

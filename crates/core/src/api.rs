@@ -13,7 +13,9 @@
 //! the type system — multithreaded runners require `D: Detector + Send +
 //! Sync`, which a `RefCell`-based detector does not satisfy.
 
-use dangsan_heap::{AllocError, Allocation};
+use std::sync::{Arc, OnceLock};
+
+use dangsan_heap::{AllocError, Allocation, Heap};
 use dangsan_vmem::Addr;
 
 use crate::stats::StatsSnapshot;
@@ -131,7 +133,10 @@ pub trait Detector {
     /// heap: `DangSan` sets `Config::thread_cached_heap` and attaches its
     /// tracer here, and wrappers forward the call. Called once by
     /// `HookedHeap::new`; default: ignore it.
-    fn bind_heap(&self, heap: &std::sync::Arc<dangsan_heap::Heap>) {
+    ///
+    /// A detector binds one heap, once ([`bind_once`]): binding the same
+    /// heap again is a no-op, and binding a different heap panics.
+    fn bind_heap(&self, heap: &Arc<Heap>) {
         let _ = heap;
     }
 
@@ -141,6 +146,21 @@ pub trait Detector {
     /// Host bytes of detector metadata (logs, tables, shadow memory) for
     /// the Figure 11/12 memory-overhead accounting.
     fn metadata_bytes(&self) -> u64;
+}
+
+/// Binds `heap` into a detector's heap slot: `true` on the first bind,
+/// `false` when the slot already holds this heap. Panics when it holds a
+/// different one, since a deferred sweep requeues each quarantined block
+/// into the heap that quarantined it. The slot keeps an `Arc`, which
+/// makes no cycle: no heap references a detector.
+pub fn bind_once(slot: &OnceLock<Arc<Heap>>, heap: &Arc<Heap>) -> bool {
+    let first = slot.set(Arc::clone(heap)).is_ok();
+    let bound = slot.get().expect("set or already full");
+    assert!(
+        Arc::ptr_eq(bound, heap),
+        "a detector binds one heap; a second heap was bound"
+    );
+    first
 }
 
 /// The no-op detector: the uninstrumented baseline configuration.

@@ -1,9 +1,9 @@
 //! The DangSan detector: pointer tracker + pointer logger + invalidation.
 
-use core::sync::atomic::{AtomicBool, Ordering};
+use core::sync::atomic::Ordering;
 use std::cell::Cell;
 use std::ptr;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, OnceLock};
 
 use dangsan_heap::{Allocation, Heap};
 use dangsan_shadow::MetaPageTable;
@@ -13,7 +13,7 @@ use dangsan_trace::{
 };
 use dangsan_vmem::{Addr, AddressSpace, FaultKind, INVALID_BIT, PAGE_SIZE};
 
-use crate::api::{Detector, InvalidationReport};
+use crate::api::{bind_once, Detector, InvalidationReport};
 use crate::config::Config;
 use crate::log::{Overflow, ThreadLog};
 use crate::object::ObjectMeta;
@@ -88,19 +88,15 @@ pub struct DangSan {
     /// The deferred-sweep quarantine queue; `Some` exactly when
     /// `Config::deferred_sweep` is on.
     sweep: Option<SweepQueue>,
-    /// The heap this detector is hooked in front of (set by
-    /// [`Detector::bind_heap`]); a retiring sweep requeues its
-    /// quarantined block here. Shared (`Arc`) with the heap-gauge
-    /// metrics source, so re-binding retargets the gauges too.
-    heap: Arc<Mutex<Weak<Heap>>>,
+    /// The heap this detector is hooked in front of, set once by
+    /// [`Detector::bind_heap`]. A retiring deferred sweep requeues its
+    /// quarantined block here, reading the slot without a lock.
+    heap: OnceLock<Arc<Heap>>,
     /// The telemetry hub; `Some` exactly when `Config::metrics` is on.
     /// Pull-based: sources registered here read the counters the
     /// detector already keeps, so the malloc/store/free paths carry no
     /// metrics sites at all.
     metrics: Option<Arc<MetricsHub>>,
-    /// Whether [`Detector::bind_heap`] already registered the heap
-    /// gauges, so re-binding cannot duplicate them.
-    heap_gauges_bound: AtomicBool,
 }
 
 impl DangSan {
@@ -134,9 +130,8 @@ impl DangSan {
             overflow: Overflow::default(),
             trace,
             sweep,
-            heap: Arc::new(Mutex::new(Weak::new())),
+            heap: OnceLock::new(),
             metrics: cfg.metrics.then(MetricsHub::new),
-            heap_gauges_bound: AtomicBool::new(false),
         });
         if let Some(hub) = &det.metrics {
             // The source holds only a Weak: collection cannot keep a
@@ -286,10 +281,7 @@ impl DangSan {
     /// of the live record) sound.
     fn defer_free(&self, queue: &SweepQueue, sweep: ObjectSweep) -> InvalidationReport {
         let obj_id = sweep.obj.obj_id;
-        // The quarantine charge: the object's checked range is within a
-        // byte of its block size, close enough for backpressure.
-        let bytes = sweep.obj.end.saturating_sub(sweep.obj.base).max(1);
-        let (pending, pending_bytes) = queue.push_object(sweep, bytes);
+        let (pending, pending_bytes) = queue.push_object(sweep);
         self.trace.record(
             TraceLevel::Full,
             EventCode::SweepEnqueue,
@@ -479,8 +471,7 @@ impl DangSan {
         if self.sweep.is_none() {
             return;
         }
-        let heap = self.heap.lock().expect("not poisoned").upgrade();
-        if let Some(heap) = heap {
+        if let Some(heap) = self.heap.get() {
             heap.requeue_batch(&[base]);
         }
     }
@@ -497,14 +488,14 @@ impl DangSan {
             let mut held = queue.hold(queue.pop(SweepQueue::home_shard()));
             if let Some(job) = held.next() {
                 self.run_object_sweep(job, SWEEP_MODE_INLINE);
-                continue;
-            }
-            if queue.pending() == 0 {
+            } else if queue.pending() == 0 {
                 break;
+            } else {
+                // Another thread's backpressure batch still holds jobs
+                // (or a push has counted its job but not queued it yet):
+                // let that thread run, then look again.
+                std::thread::yield_now();
             }
-            // Another thread's backpressure batch is still in flight:
-            // wait for a retire (or for a job to be pushed).
-            queue.wait_for_retire_or_work();
         }
     }
 
@@ -587,7 +578,6 @@ impl Detector for DangSan {
             obj_id: meta.epoch.load(Ordering::Acquire),
             covered: meta.covered.load(Ordering::Acquire),
             meta: MetaRef(meta),
-            charge: None,
         };
         debug_assert_eq!(obj.base, base, "frees resolve to the block base");
         let sweep = ObjectSweep {
@@ -690,7 +680,9 @@ impl Detector for DangSan {
     }
 
     fn bind_heap(&self, heap: &Arc<Heap>) {
-        *self.heap.lock().expect("not poisoned") = Arc::downgrade(heap);
+        if !bind_once(&self.heap, heap) {
+            return;
+        }
         heap.set_thread_cached(self.cfg.thread_cached_heap);
         if let Some(tracer) = self.trace.tracer() {
             heap.set_tracer(tracer);
@@ -698,19 +690,12 @@ impl Detector for DangSan {
         let Some(hub) = &self.metrics else {
             return;
         };
-        // Register the allocator gauges once; re-binding (or binding a
-        // replacement heap) must not duplicate the source. The source
-        // reads the shared `heap` slot rather than capturing this
-        // heap's Weak, so a later re-bind retargets the gauges to the
-        // replacement heap instead of going dark when the original
-        // heap drops.
-        if self.heap_gauges_bound.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let slot = Arc::clone(&self.heap);
+        // The allocator gauges. The source keeps only a Weak: collection
+        // is cold, and a hub that outlives the detector must not keep
+        // the heap alive.
+        let weak = Arc::downgrade(heap);
         hub.register_source(move |c| {
-            let heap = slot.lock().expect("not poisoned").upgrade();
-            if let Some(heap) = heap {
+            if let Some(heap) = weak.upgrade() {
                 c.gauge("heap_resident_bytes", heap.resident_bytes());
                 c.gauge("heap_magazine_blocks", heap.magazine_blocks());
                 for (i, blocks) in heap.central_shard_blocks().iter().enumerate() {
@@ -1204,16 +1189,17 @@ mod tests {
         // charges of its batch: the job that panicked releases its own,
         // and the jobs it never started go back on the queue. Otherwise
         // `pending` stays above zero and every later `drain` (the one in
-        // detector drop too) waits forever. The panic comes from the
-        // heap slot, poisoned here, which `release_quarantined` locks
-        // inside the sweep.
+        // detector drop too) waits forever. The panic comes from a job
+        // queued here whose shadow range was never registered: its
+        // retire's `clear_object` finds no span.
         const OBJS: usize = 5;
         let cfg = Config::default()
             .with_deferred_sweep(true)
-            .with_quarantine_caps(u64::MAX, OBJS as u64 - 1);
+            .with_quarantine_caps(u64::MAX, OBJS as u64);
         let mem = Arc::new(AddressSpace::new());
         let hh = crate::HookedHeap::new(Heap::new(Arc::clone(&mem)), DangSan::new(mem, cfg));
         let det = Arc::clone(hh.detector());
+        let queue = det.sweep.as_ref().expect("deferred mode");
         // One holder slot per object, so each sweep has its own pointer
         // to mask.
         let holders = hh.malloc(8 * OBJS as u64).unwrap().base;
@@ -1221,21 +1207,25 @@ mod tests {
         for (i, obj) in objs.iter().enumerate() {
             hh.store_ptr(holders + i as u64 * 8, *obj).unwrap();
         }
+        let unmapped = dangsan_vmem::GLOBALS_BASE;
+        queue.push_object(ObjectSweep {
+            obj: FreedObject {
+                base: unmapped,
+                end: unmapped + 48,
+                obj_id: 0,
+                covered: 48,
+                meta: MetaRef(det.meta_pool.take()),
+            },
+            logs: LogChain(ptr::null_mut()),
+        });
         for obj in &objs[..OBJS - 1] {
             hh.free(*obj).unwrap();
         }
-        let slot = Arc::clone(&det.heap);
-        let poisoner = std::thread::spawn(move || {
-            let _held = slot.lock().unwrap();
-            panic!("poisons the heap slot");
-        });
-        assert!(poisoner.join().is_err());
         // The last free trips the object cap, and the first sweep of its
-        // batch panics.
+        // batch, the oldest job, panics.
         let last = objs[OBJS - 1];
         let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hh.free(last)));
         assert!(tripped.is_err(), "the sweep did not panic");
-        det.heap.clear_poison();
         // Drain on another thread, so a hang fails the test instead of
         // stalling the suite.
         let (done, finished) = std::sync::mpsc::channel();
@@ -1246,15 +1236,91 @@ mod tests {
                 let _ = done.send(());
             })
         };
-        let pending = || det.sweep.as_ref().expect("deferred mode").pending();
         finished
             .recv_timeout(std::time::Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("drain hung with {} jobs pending", pending()));
+            .unwrap_or_else(|_| panic!("drain hung with {} jobs pending", queue.pending()));
         drainer.join().unwrap();
-        assert_eq!(pending(), 0);
+        assert_eq!(queue.pending(), 0);
         for i in 0..OBJS as u64 {
             let held = hh.load(holders + i * 8).unwrap();
             assert_ne!(held & INVALID_BIT, 0, "holder {i} not masked: {held:#x}");
+        }
+    }
+
+    #[test]
+    fn drains_racing_backpressure_batches_always_finish() {
+        // A drainer calls `drain` in a loop while two mutators free under
+        // a 16-object cap, so drains keep finding the queue empty while a
+        // mutator's backpressure batch still holds jobs. Each such drain
+        // must wait those jobs out and return; none may hang.
+        const MUTATORS: u64 = 2;
+        const ROUNDS: u64 = 5000;
+        let size = |round: u64| 16 + (round % 4) * 16;
+        let cfg = Config::default()
+            .with_deferred_sweep(true)
+            .with_quarantine_caps(u64::MAX, 16);
+        let mem = Arc::new(AddressSpace::new());
+        let hh = crate::HookedHeap::new(Heap::new(Arc::clone(&mem)), DangSan::new(mem, cfg));
+        let det = Arc::clone(hh.detector());
+        let queue = det.sweep.as_ref().expect("deferred mode");
+        let slots = hh.malloc(8 * MUTATORS).unwrap().base;
+        let stop = Arc::new(core::sync::atomic::AtomicBool::new(false));
+        let (done, finished) = std::sync::mpsc::channel();
+        let drainer = {
+            let (det, stop) = (Arc::clone(&det), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut longest = std::time::Duration::ZERO;
+                loop {
+                    let start = std::time::Instant::now();
+                    det.drain();
+                    longest = longest.max(start.elapsed());
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+                let _ = done.send(longest);
+            })
+        };
+        let mutators: Vec<_> = (0..MUTATORS)
+            .map(|t| {
+                let hh = hh.clone();
+                let slot = slots + t * 8;
+                std::thread::spawn(move || {
+                    let mut th = hh.thread_handle();
+                    let mut last = 0;
+                    for round in 0..ROUNDS {
+                        let obj = th.malloc(size(round)).unwrap();
+                        th.store_ptr(slot, obj.base).unwrap();
+                        th.free(obj.base).unwrap();
+                        last = obj.base;
+                    }
+                    last
+                })
+            })
+            .collect();
+        let lasts: Vec<Addr> = mutators.into_iter().map(|h| h.join().unwrap()).collect();
+        stop.store(true, Ordering::Release);
+        let ten_s = std::time::Duration::from_secs(10);
+        let longest = finished
+            .recv_timeout(ten_s)
+            .unwrap_or_else(|_| panic!("a drain hung with {} jobs pending", queue.pending()));
+        drainer.join().unwrap();
+        assert!(longest < ten_s, "a drain took {longest:?}");
+        det.drain();
+        assert_eq!(queue.pending(), 0);
+        for (t, last) in lasts.iter().enumerate() {
+            assert_eq!(
+                hh.load(slots + t as u64 * 8).unwrap(),
+                last | INVALID_BIT,
+                "mutator {t}: last pointer not masked"
+            );
+        }
+        // Every block retired exactly once: twice as many mallocs as
+        // frees, of the same sizes, never see a base twice.
+        let mut bases = std::collections::HashSet::from([slots]);
+        for round in 0..2 * MUTATORS * ROUNDS {
+            let base = hh.malloc(size(round)).unwrap().base;
+            assert!(bases.insert(base), "block {base:#x} handed out twice");
         }
     }
 

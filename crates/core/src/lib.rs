@@ -72,7 +72,7 @@ pub mod pool;
 pub mod stats;
 pub(crate) mod sweep;
 
-pub use api::{Detector, InvalidationReport, NullDetector};
+pub use api::{bind_once, Detector, InvalidationReport, NullDetector};
 pub use config::{Config, EMBEDDED_ENTRIES};
 pub use detector::{current_thread_id, DangSan};
 pub use hooked::{HookedHeap, HookedThread};

@@ -19,7 +19,7 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use dangsan_vmem::Addr;
 
@@ -67,11 +67,16 @@ pub(crate) struct FreedObject {
     pub covered: u64,
     /// The record to clear + recycle when the object retires.
     pub meta: MetaRef,
-    /// Bytes charged to the queue's quarantine accounting by
-    /// [`SweepQueue::push_object`], released by the job's [`Held`] guard
-    /// once its sweep retires; `None` for inline sweeps, which never
-    /// enter the queue.
-    pub charge: Option<u64>,
+}
+
+impl FreedObject {
+    /// Bytes a queued sweep of this object charges to the quarantine
+    /// accounting, from [`SweepQueue::push_object`] until its [`Held`]
+    /// guard settles it. The checked range is within a byte of the block
+    /// size, close enough for backpressure.
+    pub(crate) fn charge(&self) -> u64 {
+        self.end.saturating_sub(self.base).max(1)
+    }
 }
 
 /// One freed object awaiting its invalidation walk.
@@ -110,14 +115,6 @@ pub(crate) struct SweepQueue {
     /// Byte/object caps beyond which a freeing thread sweeps a batch.
     max_bytes: u64,
     max_objects: u64,
-    /// Sleep/wake rendezvous: a `drain` that finds the queue empty while
-    /// another thread's backpressure batch is still in flight waits here
-    /// for a retire or a push, and re-checks both on every wake.
-    sync: Mutex<()>,
-    cv: Condvar,
-    /// Drains currently waiting; enqueue skips the notify syscall when
-    /// nobody is listening (the common case in a free-heavy loop).
-    sleepers: AtomicU64,
 }
 
 impl SweepQueue {
@@ -128,9 +125,6 @@ impl SweepQueue {
             pending_bytes: AtomicU64::new(0),
             max_bytes,
             max_objects,
-            sync: Mutex::new(()),
-            cv: Condvar::new(),
-            sleepers: AtomicU64::new(0),
         }
     }
 
@@ -143,37 +137,20 @@ impl SweepQueue {
         self.shards[i].lock().expect("not poisoned")
     }
 
-    /// Enqueues a fresh object sweep, charging `bytes` to the quarantine
-    /// accounting (recorded in the job, released by its [`Held`] guard
-    /// once the sweep has retired the object). Returns
+    /// Enqueues a fresh object sweep, charging its
+    /// [`FreedObject::charge`] to the quarantine accounting (released by
+    /// its [`Held`] guard once the sweep has retired the object). Returns
     /// `(pending objects, pending bytes)` after the enqueue, for the
     /// trace event and the caller's backpressure check.
-    pub(crate) fn push_object(&self, mut job: ObjectSweep, bytes: u64) -> (u64, u64) {
-        job.obj.charge = Some(bytes);
-        self.shard(Self::home_shard()).push(job);
+    pub(crate) fn push_object(&self, job: ObjectSweep) -> (u64, u64) {
+        let bytes = job.obj.charge();
+        // Count the job before publishing it: once in its shard, another
+        // thread's backpressure batch can steal and retire it, and that
+        // retire must find its charge already added.
         let pending = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
         let pending_bytes = self.pending_bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
-        self.wake();
+        self.shard(Self::home_shard()).push(job);
         (pending, pending_bytes)
-    }
-
-    /// Wakes a waiting `drain` after a push. The sleeper count lets the
-    /// common free-heavy case (nobody draining) skip the notify; the
-    /// SeqCst pairing with the waiters' increment-before-recheck makes
-    /// the skip safe: either this load sees the sleeper (and the notify,
-    /// serialized by `sync`, reaches its wait), or the sleeper's recheck
-    /// sees the push and never sleeps. Without this wake, a drain that
-    /// waits on another thread's in-flight batch would miss a third
-    /// thread's push: `pending` would never return to zero and the drain
-    /// would sleep forever.
-    fn wake(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sync.lock().expect("not poisoned");
-            // One push, one waiter: the woken drain pops and runs the job
-            // itself, so notify_one suffices and skips the thundering
-            // herd a free-heavy loop would trigger.
-            self.cv.notify_one();
-        }
     }
 
     /// Pops up to `max` jobs, draining the calling thread's home shard
@@ -227,14 +204,12 @@ impl SweepQueue {
         }
     }
 
-    /// Retires one object: releases its quarantine charge and wakes any
-    /// `drain` waiting for the count to reach zero.
+    /// Retires one object: releases its quarantine charge.
     fn retire_object(&self, bytes: u64) {
-        self.pending_bytes.fetch_sub(bytes, Ordering::AcqRel);
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.sync.lock().expect("not poisoned");
-            self.cv.notify_all();
-        }
+        let bytes_before = self.pending_bytes.fetch_sub(bytes, Ordering::AcqRel);
+        debug_assert!(bytes_before >= bytes, "pending_bytes fell below zero");
+        let before = self.pending.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(before > 0, "pending fell below zero");
     }
 
     /// Objects enqueued and not yet retired.
@@ -261,31 +236,10 @@ impl SweepQueue {
             || self.pending_bytes.load(Ordering::Acquire) > self.max_bytes
     }
 
-    /// Blocks until either a job is poppable or every pending object has
-    /// retired. Used by `drain` when the queue looks empty but jobs are
-    /// still in flight in another thread's backpressure batch. Returns
-    /// immediately if a job was pushed since the caller's last empty
-    /// `pop`: the sleeper count is raised (SeqCst) *before* the
-    /// emptiness re-check, so any push racing with this wait either sees
-    /// the sleeper in [`SweepQueue::wake`] or happened early enough for
-    /// the re-check to see the job.
-    pub(crate) fn wait_for_retire_or_work(&self) {
-        let g = self.sync.lock().expect("not poisoned");
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.pending() != 0 && self.is_empty() {
-            let _g = self.cv.wait(g).expect("not poisoned");
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
     /// Highest depth each shard ever reached (see [`Shard::peak`]).
     /// One short lock per shard — cold, collection-path only.
     pub(crate) fn shard_peaks(&self) -> [u64; SWEEP_SHARDS] {
         core::array::from_fn(|i| self.shard(i).peak)
-    }
-
-    fn is_empty(&self) -> bool {
-        (0..SWEEP_SHARDS).all(|i| self.shard(i).jobs.is_empty())
     }
 }
 
@@ -295,8 +249,8 @@ impl SweepQueue {
 /// Iterating hands out one job at a time; each call after the first
 /// releases the charge of the job before it, whose sweep has retired by
 /// then. Dropping the guard settles the rest, also while a panic in a
-/// sweep unwinds: jobs not yet started go back on the queue, with a wake,
-/// for a later `drain`, and the job in flight has its charge released.
+/// sweep unwinds: jobs not yet started go back on the queue for a later
+/// `drain`, and the job in flight has its charge released.
 /// That job's block stays quarantined and is never recarved, because its
 /// pointers may still be unmasked. Without the guard the panic would
 /// leak the charges, and every later `drain` (the one in detector drop
@@ -324,7 +278,7 @@ impl<I: Iterator<Item = ObjectSweep>> Iterator for Held<'_, I> {
     fn next(&mut self) -> Option<ObjectSweep> {
         self.settle_in_flight();
         let job = self.jobs.next()?;
-        self.in_flight = job.obj.charge;
+        self.in_flight = Some(job.obj.charge());
         Some(job)
     }
 }
@@ -335,8 +289,6 @@ impl<I: Iterator<Item = ObjectSweep>> Drop for Held<'_, I> {
         if rest.peek().is_some() {
             let mut shard = self.queue.shard(SweepQueue::home_shard());
             rest.for_each(|job| shard.push(job));
-            drop(shard);
-            self.queue.wake();
         }
         self.settle_in_flight();
     }
@@ -346,15 +298,15 @@ impl<I: Iterator<Item = ObjectSweep>> Drop for Held<'_, I> {
 mod tests {
     use super::*;
 
-    fn job() -> ObjectSweep {
+    /// A job whose range charges `bytes` to the quarantine.
+    fn job(bytes: u64) -> ObjectSweep {
         ObjectSweep {
             obj: FreedObject {
                 base: 0x1000,
-                end: 0x103f,
+                end: 0x1000 + bytes,
                 obj_id: 7,
-                covered: 64,
+                covered: bytes,
                 meta: MetaRef(core::ptr::null()),
-                charge: None,
             },
             logs: LogChain(core::ptr::null_mut()),
         }
@@ -363,13 +315,13 @@ mod tests {
     #[test]
     fn push_pop_retire_accounting() {
         let q = SweepQueue::new(1 << 20, 8);
-        assert_eq!(q.push_object(job(), 100), (1, 100));
-        assert_eq!(q.push_object(job(), 50), (2, 150));
+        assert_eq!(q.push_object(job(100)), (1, 100));
+        assert_eq!(q.push_object(job(50)), (2, 150));
         assert!(!q.over_cap());
         let home = SweepQueue::home_shard();
         let mut held = q.hold(q.pop(home));
         let j = held.next().expect("job queued");
-        assert_eq!(j.obj.charge, Some(100), "oldest job first");
+        assert_eq!(j.obj.charge(), 100, "oldest job first");
         // Popping does not retire: the object is in flight, still pending.
         assert_eq!(q.pending(), 2);
         drop(held);
@@ -384,7 +336,7 @@ mod tests {
         let q = SweepQueue::new(1 << 20, 1024);
         let home = SweepQueue::home_shard();
         for bytes in [10, 20, 30] {
-            q.push_object(job(), bytes);
+            q.push_object(job(bytes));
         }
         let mut out = Vec::new();
         q.pop_batch(home, 3, &mut out);
@@ -400,13 +352,13 @@ mod tests {
     #[test]
     fn steals_report_and_caps_trip() {
         let q = SweepQueue::new(120, 1024);
-        q.push_object(job(), 100);
+        q.push_object(job(100));
         // Pop from a different home shard: found by stealing.
         let other = (SweepQueue::home_shard() + 1) % SWEEP_SHARDS;
         let mut out = Vec::new();
         assert_eq!(q.pop_batch(other, 4, &mut out), 1, "one job stolen");
         assert!(!q.over_cap());
-        q.push_object(job(), 100);
+        q.push_object(job(100));
         assert!(q.over_cap(), "200 quarantined bytes exceed the 120 cap");
         assert_eq!(q.hold(out).count() + q.hold(q.pop(other)).count(), 2);
         assert!(!q.over_cap());
@@ -416,14 +368,14 @@ mod tests {
     fn shard_peaks_track_high_water() {
         let q = SweepQueue::new(1 << 20, 1024);
         let home = SweepQueue::home_shard();
-        q.push_object(job(), 8);
-        q.push_object(job(), 8);
-        q.push_object(job(), 8);
+        q.push_object(job(8));
+        q.push_object(job(8));
+        q.push_object(job(8));
         assert_eq!(q.shard_peaks()[home], 3);
         let mut out = Vec::new();
         q.pop_batch(home, 3, &mut out);
         assert_eq!(out.len(), 3);
-        q.push_object(job(), 8);
+        q.push_object(job(8));
         assert_eq!(q.shard_peaks()[home], 3, "peak is a high-water mark");
     }
 }

@@ -143,11 +143,11 @@ fn metrics_on_is_behaviourally_inert_across_the_matrix() {
 }
 
 #[test]
-fn heap_gauges_track_a_rebound_heap() {
-    // The heap-gauge source reads the detector's live heap slot: after
-    // a re-bind, the gauges must follow the replacement heap (not go
-    // dark when the original drops), and the source must not be
-    // registered twice.
+fn a_detector_binds_one_heap_once() {
+    // Binding the same heap again is a no-op: one heap-gauge source,
+    // which tracks that heap. Binding a second heap panics, because a
+    // deferred sweep requeues each block into the heap that quarantined
+    // it.
     let mem = Arc::new(AddressSpace::new());
     let det = DangSan::new(Arc::clone(&mem), Config::default().with_metrics(true));
     let hub = Arc::clone(det.metrics().expect("hub"));
@@ -158,23 +158,20 @@ fn heap_gauges_track_a_rebound_heap() {
             .map(|s| s.value)
             .collect::<Vec<u64>>()
     };
-    let first = Heap::new(Arc::clone(&mem));
-    det.bind_heap(&first);
-    assert_eq!(resident(&hub).len(), 1);
-    let second = Heap::new(Arc::clone(&mem));
-    det.bind_heap(&second);
-    drop(first);
-    let after_rebind = resident(&hub);
-    assert_eq!(
-        after_rebind.len(),
-        1,
-        "re-bind duplicated or orphaned the source"
-    );
-    second.malloc(4096).expect("alloc");
+    let heap = Heap::new(Arc::clone(&mem));
+    det.bind_heap(&heap);
+    det.bind_heap(&heap);
+    let before = resident(&hub);
+    assert_eq!(before.len(), 1, "a re-bind duplicated the source");
+    heap.malloc(4096).expect("alloc");
     assert!(
-        resident(&hub)[0] > after_rebind[0],
-        "gauges must track the rebound heap"
+        resident(&hub)[0] > before[0],
+        "gauges must track the bound heap"
     );
+    let second = Heap::new(Arc::clone(&mem));
+    let rebind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| det.bind_heap(&second)));
+    assert!(rebind.is_err(), "a second heap was accepted");
+    assert_eq!(resident(&hub).len(), 1);
 }
 
 #[test]

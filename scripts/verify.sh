@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build/lint/tests, the workspace's rustdoc
 # with warnings denied, the e2ebench benchmark package's lint, every
-# workspace crate's tests (the three substrate crates' and the core
-# detector's a second time in the debug profile), a differential-fuzz
-# slice, the e2ebench
-# benchmark's own test and 1-second smoke runs of its two
-# deferred-sweep workloads, the repo-hygiene guard, and the
+# workspace crate's tests (the three substrate crates', the core
+# detector's and the baselines' a second time in the debug profile), a
+# differential-fuzz slice, the e2ebench benchmark's own test and
+# 1-second smoke runs of its two deferred-sweep workloads, the
+# repo-hygiene guard, and the
 # bench gates: `bench_gate` lints the committed BENCH_*.json baselines
 # and, in full mode, gates quick hotpath/scaling/server runs against
 # them. The gates, their floors and what fails them are documented
@@ -27,8 +27,8 @@
 # tests), a rustdoc warning in the workspace, the e2ebench package's
 # rustfmt check or clippy -D warnings, any
 # workspace crate's tests (tier-1 `cargo test` runs only the root
-# package's) in release or, for vmem, heap, shadow and core, debug, a fuzz
-# divergence, the e2ebench build or test, a
+# package's) in release or, for vmem, heap, shadow, core and baselines,
+# debug, a fuzz divergence, the e2ebench build or test, a
 # failed correctness check in an e2ebench smoke run, a
 # tracked file matching .gitignore (stale artifacts must stay untracked
 # once ignored), or a bench gate.
@@ -63,12 +63,14 @@ echo "== workspace: cargo test --workspace --release -q =="
 cargo test --workspace --release -q
 
 # The lock-free substrate (the page directory and its install races, the
-# span registry, the metapagetable) and the core detector (the log tiers,
-# the pools, the sweep engine: most of the repo's `unsafe`) once more with
-# debug assertions and overflow checks, which the release run above
-# compiles out.
-echo "== debug: cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow -p dangsan =="
-cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow -p dangsan
+# span registry, the metapagetable), the core detector (the log tiers,
+# the pools, the sweep engine: most of the repo's `unsafe`) and the
+# baselines (the quarantine defence and the lazy oracle, which also hand
+# quarantined blocks back to their bound heap) once more with debug
+# assertions and overflow checks, which the release run above compiles
+# out.
+echo "== debug: cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow -p dangsan -p dangsan-baselines =="
+cargo test -q -p dangsan-vmem -p dangsan-heap -p dangsan-shadow -p dangsan -p dangsan-baselines
 
 # The fixed-seed corpus replay and a bounded fixed-seed campaign already
 # ran inside cargo test (tests/fuzz_corpus.rs, instr prop_fuzz_diff); this
